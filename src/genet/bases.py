@@ -21,12 +21,16 @@ from pathlib import Path
 from typing import Optional
 
 from .model import (
+    DUPLICATE_PRINCIPLE,
+    EMPTY_PRINCIPLES,
+    INVALID_INSTANCE,
     EthicalTheoryInstance,
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
     PatientKind,
     Subject,
+    ValidationReport,
     Violation,
     validate_instance,
 )
@@ -36,13 +40,13 @@ BASE_DIR_ENV = "GENET_BASE_DIR"
 # Instantiation / conformance codes.
 MUTABILITY_VIOLATION = "MUTABILITY_VIOLATION"
 FIXED_FIELD_VIOLATION = "FIXED_FIELD_VIOLATION"
-EMPTY_PRINCIPLES = "EMPTY_PRINCIPLES"
 UNKNOWN_REMOVAL = "UNKNOWN_REMOVAL"
-DUPLICATE_PRINCIPLE = "DUPLICATE_PRINCIPLE"
 UNKNOWN_BASE_THEORY = "UNKNOWN_BASE_THEORY"
 CONSEQUENTIALITY_MISMATCH = "CONSEQUENTIALITY_MISMATCH"
 NOT_REACHABLE = "NOT_REACHABLE"
-INVALID_INSTANCE = "INVALID_INSTANCE"
+
+# check_conformance returns the model's report; `.conformant` reads `.ok`.
+ConformanceReport = ValidationReport
 
 
 class Mutability(Enum):
@@ -76,18 +80,6 @@ class PrincipleEdit:
     @staticmethod
     def remove(principle: MoralPrinciple) -> "PrincipleEdit":
         return PrincipleEdit("removePrinciple", principle)
-
-
-@dataclass(frozen=True)
-class ConformanceReport:
-    violations: tuple[Violation, ...] = ()
-
-    @property
-    def conformant(self) -> bool:
-        return not self.violations
-
-    def codes(self) -> list[str]:
-        return [v.code for v in self.violations]
 
 
 class InstantiationError(ValueError):
@@ -160,18 +152,9 @@ def load_registry(base_dir: Optional[Path] = None) -> Registry:
     """
     if base_dir is None:
         env = os.environ.get(BASE_DIR_ENV)
-        if env:
-            base_dir = Path(env)
-    if base_dir is not None:
-        paths = sorted(Path(base_dir).glob("*.json"))
-        return Registry([load_template(p) for p in paths])
-    root = resources.files("genet").joinpath("data/bases")
-    templates = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            templates.append(_template_from_dict(json.loads(entry.read_text("utf-8")),
-                                                 entry.name))
-    return Registry(templates)
+        base_dir = env or str(resources.files("genet").joinpath("data/bases"))
+    paths = sorted(Path(base_dir).glob("*.json"))
+    return Registry([load_template(p) for p in paths])
 
 
 def builtin_bases() -> list[BaseTheoryTemplate]:
@@ -288,7 +271,7 @@ def reachable(template: BaseTheoryTemplate,
 
 
 def check_conformance(instance: EthicalTheoryInstance,
-                      registry: Registry) -> ConformanceReport:
+                      registry: Registry) -> ValidationReport:
     """Verify an instance against its registered template: fixed fields
     match and the principle list is reachable under the mutability mode.
 
@@ -312,4 +295,4 @@ def check_conformance(instance: EthicalTheoryInstance,
             NOT_REACHABLE, "principles",
             f"principle list is not reachable from {template.name} defaults "
             f"under mutability={template.mutability.value}"))
-    return ConformanceReport(tuple(out))
+    return ValidationReport(tuple(out))

@@ -21,7 +21,6 @@ from .model import (
     MoralPrinciple,
     Subject,
     ValidationReport,
-    validate_instance,
 )
 
 EXIT_OK = 0
@@ -51,23 +50,14 @@ def _read_file(path: str) -> bytes:
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_bool(text: str) -> bool:
-    value = {"true": True, "1": True, "false": False, "0": False}.get(text.strip())
-    if value is None:
-        raise ValueError(f"not a boolean: {text!r}")
-    return value
-
-
 def cmd_validate(args) -> int:
-    doc = _read_file(args.path)
-    report = xmlio.schema_check(doc)
-    _print_report(report)
-    if not report.ok:
+    try:
+        xmlio.parse_theory(_read_file(args.path))
+    except xmlio.TheoryParseError as exc:
+        # Schema findings, or the model invariants of a schema-clean document.
+        _print_report(exc.report)
         return EXIT_VIOLATION
-    instance = xmlio.parse_theory(doc)
-    core = validate_instance(instance)
-    _print_report(core)
-    return EXIT_OK if core.ok else EXIT_VIOLATION
+    return EXIT_OK
 
 
 def cmd_instantiate(args) -> int:
@@ -82,8 +72,11 @@ def cmd_instantiate(args) -> int:
     try:
         for spec in args.add:
             specification, subject, morality = spec.split(",")
+            value = xmlio.parse_boolean(morality)
+            if value is None:
+                raise ValueError(f"not a boolean: {morality!r}")
             edits.append(bases_mod.PrincipleEdit.add(MoralPrinciple(
-                morality=_parse_bool(morality), subject=Subject(subject),
+                morality=value, subject=Subject(subject),
                 specification=specification)))
         for spec in args.remove:
             specification, subject = spec.split(",")
@@ -163,11 +156,7 @@ def cmd_reason(args) -> int:
             return EXIT_USAGE
         evaluate = (reasoner.evaluate_consequentialist if theory.consequentiality
                     else reasoner.evaluate_deontological)
-        try:
-            evaluation = evaluate(theory, scn, args.action)
-        except reasoner.ModeMismatchError as exc:
-            print(f"{exc.code}\t{args.theory}\t{exc}", file=sys.stderr)
-            return EXIT_VIOLATION
+        evaluation = evaluate(theory, scn, args.action)
         if args.format == "json":
             print(json.dumps(reasoner.evaluation_to_dict(evaluation), indent=2))
         else:

@@ -100,11 +100,14 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    # Template-conformance reports read as "conformant".
+    conformant = ok
+
     def codes(self) -> list[str]:
         return [v.code for v in self.violations]
 
 
-# Violation codes emitted by validate_instance.
+# Violation codes emitted by validate_instance; bases and xmlio reuse some.
 EMPTY_BASE_THEORY = "EMPTY_BASE_THEORY"
 EMPTY_AGENT_NAME = "EMPTY_AGENT_NAME"
 BAD_URI = "BAD_URI"
@@ -115,6 +118,8 @@ EMPTY_SPECIFICATION = "EMPTY_SPECIFICATION"
 SPECIFICATION_WHITESPACE = "SPECIFICATION_WHITESPACE"
 DUPLICATE_PRINCIPLE = "DUPLICATE_PRINCIPLE"
 EMPTY_INSTANCE_NAME = "EMPTY_INSTANCE_NAME"
+# Category for anything that decodes or instantiates to an invalid instance.
+INVALID_INSTANCE = "INVALID_INSTANCE"
 
 
 def _is_uri(text: str) -> bool:

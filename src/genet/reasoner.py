@@ -115,11 +115,12 @@ def influence_gate(theory: EthicalTheoryInstance, request: RequestContext) -> bo
     threshold, so a threshold of 100 never voids and a threshold of 0
     voids any positive influence.
     """
-    if request.influenceKind == "substance":
-        threshold = theory.influenceThresholds.substance
-    else:
-        threshold = theory.influenceThresholds.external
-    return request.influenceLevel > threshold
+    return request.influenceLevel > _threshold(theory, request)
+
+
+def _threshold(theory: EthicalTheoryInstance, request: RequestContext) -> int:
+    t = theory.influenceThresholds
+    return t.substance if request.influenceKind == "substance" else t.external
 
 
 def _principle_premise(builder: _TraceBuilder, theory: EthicalTheoryInstance,
@@ -134,9 +135,7 @@ def _principle_premise(builder: _TraceBuilder, theory: EthicalTheoryInstance,
 
 def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
                         request: RequestContext) -> tuple[bool, str]:
-    threshold = (theory.influenceThresholds.substance
-                 if request.influenceKind == "substance"
-                 else theory.influenceThresholds.external)
+    threshold = _threshold(theory, request)
     p_threshold = builder.premise(
         "thresholdFact",
         f"the {request.influenceKind} influence threshold is {threshold}%",
@@ -186,10 +185,13 @@ def evaluate_consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
         if effect.target == AGENT:
             target_class = Subject.AGENT
             target_text = "the agent"
+            weight, excluded = 1, False
         else:
             target_class = Subject.PATIENTS
             group = scenario.group(effect.target)
             target_text = f"{group.id} ({group.cardinality} {group.patientKind.value})"
+            excluded = group.patientKind not in theory.patientKinds
+            weight = 0 if excluded else group.cardinality
         verb = "increases" if effect.direction == "increase" else "decreases"
         fact = builder.premise(
             "situationalFact",
@@ -204,13 +206,6 @@ def evaluate_consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
             continue
 
         direction = 1 if effect.direction == "increase" else -1
-        if effect.target == AGENT:
-            weight = 1
-            excluded = False
-        else:
-            group = scenario.group(effect.target)
-            excluded = group.patientKind not in theory.patientKinds
-            weight = 0 if excluded else group.cardinality
 
         for principle in principles:
             p_id = _principle_premise(builder, theory, principle)

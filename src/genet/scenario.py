@@ -111,9 +111,6 @@ class Scenario:
     def effects_of(self, action_id: str) -> list[EffectAssertion]:
         return [e for e in self.effects if e.action == action_id]
 
-    def deontics_of(self, action_id: str) -> list[DeonticAssertion]:
-        return [d for d in self.deontics if d.action == action_id]
-
 
 def _require(data: dict, key: str, kind, where: str):
     if key not in data:

@@ -14,10 +14,13 @@ exercised by the test suite.
 from __future__ import annotations
 
 import re
+from typing import Optional
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape, quoteattr
 
 from .model import (
+    INVALID_INSTANCE,
+    PERCENT_OUT_OF_RANGE,
     EthicalTheoryInstance,
     InfluenceThresholds,
     MoralAgent,
@@ -42,17 +45,21 @@ UNEXPECTED_ELEMENT = "UNEXPECTED_ELEMENT"
 UNEXPECTED_TEXT = "UNEXPECTED_TEXT"
 BAD_BOOLEAN = "BAD_BOOLEAN"
 BAD_INTEGER = "BAD_INTEGER"
-PERCENT_OUT_OF_RANGE = "PERCENT_OUT_OF_RANGE"
 ENUM_VIOLATION = "ENUM_VIOLATION"
 MIN_OCCURS = "MIN_OCCURS"
 DUPLICATE_PATIENT_KIND = "DUPLICATE_PATIENT_KIND"
 
-# Error categories carried by TheoryParseError.code.
+# Error categories carried by TheoryParseError.code (with INVALID_INSTANCE).
 SCHEMA_VIOLATION = "SCHEMA_VIOLATION"
-INVALID_INSTANCE = "INVALID_INSTANCE"
 
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def parse_boolean(text: str) -> Optional[bool]:
+    """Map the XSD boolean lexical space (surrounding whitespace allowed)
+    to True or False; None for anything else."""
+    return _BOOLEANS.get(text.strip())
 
 
 class TheoryParseError(ValueError):
@@ -94,14 +101,9 @@ def _check_attrs(elem, path: str, required: list[str], optional: list[str],
                                  f"required attribute {name!r} is missing"))
     allowed = set(required) | set(optional)
     for name in elem.attrib:
-        if name.startswith("{"):
-            # Namespace-qualified attributes: tolerate the standard
-            # XML Schema instance attributes (schemaLocation etc.).
-            if name.startswith(f"{{{XSI_NS}}}"):
-                continue
-            out.append(Violation(UNEXPECTED_ATTRIBUTE, f"{path}@{name}",
-                                 f"attribute {name!r} is not defined by the schema"))
-        elif name not in allowed:
+        # Tolerate the standard XML Schema instance attributes
+        # (schemaLocation etc.).
+        if name not in allowed and not name.startswith(f"{{{XSI_NS}}}"):
             out.append(Violation(UNEXPECTED_ATTRIBUTE, f"{path}@{name}",
                                  f"attribute {name!r} is not defined by the schema"))
 
@@ -117,7 +119,7 @@ def _read_boolean(elem, name: str, path: str, out: list[Violation]):
     raw = elem.get(name)
     if raw is None:
         return None
-    value = _BOOLEANS.get(raw.strip())
+    value = parse_boolean(raw)
     if value is None:
         out.append(Violation(BAD_BOOLEAN, f"{path}@{name}",
                              f"not a boolean: {raw!r}"))
@@ -308,13 +310,11 @@ def parse_theory(doc: bytes) -> EthicalTheoryInstance:
     violations, instance = _decode(doc)
     if violations:
         report = ValidationReport(tuple(violations))
-        code = violations[0].code
-        if code == WELL_FORMEDNESS:
-            raise TheoryParseError(WELL_FORMEDNESS, report, str(violations[0].message))
-        if code == NAMESPACE_MISMATCH:
-            raise TheoryParseError(NAMESPACE_MISMATCH, report, str(violations[0].message))
-        if code == DUPLICATE_PATIENT_KIND:
-            raise TheoryParseError(INVALID_INSTANCE, report, str(violations[0].message))
+        first = violations[0]
+        if first.code in (WELL_FORMEDNESS, NAMESPACE_MISMATCH):
+            raise TheoryParseError(first.code, report, first.message)
+        if first.code == DUPLICATE_PATIENT_KIND:
+            raise TheoryParseError(INVALID_INSTANCE, report, first.message)
         raise TheoryParseError(SCHEMA_VIOLATION, report,
                                f"schema violations: {report.codes()}")
     core = validate_instance(instance)
