@@ -95,17 +95,23 @@ class UnknownBaseTheoryError(KeyError):
         self.name = name
 
 
+def _json_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected a JSON boolean, got {value!r}")
+    return value
+
+
 def _template_from_dict(data: dict, source: str) -> BaseTheoryTemplate:
     try:
         principles = tuple(
-            MoralPrinciple(morality=bool(p["morality"]),
+            MoralPrinciple(morality=_json_bool(p["morality"]),
                            subject=Subject(p["subject"]),
                            specification=p["specification"])
             for p in data["defaultPrinciples"])
         fixed = data.get("fixedPatientKinds")
         template = BaseTheoryTemplate(
             name=data["name"],
-            consequentiality=bool(data["consequentiality"]),
+            consequentiality=_json_bool(data["consequentiality"]),
             defaultPrinciples=principles,
             mutability=Mutability(data["mutability"]),
             fixedPatientKinds=None if fixed is None

@@ -1,9 +1,10 @@
 """Command-line interface: validate, instantiate, bases, reason.
 
 Exit codes: 0 success/decided, 1 validation or conformance failure,
-2 conflict or multiple-permissible outcome, 3 usage error. Reports go
-to stdout, diagnostics to stderr. GENET_BASE_DIR overrides the packaged
-base-template directory.
+2 conflict or multiple-permissible outcome, 3 usage error (including an
+unreadable input or an unwritable output file). Reports go to stdout,
+diagnostics to stderr. GENET_BASE_DIR overrides the packaged base-template
+directory.
 """
 
 from __future__ import annotations
@@ -99,7 +100,11 @@ def cmd_instantiate(args) -> int:
         print(f"{exc.code}\tprinciples\t{exc}")
         return EXIT_VIOLATION
 
-    Path(args.out).write_bytes(xmlio.emit_theory(instance))
+    try:
+        Path(args.out).write_bytes(xmlio.emit_theory(instance))
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

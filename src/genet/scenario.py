@@ -122,6 +122,10 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
+def _optional(data: dict, key: str, kind, where: str, default=None):
+    return _require(data, key, kind, where) if key in data else default
+
+
 def _enum(value: str, allowed: tuple[str, ...], where: str) -> str:
     if value not in allowed:
         raise ScenarioError(PARSE_ERROR, f"{where}: {value!r} not one of {allowed}")
@@ -184,7 +188,7 @@ def load_scenario(doc: bytes) -> Scenario:
         elif isinstance(raw, dict):
             actions.append(ActionOption(
                 id=_token(_require(raw, "id", str, where), f"{where}.id"),
-                description=raw.get("description")))
+                description=_optional(raw, "description", str, where)))
         else:
             raise ScenarioError(PARSE_ERROR, f"{where}: must be an id or object")
     if len(actions) < 2:
@@ -222,7 +226,7 @@ def load_scenario(doc: bytes) -> Scenario:
             direction=_enum(_require(raw, "direction", str, where),
                             _DIRECTIONS, where),
             target=_require(raw, "target", str, where),
-            requestDerived=bool(raw.get("requestDerived", False)))
+            requestDerived=_optional(raw, "requestDerived", bool, where, False))
         check_refs(effect.action, effect.target, where)
         effects.append(effect)
 

@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import shutil
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genet.bases import (
+    BASE_DIR_ENV,
     BaseTheoryTemplate,
     InstantiationError,
     Mutability,
@@ -15,6 +20,7 @@ from genet.bases import (
     builtin_bases,
     check_conformance,
     instantiate,
+    load_registry,
     reachable,
 )
 from genet.model import (
@@ -32,6 +38,7 @@ MASLOW = ["physiologySatisfaction", "safetySatisfaction", "loveSatisfaction",
           "esteemSatisfaction", "selfActualisationSatisfaction"]
 DOE = MoralAgent("Doe Family", "http://thedoes.fam")
 THRESH = InfluenceThresholds(external=50, substance=30)
+BUILTIN_DIR = Path(str(resources.files("genet").joinpath("data/bases")))
 
 
 def base(registry, name):
@@ -88,6 +95,35 @@ class TestBuiltinBases:
                      "ChristianDivineCommandTheory"):
             assert set(base(registry, name).freeFields) >= {
                 "agent", "influenceThresholds", "instanceName"}
+
+
+class TestLoadRegistry:
+    def test_base_dir_argument(self, tmp_path):
+        shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path)
+        assert load_registry(base_dir=tmp_path).names() == ["egoism"]
+
+    def test_base_dir_environment_variable(self, tmp_path, monkeypatch):
+        shutil.copy(BUILTIN_DIR / "Kantianism.json", tmp_path)
+        monkeypatch.setenv(BASE_DIR_ENV, str(tmp_path))
+        assert load_registry().names() == ["Kantianism"]
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_malformed_template_names_its_file(self, tmp_path, monkeypatch, via_env):
+        shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path)
+        (tmp_path / "broken.json").write_text('{"name": "broken"}')
+        if via_env:
+            monkeypatch.setenv(BASE_DIR_ENV, str(tmp_path))
+        with pytest.raises(ValueError, match="broken.json"):
+            load_registry(None if via_env else tmp_path)
+
+    @pytest.mark.parametrize("field", ["morality", "consequentiality"])
+    def test_booleans_are_not_coerced(self, tmp_path, field):
+        data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
+        owner = data["defaultPrinciples"][0] if field == "morality" else data
+        owner[field] = "false"
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="malformed base-theory template"):
+            load_registry(base_dir=tmp_path)
 
 
 class TestInstantiate:

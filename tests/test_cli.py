@@ -46,6 +46,15 @@ class TestValidate:
         assert len(lines) == 1
         assert lines[0].startswith("PERCENT_OUT_OF_RANGE\t")
 
+    def test_model_invalid_document(self, capsys, tmp_path):
+        """A schema-clean document that breaks a model invariant is a
+        finding, not a traceback."""
+        path = tmp_path / "nameless.xml"
+        path.write_bytes(theory_bytes("mia-egoism").replace(b'name="Mia"', b'name=""'))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == "EMPTY_AGENT_NAME\tagent.name\tagent name must be non-empty\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/theory.xml")
         assert code == 3
@@ -89,6 +98,18 @@ class TestInstantiate:
         assert len(instance.principles) == 4
         assert "loveSatisfaction" not in {p.specification
                                           for p in instance.principles}
+
+    @pytest.mark.parametrize("out", ["missing/x.xml", "."],
+                             ids=["missing-parent", "directory"])
+    def test_unwritable_out_is_usage(self, capsys, tmp_path, out):
+        out_path = tmp_path / out
+        code, stdout, err = run(capsys, "instantiate", "--base", "egoism",
+                                "--agent", "A", "--external", "0",
+                                "--substance", "0", "--name", "x",
+                                "--out", str(out_path))
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
 
     def test_unknown_base(self, capsys, tmp_path):
         code, _, err = run(capsys, "instantiate", "--base", "nosuch",

@@ -115,6 +115,19 @@ class TestLoadScenario:
             load_scenario(b"not json at all {")
         assert err.value.code == PARSE_ERROR
 
+    def test_request_derived_must_be_boolean(self):
+        broken = doc(effects=[{"action": "A1", "specification": "s",
+                               "direction": "increase", "target": "crowd",
+                               "requestDerived": "false"}])
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(broken)
+        assert err.value.code == PARSE_ERROR
+
+    def test_description_must_be_string(self):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc(actions=[{"id": "A1", "description": 5}, "A2"]))
+        assert err.value.code == PARSE_ERROR
+
     def test_bad_direction(self):
         broken = doc(effects=[{"action": "A1", "specification": "s",
                                "direction": "sideways", "target": "crowd"}])
