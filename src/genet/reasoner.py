@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
-from .model import EthicalTheoryInstance, MoralPrinciple, Subject, matching_principles
-from .scenario import AGENT, RequestContext, Scenario
+from .model import EthicalTheoryInstance, MoralPrinciple, Subject
+from .scenario import AGENT, DeonticAssertion, EffectAssertion, RequestContext, Scenario
 
 MODE_MISMATCH = "MODE_MISMATCH"
 
@@ -123,14 +123,40 @@ def _threshold(theory: EthicalTheoryInstance, request: RequestContext) -> int:
     return t.substance if request.influenceKind == "substance" else t.external
 
 
-def _principle_premise(builder: _TraceBuilder, theory: EthicalTheoryInstance,
-                       principle: MoralPrinciple) -> str:
-    index = theory.principles.index(principle)
-    quality = "good" if principle.morality else "bad"
-    return builder.premise(
-        "theoryPrinciple",
-        f"{principle.specification} of {principle.subject.value} is morally {quality}",
-        f"theory:principles[{index}]")
+_PremiseKey = tuple[str, str, str]  # (kind, text, source), as _TraceBuilder.premise
+
+
+class _Tables:
+    """Lookup tables for evaluating the actions of one scenario under one
+    theory, built in one pass over each document."""
+
+    def __init__(self, theory: EthicalTheoryInstance, scenario: Scenario):
+        self.theory = theory
+        self.request = scenario.request
+        # One premise key per principle, in document order, each naming the
+        # position of the principle's first occurrence. The text determines
+        # the principle, and a string key hashes faster than the dataclass.
+        first: dict[str, _PremiseKey] = {}
+        self.premises: list[_PremiseKey] = []
+        self.by_spec: dict[str, list[tuple[MoralPrinciple, _PremiseKey]]] = {}
+        for index, principle in enumerate(theory.principles):
+            quality = "good" if principle.morality else "bad"
+            text = (f"{principle.specification} of {principle.subject.value} "
+                    f"is morally {quality}")
+            key = first.get(text)
+            if key is None:
+                key = first[text] = ("theoryPrinciple", text,
+                                     f"theory:principles[{index}]")
+            self.premises.append(key)
+            self.by_spec.setdefault(principle.specification, []).append((principle, key))
+        self.groups = {g.id: g for g in scenario.groups}
+        self.effects: dict[str, list[tuple[int, EffectAssertion]]] = {}
+        for index, effect in enumerate(scenario.effects):
+            self.effects.setdefault(effect.action, []).append((index, effect))
+        self.deontics: dict[tuple[str, str], list[tuple[int, DeonticAssertion]]] = {}
+        for index, assertion in enumerate(scenario.deontics):
+            self.deontics.setdefault((assertion.action, assertion.specification),
+                                     []).append((index, assertion))
 
 
 def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
@@ -169,26 +195,28 @@ def evaluate_consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
         raise ModeMismatchError(
             f"theory {theory.baseTheory!r} is deontological; "
             f"consequentialist evaluation does not apply")
+    return _evaluate_consequentialist(_Tables(theory, scenario), action_id)
 
+
+def _evaluate_consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
+    theory, request = tables.theory, tables.request
+    effects = tables.effects.get(action_id, ())
     builder = _TraceBuilder()
     gate_voided = False
     gate_id: Optional[str] = None
-    if scenario.request is not None and any(
-            e.requestDerived for e in scenario.effects_of(action_id)):
-        gate_voided, gate_id = _gate_subconclusion(builder, theory, scenario.request)
+    if request is not None and any(e.requestDerived for _, e in effects):
+        gate_voided, gate_id = _gate_subconclusion(builder, theory, request)
 
     score = 0
     ledger: list[int] = []
-    for index, effect in enumerate(scenario.effects):
-        if effect.action != action_id:
-            continue
+    for index, effect in effects:
         if effect.target == AGENT:
             target_class = Subject.AGENT
             target_text = "the agent"
             weight, excluded = 1, False
         else:
             target_class = Subject.PATIENTS
-            group = scenario.group(effect.target)
+            group = tables.groups[effect.target]
             target_text = f"{group.id} ({group.cardinality} {group.patientKind.value})"
             excluded = group.patientKind not in theory.patientKinds
             weight = 0 if excluded else group.cardinality
@@ -198,7 +226,8 @@ def evaluate_consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
             f"{action_id} {verb} {effect.specification} for {target_text}",
             f"scenario:effects[{index}]")
 
-        principles = matching_principles(theory, effect.specification, target_class)
+        principles = [(p, key) for p, key in tables.by_spec.get(effect.specification, ())
+                      if p.subject.covers(target_class)]
         if not principles:
             builder.infer([fact],
                           f"no principle covers {effect.specification} for "
@@ -207,8 +236,8 @@ def evaluate_consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
 
         direction = 1 if effect.direction == "increase" else -1
 
-        for principle in principles:
-            p_id = _principle_premise(builder, theory, principle)
+        for principle, key in principles:
+            p_id = builder.premise(*key)
             morality = 1 if principle.morality else -1
             value = direction * morality * weight
             if excluded:
@@ -271,22 +300,18 @@ def evaluate_deontological(theory: EthicalTheoryInstance, scenario: Scenario,
         raise ModeMismatchError(
             f"theory {theory.baseTheory!r} is consequentialist; "
             f"deontological evaluation does not apply")
+    return _evaluate_deontological(_Tables(theory, scenario), action_id)
 
+
+def _evaluate_deontological(tables: _Tables, action_id: str) -> ActionEvaluation:
     builder = _TraceBuilder()
     violated = False
-    for principle in theory.principles:
-        p_id = _principle_premise(builder, theory, principle)
-        matches = []
-        for index, assertion in enumerate(scenario.deontics):
-            if assertion.action != action_id:
-                continue
-            if assertion.specification != principle.specification:
-                continue
-            target_class = (Subject.AGENT if assertion.target == AGENT
-                            else Subject.PATIENTS)
-            if not principle.subject.covers(target_class):
-                continue
-            matches.append((index, assertion))
+    for principle, key in zip(tables.theory.principles, tables.premises):
+        p_id = builder.premise(*key)
+        matches = [(index, assertion) for index, assertion
+                   in tables.deontics.get((action_id, principle.specification), ())
+                   if principle.subject.covers(Subject.AGENT if assertion.target == AGENT
+                                               else Subject.PATIENTS)]
 
         if not matches:
             if principle.morality:
@@ -335,8 +360,9 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
     arbitrarily. Deontological: the permissible actions are the answer,
     one, several, or none.
     """
+    tables = _Tables(theory, scenario)
     if theory.consequentiality:
-        evaluations = [evaluate_consequentialist(theory, scenario, a)
+        evaluations = [_evaluate_consequentialist(tables, a)
                        for a in scenario.action_ids()]
         best = max(e.score for e in evaluations)
         tied = [e for e in evaluations if e.score == best]
@@ -367,8 +393,7 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
                  if e.action in tied_ids else e for e in evaluations]
         return Decision(DecisionKind.CONFLICT, (), tuple(final), tied=tied_ids)
 
-    evaluations = [evaluate_deontological(theory, scenario, a)
-                   for a in scenario.action_ids()]
+    evaluations = [_evaluate_deontological(tables, a) for a in scenario.action_ids()]
     permissible = tuple(e.action for e in evaluations
                         if e.verdict is MoralVerdict.PERMISSIBLE)
     if len(permissible) == 1:

@@ -16,6 +16,7 @@ key schema.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,6 @@ from .model import (
     Subject,
     ValidationReport,
     Violation,
-    matching_principles,
 )
 
 #: Distinguished target meaning "the moral agent itself".
@@ -38,6 +38,12 @@ RANGE_ERROR = "RANGE_ERROR"
 AGENT_MISMATCH = "AGENT_MISMATCH"
 INERT_SPECIFICATION = "INERT_SPECIFICATION"
 EXCLUDED_PATIENT_KIND = "EXCLUDED_PATIENT_KIND"
+
+_GROUP_KEYS = {"id", "kind", "patientKind", "cardinality"}
+_ACTION_KEYS = {"id", "description"}
+_EFFECT_KEYS = {"action", "specification", "direction", "target", "requestDerived"}
+_DEONTIC_KEYS = {"action", "specification", "holds", "target"}
+_REQUEST_KEYS = {"requester", "influenceKind", "influenceLevel", "requestedAction"}
 
 _GROUP_KINDS = ("agentGroup", "patientGroup")
 _DIRECTIONS = ("increase", "decrease")
@@ -102,14 +108,14 @@ class Scenario:
     def action_ids(self) -> list[str]:
         return [a.id for a in self.actions]
 
-    def group(self, group_id: str) -> StakeholderGroup:
-        for g in self.groups:
-            if g.id == group_id:
-                return g
-        raise KeyError(group_id)
 
-    def effects_of(self, action_id: str) -> list[EffectAssertion]:
-        return [e for e in self.effects if e.action == action_id]
+def _object(raw, keys: set[str], where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ScenarioError(PARSE_ERROR, f"{where}: must be an object")
+    if not raw.keys() <= keys:
+        unknown = next(key for key in raw if key not in keys)
+        raise ScenarioError(PARSE_ERROR, f"{where}: unknown key {unknown!r}")
+    return raw
 
 
 def _require(data: dict, key: str, kind, where: str):
@@ -165,8 +171,7 @@ def load_scenario(doc: bytes) -> Scenario:
     groups: list[StakeholderGroup] = []
     for i, raw in enumerate(_require(data, "groups", list, "document")):
         where = f"groups[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(PARSE_ERROR, f"{where}: must be an object")
+        _object(raw, _GROUP_KEYS, where)
         cardinality = _require(raw, "cardinality", int, where)
         if cardinality < 1:
             raise ScenarioError(RANGE_ERROR, f"{where}: cardinality must be >= 1")
@@ -186,6 +191,7 @@ def load_scenario(doc: bytes) -> Scenario:
         if isinstance(raw, str):
             actions.append(ActionOption(id=_token(raw, where)))
         elif isinstance(raw, dict):
+            _object(raw, _ACTION_KEYS, where)
             actions.append(ActionOption(
                 id=_token(_require(raw, "id", str, where), f"{where}.id"),
                 description=_optional(raw, "description", str, where)))
@@ -197,17 +203,18 @@ def load_scenario(doc: bytes) -> Scenario:
     group_ids = [g.id for g in groups]
     action_ids = [a.id for a in actions]
     for label, ids in (("group", group_ids), ("action", action_ids)):
-        dupes = {x for x in ids if ids.count(x) > 1}
-        if dupes:
+        if len(set(ids)) < len(ids):
+            dupes = {x for x, n in Counter(ids).items() if n > 1}
             raise ScenarioError(DUPLICATE_ID,
                                 f"duplicate {label} ids: {sorted(dupes)}")
     if AGENT in group_ids:
         raise ScenarioError(DUPLICATE_ID, f"group id {AGENT!r} is reserved")
 
     targets = set(group_ids) | {AGENT}
+    known_actions = set(action_ids)
 
     def check_refs(action: str, target: str, where: str) -> None:
-        if action not in action_ids:
+        if action not in known_actions:
             raise ScenarioError(DANGLING_REFERENCE,
                                 f"{where}: unknown action {action!r}")
         if target not in targets:
@@ -217,8 +224,7 @@ def load_scenario(doc: bytes) -> Scenario:
     effects: list[EffectAssertion] = []
     for i, raw in enumerate(_require(data, "effects", list, "document")):
         where = f"effects[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(PARSE_ERROR, f"{where}: must be an object")
+        _object(raw, _EFFECT_KEYS, where)
         effect = EffectAssertion(
             action=_require(raw, "action", str, where),
             specification=_token(_require(raw, "specification", str, where),
@@ -233,8 +239,7 @@ def load_scenario(doc: bytes) -> Scenario:
     deontics: list[DeonticAssertion] = []
     for i, raw in enumerate(_require(data, "deontics", list, "document")):
         where = f"deontics[{i}]"
-        if not isinstance(raw, dict):
-            raise ScenarioError(PARSE_ERROR, f"{where}: must be an object")
+        _object(raw, _DEONTIC_KEYS, where)
         assertion = DeonticAssertion(
             action=_require(raw, "action", str, where),
             specification=_token(_require(raw, "specification", str, where),
@@ -246,9 +251,7 @@ def load_scenario(doc: bytes) -> Scenario:
 
     request = None
     if data.get("request") is not None:
-        raw = data["request"]
-        if not isinstance(raw, dict):
-            raise ScenarioError(PARSE_ERROR, "request: must be an object")
+        raw = _object(data["request"], _REQUEST_KEYS, "request")
         level = _require(raw, "influenceLevel", int, "request")
         if not 0 <= level <= 100:
             raise ScenarioError(RANGE_ERROR,
@@ -262,7 +265,7 @@ def load_scenario(doc: bytes) -> Scenario:
         if request.requester not in targets:
             raise ScenarioError(DANGLING_REFERENCE,
                                 f"request: unknown requester {request.requester!r}")
-        if request.requestedAction not in action_ids:
+        if request.requestedAction not in known_actions:
             raise ScenarioError(DANGLING_REFERENCE,
                                 f"request: unknown action {request.requestedAction!r}")
 
@@ -316,9 +319,13 @@ def validate_scenario_against_theory(scenario: Scenario,
     # starts from the principles, not the assertions), so only effects
     # under a consequentialist theory are warned about.
     if theory.consequentiality:
+        # The specifications covered for each target class.
+        agent_specs, patient_specs = (
+            {p.specification for p in theory.principles if p.subject.covers(cls)}
+            for cls in (Subject.AGENT, Subject.PATIENTS))
         for i, e in enumerate(scenario.effects):
-            cls = Subject.AGENT if e.target == AGENT else Subject.PATIENTS
-            if not matching_principles(theory, e.specification, cls):
+            if e.specification not in (agent_specs if e.target == AGENT
+                                       else patient_specs):
                 out.append(Violation(
                     INERT_SPECIFICATION, f"effects[{i}]",
                     f"effect {e.specification!r} on {e.target!r} matches no "

@@ -15,7 +15,9 @@ from genet.model import (
 from genet.scenario import (
     AGENT,
     ActionOption,
+    DeonticAssertion,
     EffectAssertion,
+    RequestContext,
     Scenario,
     StakeholderGroup,
 )
@@ -90,3 +92,44 @@ def group_scenarios(draw, specs=("good", "bad"), n_actions=(2, 4)):
         for _ in range(draw(st.integers(0, 10))))
     return Scenario(name="generated", actingFor="Agent", groups=groups,
                     actions=actions, effects=effects, deontics=())
+
+
+@st.composite
+def theory_scenarios(draw):
+    """A theory instance of either mode and a scenario whose effects and
+    deontic assertions name its principles' specifications (plus one that
+    no principle covers), target groups and the agent, and may carry a
+    request."""
+    theory = draw(valid_instances)
+    specs = sorted({p.specification for p in theory.principles}) + ["unmatched"]
+    n_groups = draw(st.integers(0, 3))
+    groups = tuple(
+        StakeholderGroup(id=f"g{i}", kind="patientGroup",
+                         patientKind=draw(st.sampled_from(list(PatientKind))),
+                         cardinality=draw(st.integers(1, 50)))
+        for i in range(n_groups))
+    action_ids = [f"a{i}" for i in range(draw(st.integers(2, 4)))]
+    targets = [g.id for g in groups] + [AGENT]
+    effects = tuple(
+        EffectAssertion(action=draw(st.sampled_from(action_ids)),
+                        specification=draw(st.sampled_from(specs)),
+                        direction=draw(st.sampled_from(["increase", "decrease"])),
+                        target=draw(st.sampled_from(targets)),
+                        requestDerived=draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 10))))
+    deontics = tuple(
+        DeonticAssertion(action=draw(st.sampled_from(action_ids)),
+                         specification=draw(st.sampled_from(specs)),
+                         holds=draw(st.booleans()),
+                         target=draw(st.sampled_from(targets)))
+        for _ in range(draw(st.integers(0, 10))))
+    request = draw(st.one_of(st.none(), st.builds(
+        RequestContext,
+        requester=st.sampled_from(targets),
+        influenceKind=st.sampled_from(["substance", "external"]),
+        influenceLevel=percentages,
+        requestedAction=st.sampled_from(action_ids))))
+    scenario = Scenario(name="generated", actingFor=theory.agent.name, groups=groups,
+                        actions=tuple(ActionOption(id=a) for a in action_ids),
+                        effects=effects, deontics=deontics, request=request)
+    return theory, scenario

@@ -236,6 +236,14 @@ def test_console_script_entry_point():
     assert "utilitarianism" in result.stdout
 
 
+def test_python_dash_m_genet():
+    """`python -m genet` runs the CLI through `genet/__main__.py`."""
+    result = subprocess.run([sys.executable, "-m", "genet", "bases", "list"],
+                            capture_output=True, text=True, env=_this_tree_env())
+    assert result.returncode == 0
+    assert "Kantianism" in result.stdout
+
+
 def test_installed_script(tmp_path):
     """The `[project.scripts]` entry `genet` in pyproject.toml, run as the
     command `genet`, lists the bases.

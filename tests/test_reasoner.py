@@ -31,7 +31,7 @@ from genet.scenario import (
     Scenario,
     StakeholderGroup,
 )
-from .strategies import group_scenarios
+from .strategies import group_scenarios, theory_scenarios
 
 # Verdicts expected for every (scenario, theory) pairing of the shipped
 # fixtures; derived by hand from the effect/deontic listings before the
@@ -156,10 +156,13 @@ class TestEvaluateConsequentialist:
         # principle, with excluded kinds at weight 0.
         theory = toy_theory(kinds=frozenset({PatientKind.HUMAN,
                                              PatientKind.OTHER_ANIMAL}))
+        groups = {g.id: g for g in scenario.groups}
         for action in scenario.action_ids():
             expected = 0
-            for e in scenario.effects_of(action):
-                group = scenario.group(e.target)
+            for e in scenario.effects:
+                if e.action != action:
+                    continue
+                group = groups[e.target]
                 if group.patientKind not in theory.patientKinds:
                     continue
                 direction = 1 if e.direction == "increase" else -1
@@ -243,6 +246,37 @@ class TestEvaluateDeontological:
         assert evaluate_deontological(theory, scenario, "a0").verdict \
             is MoralVerdict.PERMISSIBLE
 
+    def test_assertions_are_cited_in_document_order(self):
+        theory = toy_theory(consequentiality=False,
+                            principles=(MoralPrinciple(False, Subject.ALL, "lie"),))
+        scenario = Scenario(
+            name="x", actingFor="Agent",
+            groups=(StakeholderGroup("g", "patientGroup", PatientKind.HUMAN, 1),),
+            actions=(ActionOption("a0"), ActionOption("a1")),
+            effects=(),
+            deontics=(DeonticAssertion("a0", "lie", True, "g"),
+                      DeonticAssertion("a1", "lie", True, "g"),
+                      DeonticAssertion("a0", "lie", False, AGENT)))
+        trace = evaluate_deontological(theory, scenario, "a0").trace
+        assert [p.source for p in trace.premises if p.kind == "situationalFact"] == [
+            "scenario:deontics[0]", "scenario:deontics[2]"]
+
+    def test_repeated_principle_cites_its_first_position(self):
+        lie = MoralPrinciple(False, Subject.ALL, "lie")
+        theory = toy_theory(consequentiality=False,
+                            principles=(lie, MoralPrinciple(True, Subject.ALL, "keep"), lie))
+        scenario = Scenario(
+            name="x", actingFor="Agent", groups=(),
+            actions=(ActionOption("a0"), ActionOption("a1")),
+            effects=(),
+            deontics=(DeonticAssertion("a0", "lie", True, AGENT),))
+        trace = evaluate_deontological(theory, scenario, "a0").trace
+        assert [p.source for p in trace.premises if p.kind == "theoryPrinciple"] == [
+            "theory:principles[0]", "theory:principles[1]"]
+        violations = [i for i in trace.inferences if "violates" in i.text]
+        assert len(violations) == 2
+        assert violations[0].fromIds == violations[1].fromIds
+
     @given(cardinality=st.integers(1, 10 ** 6))
     def test_group_size_never_matters(self, theories, scenarios, cardinality):
         scaled = dataclasses.replace(
@@ -322,6 +356,23 @@ class TestDecide:
         theory = toy_theory()
         assert decide(theory, scenario) == decide(theory, scenario)
 
+    @settings(deadline=None, max_examples=200)
+    @given(theory_scenarios())
+    def test_agrees_with_evaluating_each_action(self, pair):
+        # decide evaluates every action from one set of lookup tables; each
+        # public evaluate_* call builds its own. Both must give the same
+        # trace, score and ledger (decide may rewrite the verdict).
+        theory, scenario = pair
+        evaluate = (evaluate_consequentialist if theory.consequentiality
+                    else evaluate_deontological)
+        decided = {e.action: e for e in decide(theory, scenario).evaluations}
+        assert list(decided) == scenario.action_ids()
+        for action in scenario.action_ids():
+            alone = evaluate(theory, scenario, action)
+            assert (alone.trace, alone.score, alone.supererogation) == (
+                decided[action].trace, decided[action].score,
+                decided[action].supererogation)
+
     @settings(deadline=None, max_examples=150)
     @given(group_scenarios())
     def test_exclusion_equals_hand_removal(self, scenario):
@@ -329,9 +380,9 @@ class TestDecide:
         # evaluating a scenario whose effects on that kind were deleted.
         excluding = toy_theory(kinds=frozenset({PatientKind.HUMAN}))
         inclusive = toy_theory(kinds=frozenset(PatientKind))
-        kept = tuple(
-            e for e in scenario.effects
-            if scenario.group(e.target).patientKind is PatientKind.HUMAN)
+        groups = {g.id: g for g in scenario.groups}
+        kept = tuple(e for e in scenario.effects
+                     if groups[e.target].patientKind is PatientKind.HUMAN)
         pruned = dataclasses.replace(scenario, effects=kept)
         for action in scenario.action_ids():
             assert evaluate_consequentialist(excluding, scenario, action).score \

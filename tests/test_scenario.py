@@ -115,6 +115,33 @@ class TestLoadScenario:
             load_scenario(b"not json at all {")
         assert err.value.code == PARSE_ERROR
 
+    def test_misspelt_request_derived_is_rejected(self):
+        data = json.loads(scenario_bytes("mia"))
+        index = next(i for i, e in enumerate(data["effects"]) if e.get("requestDerived"))
+        effect = data["effects"][index]
+        effect["requestDerivd"] = effect.pop("requestDerived")
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(json.dumps(data).encode("utf-8"))
+        assert err.value.code == PARSE_ERROR
+        assert str(err.value) == f"effects[{index}]: unknown key 'requestDerivd'"
+
+    @pytest.mark.parametrize("where, overrides", [
+        ("groups[0]", {"groups": [{"id": "crowd", "kind": "patientGroup",
+                                   "patientKind": "human", "cardinality": 3,
+                                   "extra": 1}]}),
+        ("actions[0]", {"actions": [{"id": "A1", "extra": 1}, "A2"]}),
+        ("deontics[0]", {"deontics": [{"action": "A2", "specification": "lie",
+                                       "holds": True, "target": AGENT, "extra": 1}]}),
+        ("request", {"request": {"requester": AGENT, "influenceKind": "substance",
+                                 "influenceLevel": 10, "requestedAction": "A1",
+                                 "extra": 1}}),
+    ], ids=["group", "action", "deontic", "request"])
+    def test_unknown_nested_key(self, where, overrides):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc(**overrides))
+        assert err.value.code == PARSE_ERROR
+        assert str(err.value) == f"{where}: unknown key 'extra'"
+
     def test_request_derived_must_be_boolean(self):
         broken = doc(effects=[{"action": "A1", "specification": "s",
                                "direction": "increase", "target": "crowd",
