@@ -51,12 +51,10 @@ from .reasoner import (
     ArgumentTrace,
     Decision,
     DecisionKind,
-    ModeMismatchError,
     MoralVerdict,
     decide,
     decision_to_dict,
-    evaluate_consequentialist,
-    evaluate_deontological,
+    evaluate,
     influence_gate,
     render_decision,
     render_evaluation,

@@ -34,6 +34,7 @@ from .model import (
     Violation,
     validate_instance,
 )
+from .scenario import _object, _optional, _require
 
 BASE_DIR_ENV = "GENET_BASE_DIR"
 
@@ -54,6 +55,11 @@ class Mutability(Enum):
     REMOVE = "remove"
     NONE = "none"
     ALL = "all"
+
+
+# For each mode: (whether principles may be added, whether removed).
+_EDITS = {Mutability.ADD: (True, False), Mutability.REMOVE: (False, True),
+          Mutability.NONE: (False, False), Mutability.ALL: (True, True)}
 
 
 @dataclass(frozen=True)
@@ -95,40 +101,40 @@ class UnknownBaseTheoryError(KeyError):
         self.name = name
 
 
-def _json_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected a JSON boolean, got {value!r}")
-    return value
+_TEMPLATE_KEYS = {"name", "consequentiality", "fixedPatientKinds", "mutability",
+                  "defaultPrinciples", "freeFields"}
 
 
-def _template_from_dict(data: dict, source: str) -> BaseTheoryTemplate:
+def _decode_template(doc: bytes, source: str) -> BaseTheoryTemplate:
+    """Decode one template document. Unknown keys and mistyped values are
+    rejected, as in scenario documents."""
     try:
-        principles = tuple(
-            MoralPrinciple(morality=_json_bool(p["morality"]),
-                           subject=Subject(p["subject"]),
-                           specification=p["specification"])
-            for p in data["defaultPrinciples"])
-        fixed = data.get("fixedPatientKinds")
-        template = BaseTheoryTemplate(
-            name=data["name"],
-            consequentiality=_json_bool(data["consequentiality"]),
-            defaultPrinciples=principles,
-            mutability=Mutability(data["mutability"]),
+        data = _object(json.loads(doc), _TEMPLATE_KEYS, "document")
+        principles = []
+        for i, raw in enumerate(_require(data, "defaultPrinciples", list, "document")):
+            where = f"defaultPrinciples[{i}]"
+            _object(raw, {"morality", "subject", "specification"}, where)
+            principles.append(MoralPrinciple(
+                morality=_require(raw, "morality", bool, where),
+                subject=Subject(_require(raw, "subject", str, where)),
+                specification=_require(raw, "specification", str, where)))
+        if not principles:
+            raise ValueError("document: key 'defaultPrinciples' is empty")
+        fixed = _optional(data, "fixedPatientKinds", list, "document")
+        free = _optional(data, "freeFields", list, "document",
+                         BaseTheoryTemplate.freeFields)
+        if not all(isinstance(field, str) for field in free):
+            raise ValueError("document: key 'freeFields' must list only str")
+        return BaseTheoryTemplate(
+            name=_require(data, "name", str, "document"),
+            consequentiality=_require(data, "consequentiality", bool, "document"),
+            defaultPrinciples=tuple(principles),
+            mutability=Mutability(_require(data, "mutability", str, "document")),
             fixedPatientKinds=None if fixed is None
             else frozenset(PatientKind(k) for k in fixed),
-            freeFields=tuple(data.get("freeFields",
-                                      ("agent", "influenceThresholds", "instanceName"))),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+            freeFields=tuple(free))
+    except ValueError as exc:  # also undecodable JSON, and ScenarioError
         raise ValueError(f"malformed base-theory template {source}: {exc}") from exc
-    if not template.defaultPrinciples:
-        raise ValueError(f"base-theory template {source} has no default principles")
-    return template
-
-
-def load_template(path: Path) -> BaseTheoryTemplate:
-    with open(path, "rb") as handle:
-        return _template_from_dict(json.load(handle), str(path))
 
 
 class Registry:
@@ -146,9 +152,6 @@ class Registry:
         except KeyError:
             raise UnknownBaseTheoryError(name) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
 
 def load_registry(base_dir: Optional[Path] = None) -> Registry:
     """Load templates from a directory of ``*.json`` files.
@@ -160,7 +163,7 @@ def load_registry(base_dir: Optional[Path] = None) -> Registry:
         env = os.environ.get(BASE_DIR_ENV)
         base_dir = env or str(resources.files("genet").joinpath("data/bases"))
     paths = sorted(Path(base_dir).glob("*.json"))
-    return Registry([load_template(p) for p in paths])
+    return Registry([_decode_template(p.read_bytes(), str(p)) for p in paths])
 
 
 def builtin_bases() -> list[BaseTheoryTemplate]:
@@ -199,8 +202,7 @@ def instantiate(base: BaseTheoryTemplate,
                 f"{base.name} leaves patientKinds free; the instantiator must supply them")
         kinds = frozenset(patientKinds)
 
-    may_add = base.mutability in (Mutability.ADD, Mutability.ALL)
-    may_remove = base.mutability in (Mutability.REMOVE, Mutability.ALL)
+    may_add, may_remove = _EDITS[base.mutability]
     principles = list(base.defaultPrinciples)
     for edit in edits:
         if edit.kind == "addPrinciple":
@@ -267,13 +269,8 @@ def reachable(template: BaseTheoryTemplate,
         if have[key] != defaults[key]:
             added.append(key)
             removed.append(key)
-    if template.mutability is Mutability.ALL:
-        return True
-    if template.mutability is Mutability.NONE:
-        return not added and not removed
-    if template.mutability is Mutability.ADD:
-        return not removed
-    return not added  # Mutability.REMOVE
+    may_add, may_remove = _EDITS[template.mutability]
+    return (may_add or not added) and (may_remove or not removed)
 
 
 def check_conformance(instance: EthicalTheoryInstance,

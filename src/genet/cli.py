@@ -2,9 +2,9 @@
 
 Exit codes: 0 success/decided, 1 validation or conformance failure,
 2 conflict or multiple-permissible outcome, 3 usage error (including an
-unreadable input or an unwritable output file). Reports go to stdout,
-diagnostics to stderr. GENET_BASE_DIR overrides the packaged base-template
-directory.
+unreadable input, an unwritable output file or a malformed base-template
+file). Reports go to stdout, diagnostics to stderr. GENET_BASE_DIR
+overrides the packaged base-template directory.
 """
 
 from __future__ import annotations
@@ -62,10 +62,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
-    registry = bases_mod.load_registry()
     try:
-        base = registry.get(args.base)
-    except bases_mod.UnknownBaseTheoryError as exc:
+        base = bases_mod.load_registry().get(args.base)
+    except (ValueError, bases_mod.UnknownBaseTheoryError) as exc:
+        # A malformed template file, or no template of that name.
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -109,16 +109,16 @@ def cmd_instantiate(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    registry = bases_mod.load_registry()
-    if args.action == "list":
+    try:
+        registry = bases_mod.load_registry()
+        base = registry.get(args.name) if args.action == "show" else None
+    except (ValueError, bases_mod.UnknownBaseTheoryError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_USAGE
+    if base is None:
         for name in registry.names():
             print(name)
         return EXIT_OK
-    try:
-        base = registry.get(args.name)
-    except bases_mod.UnknownBaseTheoryError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
     print(f"name: {base.name}")
     print(f"consequentiality: {str(base.consequentiality).lower()}")
     if base.fixedPatientKinds is not None:
@@ -159,9 +159,7 @@ def cmd_reason(args) -> int:
         if args.action not in scn.action_ids():
             print(f"error: no action {args.action!r} in scenario", file=sys.stderr)
             return EXIT_USAGE
-        evaluate = (reasoner.evaluate_consequentialist if theory.consequentiality
-                    else reasoner.evaluate_deontological)
-        evaluation = evaluate(theory, scn, args.action)
+        evaluation = reasoner.evaluate(theory, scn, args.action)
         if args.format == "json":
             print(json.dumps(reasoner.evaluation_to_dict(evaluation), indent=2))
         else:

@@ -17,15 +17,6 @@ from typing import Optional
 from .model import EthicalTheoryInstance, MoralPrinciple, Subject
 from .scenario import AGENT, DeonticAssertion, EffectAssertion, RequestContext, Scenario
 
-MODE_MISMATCH = "MODE_MISMATCH"
-
-
-class ModeMismatchError(ValueError):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.code = MODE_MISMATCH
-
-
 class MoralVerdict(Enum):
     OBLIGATORY_BEST = "obligatoryBest"
     PERMISSIBLE = "permissible"
@@ -181,8 +172,16 @@ def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
     return voided, builder.infer([p_threshold, p_level], text)
 
 
-def evaluate_consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
-                              action_id: str) -> ActionEvaluation:
+def evaluate(theory: EthicalTheoryInstance, scenario: Scenario,
+             action_id: str) -> ActionEvaluation:
+    """Evaluate one action in the theory's own mode: scored by its effects
+    under a consequentialist theory, checked against each principle under
+    a deontological one."""
+    evaluator = _consequentialist if theory.consequentiality else _deontological
+    return evaluator(_Tables(theory, scenario), action_id)
+
+
+def _consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
     """Score one action by its asserted effects.
 
     Each effect contributes direction (+1 increase / -1 decrease) times
@@ -191,14 +190,6 @@ def evaluate_consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
     are recorded at weight 0; positive contributions of a voided request
     are diverted to the supererogation ledger instead of the score.
     """
-    if not theory.consequentiality:
-        raise ModeMismatchError(
-            f"theory {theory.baseTheory!r} is deontological; "
-            f"consequentialist evaluation does not apply")
-    return _evaluate_consequentialist(_Tables(theory, scenario), action_id)
-
-
-def _evaluate_consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
     theory, request = tables.theory, tables.request
     effects = tables.effects.get(action_id, ())
     builder = _TraceBuilder()
@@ -288,22 +279,13 @@ def _evaluate_consequentialist(tables: _Tables, action_id: str) -> ActionEvaluat
                             score=score, supererogation=tuple(ledger))
 
 
-def evaluate_deontological(theory: EthicalTheoryInstance, scenario: Scenario,
-                           action_id: str) -> ActionEvaluation:
+def _deontological(tables: _Tables, action_id: str) -> ActionEvaluation:
     """Check one action against every principle, requirement-fulfilment
     style: prohibitions are violated by an asserted occurrence, and
     requirements by an asserted non-occurrence. A missing assertion for
     a requirement passes with a recorded warning. Group sizes never
     affect the verdict.
     """
-    if theory.consequentiality:
-        raise ModeMismatchError(
-            f"theory {theory.baseTheory!r} is consequentialist; "
-            f"deontological evaluation does not apply")
-    return _evaluate_deontological(_Tables(theory, scenario), action_id)
-
-
-def _evaluate_deontological(tables: _Tables, action_id: str) -> ActionEvaluation:
     builder = _TraceBuilder()
     violated = False
     for principle, key in zip(tables.theory.principles, tables.premises):
@@ -362,8 +344,7 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
     """
     tables = _Tables(theory, scenario)
     if theory.consequentiality:
-        evaluations = [_evaluate_consequentialist(tables, a)
-                       for a in scenario.action_ids()]
+        evaluations = [_consequentialist(tables, a) for a in scenario.action_ids()]
         best = max(e.score for e in evaluations)
         tied = [e for e in evaluations if e.score == best]
 
@@ -393,7 +374,7 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
                  if e.action in tied_ids else e for e in evaluations]
         return Decision(DecisionKind.CONFLICT, (), tuple(final), tied=tied_ids)
 
-    evaluations = [_evaluate_deontological(tables, a) for a in scenario.action_ids()]
+    evaluations = [_deontological(tables, a) for a in scenario.action_ids()]
     permissible = tuple(e.action for e in evaluations
                         if e.verdict is MoralVerdict.PERMISSIBLE)
     if len(permissible) == 1:

@@ -126,6 +126,15 @@ def _read_boolean(elem, name: str, path: str, out: list[Violation]):
     return value
 
 
+def _read_enum(enum, raw: str, name: str, path: str, out: list[Violation]):
+    try:
+        return enum(raw)
+    except ValueError:
+        out.append(Violation(ENUM_VIOLATION, path, f"{name} {raw!r} outside "
+                             f"enumeration {[member.value for member in enum]}"))
+        return None
+
+
 def _read_percentage(elem, name: str, path: str, out: list[Violation]):
     raw = elem.get(name)
     if raw is None:
@@ -141,6 +150,53 @@ def _read_percentage(elem, name: str, path: str, out: list[Violation]):
                              f"percentage {value} outside [0, 100]"))
         return None
     return value
+
+
+def _element(elem, path: str, out: list[Violation], required=(), optional=(),
+             text: bool = False, child: Optional[str] = None, decode=None) -> list:
+    """Check one element against its schema type: its attributes, its
+    character data (allowed only when ``text``) and its content, which is
+    no child elements or, when ``child`` is given, one or more elements of
+    that tag. Each such child is decoded in document order by
+    ``decode(child, path, out)``; the results other than None are returned.
+    """
+    _check_attrs(elem, path, required, optional, out)
+    if not text:
+        _check_no_text(elem, path, out)
+    if child is None:
+        for sub in elem:
+            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{_local(sub.tag)}",
+                                 f"{_local(elem.tag)} has no child elements"))
+        return []
+    if len(elem) == 0:
+        out.append(Violation(MIN_OCCURS, f"{path}/{child}",
+                             f"at least one {child} is required"))
+    values = []
+    for i, sub in enumerate(elem):
+        cpath = f"{path}/{child}[{i}]"
+        if sub.tag != _qname(child):
+            out.append(Violation(UNEXPECTED_ELEMENT, cpath,
+                                 f"unexpected element {_local(sub.tag)!r}"))
+        elif (value := decode(sub, cpath, out)) is not None:
+            values.append(value)
+    return values
+
+
+def _decode_patient_kind(elem, path: str, out: list[Violation]) -> Optional[PatientKind]:
+    _element(elem, path, out, text=True)
+    return _read_enum(PatientKind, elem.text or "", "patientKind", path, out)
+
+
+def _decode_principle(elem, path: str, out: list[Violation]) -> Optional[MoralPrinciple]:
+    _element(elem, path, out, ["morality", "subject", "specification"])
+    morality = _read_boolean(elem, "morality", path, out)
+    raw = elem.get("subject")
+    subject = (None if raw is None
+               else _read_enum(Subject, raw, "subject", f"{path}@subject", out))
+    specification = elem.get("specification")
+    if morality is None or subject is None or specification is None:
+        return None
+    return MoralPrinciple(morality=morality, subject=subject, specification=specification)
 
 
 def _decode(doc: bytes):
@@ -195,46 +251,23 @@ def _decode(doc: bytes):
 
     agent = None
     if (elem := found.get("agent")) is not None:
-        apath = f"{path}/agent"
-        _check_attrs(elem, apath, ["name"], ["reference"], out)
-        _check_no_text(elem, apath, out)
-        for child in elem:
-            out.append(Violation(UNEXPECTED_ELEMENT, f"{apath}/{_local(child.tag)}",
-                                 "agent has no child elements"))
+        _element(elem, f"{path}/agent", out, ["name"], ["reference"])
         agent = MoralAgent(name=elem.get("name", ""), reference=elem.get("reference"))
 
     kinds: list[PatientKind] = []
     if (elem := found.get("patientKinds")) is not None:
-        kpath = f"{path}/patientKinds"
-        _check_attrs(elem, kpath, [], [], out)
-        _check_no_text(elem, kpath, out)
-        children = list(elem)
-        if not children:
-            out.append(Violation(MIN_OCCURS, f"{kpath}/patientKind",
-                                 "at least one patientKind is required"))
-        for i, child in enumerate(children):
-            cpath = f"{kpath}/patientKind[{i}]"
-            if child.tag != _qname("patientKind"):
-                out.append(Violation(UNEXPECTED_ELEMENT, cpath,
-                                     f"unexpected element {_local(child.tag)!r}"))
-                continue
-            _check_attrs(child, cpath, [], [], out)
-            text = child.text or ""
-            try:
-                kinds.append(PatientKind(text))
-            except ValueError:
-                out.append(Violation(ENUM_VIOLATION, cpath,
-                                     f"patientKind {text!r} outside enumeration "
-                                     f"{[k.value for k in PatientKind]}"))
+        kinds = _element(elem, f"{path}/patientKinds", out,
+                         child="patientKind", decode=_decode_patient_kind)
+        # The XSD tolerates repeated patientKind values; the model is a
+        # set, so decoding them would be lossy. Reject instead.
+        if len(kinds) != len(set(kinds)):
+            out.append(Violation(DUPLICATE_PATIENT_KIND, f"{path}/patientKinds",
+                                 "patientKind values must be distinct"))
 
     thresholds = None
     if (elem := found.get("influenceThresholds")) is not None:
         tpath = f"{path}/influenceThresholds"
-        _check_attrs(elem, tpath, ["external", "substance"], [], out)
-        _check_no_text(elem, tpath, out)
-        for child in elem:
-            out.append(Violation(UNEXPECTED_ELEMENT, f"{tpath}/{_local(child.tag)}",
-                                 "influenceThresholds has no child elements"))
+        _element(elem, tpath, out, ["external", "substance"])
         external = _read_percentage(elem, "external", tpath, out)
         substance = _read_percentage(elem, "substance", tpath, out)
         if external is not None and substance is not None:
@@ -242,40 +275,12 @@ def _decode(doc: bytes):
 
     principles: list[MoralPrinciple] = []
     if (elem := found.get("principles")) is not None:
-        ppath = f"{path}/principles"
-        _check_attrs(elem, ppath, [], [], out)
-        _check_no_text(elem, ppath, out)
-        children = list(elem)
-        if not children:
-            out.append(Violation(MIN_OCCURS, f"{ppath}/principle",
-                                 "at least one principle is required"))
-        for i, child in enumerate(children):
-            cpath = f"{ppath}/principle[{i}]"
-            if child.tag != _qname("principle"):
-                out.append(Violation(UNEXPECTED_ELEMENT, cpath,
-                                     f"unexpected element {_local(child.tag)!r}"))
-                continue
-            _check_attrs(child, cpath, ["morality", "subject", "specification"], [], out)
-            _check_no_text(child, cpath, out)
-            morality = _read_boolean(child, "morality", cpath, out)
-            subject_raw = child.get("subject")
-            subject = None
-            if subject_raw is not None:
-                try:
-                    subject = Subject(subject_raw)
-                except ValueError:
-                    out.append(Violation(ENUM_VIOLATION, f"{cpath}@subject",
-                                         f"subject {subject_raw!r} outside enumeration "
-                                         f"{[s.value for s in Subject]}"))
-            specification = child.get("specification")
-            if morality is not None and subject is not None and specification is not None:
-                principles.append(MoralPrinciple(morality=morality, subject=subject,
-                                                 specification=specification))
+        principles = _element(elem, f"{path}/principles", out,
+                              child="principle", decode=_decode_principle)
 
     if out:
         return out, None
-
-    instance = EthicalTheoryInstance(
+    return [], EthicalTheoryInstance(
         baseTheory=root.get("baseTheory", ""),
         instanceName=root.get("instanceName"),
         consequentiality=consequentiality,
@@ -284,13 +289,6 @@ def _decode(doc: bytes):
         influenceThresholds=thresholds,
         principles=tuple(principles),
     )
-    # The XSD tolerates repeated patientKind values; the model is a set,
-    # so decoding them would be lossy. Reject instead.
-    if len(kinds) != len(set(kinds)):
-        dup = Violation(DUPLICATE_PATIENT_KIND, f"{path}/patientKinds",
-                        "patientKind values must be distinct")
-        return [dup], instance
-    return [], instance
 
 
 def schema_check(doc: bytes) -> ValidationReport:

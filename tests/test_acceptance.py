@@ -28,7 +28,7 @@ from genet.model import (
     Subject,
     validate_instance,
 )
-from genet.reasoner import DecisionKind, decide, evaluate_consequentialist, influence_gate
+from genet.reasoner import DecisionKind, decide, evaluate, influence_gate
 from genet.scenario import (
     ActionOption,
     EffectAssertion,
@@ -206,8 +206,8 @@ def test_criterion_6_scale_invariance():
         for k in (2, 10, 1000):
             scaled = _scaled(scenario, k)
             for action in scenario.action_ids():
-                assert evaluate_consequentialist(theory, scaled, action).score \
-                    == evaluate_consequentialist(theory, scenario, action).score * k
+                assert evaluate(theory, scaled, action).score \
+                    == evaluate(theory, scenario, action).score * k
     for _ in range(200):  # batch 2: cross-action decision invariance
         scenario = _random_group_scenario(rng)
         base = decide(theory, scenario)

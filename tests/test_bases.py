@@ -126,6 +126,39 @@ class TestLoadRegistry:
             load_registry(base_dir=tmp_path)
 
 
+    def test_invalid_json_names_its_file(self, tmp_path):
+        (tmp_path / "broken.json").write_text('{"name": ')
+        with pytest.raises(ValueError, match=r"malformed base-theory template "
+                                             r".*broken\.json: "):
+            load_registry(base_dir=tmp_path)
+
+    def test_misspelt_key_is_rejected(self, tmp_path):
+        data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
+        data["fixedPatientKind"] = data.pop("fixedPatientKinds")
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="unknown key 'fixedPatientKind'"):
+            load_registry(base_dir=tmp_path)
+
+    @pytest.mark.parametrize("path, value", [
+        (("name",), 5), (("mutability",), True), (("fixedPatientKinds",), "human"),
+        (("fixedPatientKinds",), None), (("freeFields",), "agent"),
+        (("freeFields",), [5]), (("defaultPrinciples",), {}),
+        (("defaultPrinciples",), []),
+        (("defaultPrinciples", 0), "x"), (("defaultPrinciples", 0, "subject"), 5),
+        (("defaultPrinciples", 0, "specification"), 5),
+        (("defaultPrinciples", 0, "weight"), 1)],
+        ids=lambda arg: ".".join(map(str, arg)) if isinstance(arg, tuple) else repr(arg))
+    def test_values_are_type_checked(self, tmp_path, path, value):
+        data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
+        owner = data
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="malformed base-theory template"):
+            load_registry(base_dir=tmp_path)
+
+
 class TestInstantiate:
     def test_doe_utilitarianism_matches_listing(self, registry):
         instance = instantiate(base(registry, "utilitarianism"), agent=DOE,

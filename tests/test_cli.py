@@ -218,6 +218,34 @@ class TestBases:
         assert code == 3
 
 
+BUILTIN_BASES = PACKAGE_ROOT / "genet" / "data" / "bases"
+INSTANTIATE = ["instantiate", "--base", "egoism", "--agent", "A", "--external", "0",
+               "--substance", "0", "--name", "x"]
+
+
+@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
+                                     INSTANTIATE], ids=["list", "show", "instantiate"])
+@pytest.mark.parametrize("broken", ["invalid-json", "specification-5"])
+def test_malformed_template_is_usage(capsys, tmp_path, monkeypatch, command, broken):
+    text = (BUILTIN_BASES / "egoism.json").read_text("utf-8")
+    if broken == "invalid-json":
+        text = text[:len(text) // 2]
+    else:
+        data = json.loads(text)
+        data["defaultPrinciples"][0]["specification"] = 5
+        text = json.dumps(data)
+    (tmp_path / "bases").mkdir()
+    (tmp_path / "bases" / "egoism.json").write_text(text)
+    monkeypatch.setenv("GENET_BASE_DIR", str(tmp_path / "bases"))
+    out = tmp_path / "x.xml"
+    code, stdout, err = run(capsys, *command,
+                            *(["--out", str(out)] if command == INSTANTIATE else []))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: malformed base-theory template ")
+    assert "egoism.json" in err
+    assert not out.exists()
+
+
 def _this_tree_env(**extra):
     """The environment with the directory of the imported `genet` package
     first on PYTHONPATH, so a subprocess runs this tree's code."""

@@ -1,0 +1,120 @@
+"""Mutation fuzzing of the shipped JSON inputs.
+
+The scenario fixtures and the base templates are mutated by dropping a
+key or list entry, giving a value another type, or cutting the bytes
+short. Each loader must raise only its typed error, and the CLI must end
+every command with a documented exit code (0, 1, 2 or 3), never with a
+traceback.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from genet.bases import BASE_DIR_ENV, load_registry
+from genet.fixtures import theory_path
+from genet.scenario import ScenarioError, load_scenario
+from .conftest import CASE_THEORIES, SCENARIO_NAMES, scenario_bytes
+from .test_bases import BUILTIN_DIR
+from .test_golden import _run
+
+TEMPLATE_NAMES = sorted(path.stem for path in BUILTIN_DIR.glob("*.json"))
+OTHER_VALUES = [None, True, False, 0, -1, 7, 1.5, "", "x", "human", "all", [], ["x"],
+                {}, {"x": 1}]
+EXIT_CODES = {0, 1, 2, 3}
+
+
+def _positions(value, at: tuple = ()):
+    """Every position below a JSON value, as a tuple of keys and indexes."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield at + (key,)
+        yield from _positions(item, at + (key,))
+
+
+@st.composite
+def mutants(draw, doc: bytes) -> bytes:
+    """`doc` with one key or entry dropped, one value replaced by a value
+    of another type, or its bytes truncated."""
+    how = draw(st.sampled_from(["drop", "retype", "truncate"]))
+    if how == "truncate":
+        return doc[:draw(st.integers(0, len(doc) - 1))]
+    data = json.loads(doc)
+    at = draw(st.sampled_from(list(_positions(data))))
+    owner = data
+    for key in at[:-1]:
+        owner = owner[key]
+    if how == "drop":
+        del owner[at[-1]]
+    else:
+        old = owner[at[-1]]
+        owner[at[-1]] = draw(st.sampled_from(
+            [value for value in OTHER_VALUES if type(value) is not type(old)]))
+    return json.dumps(data).encode("utf-8")
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(SCENARIO_NAMES).flatmap(
+    lambda name: mutants(scenario_bytes(name))))
+def test_scenario_loader_raises_only_scenario_error(doc):
+    try:
+        load_scenario(doc)
+    except ScenarioError:
+        pass
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_reason_exits_with_a_documented_code(data):
+    scenario = data.draw(st.sampled_from(sorted(CASE_THEORIES)))
+    theory = data.draw(st.sampled_from(CASE_THEORIES[scenario]))
+    doc = data.draw(mutants(scenario_bytes(scenario)))
+    action = data.draw(st.sampled_from(
+        load_scenario(scenario_bytes(scenario)).action_ids()))
+    extra = data.draw(st.sampled_from(
+        [(), ("--explain",), ("--format", "json"), ("--action", action, "--explain"),
+         ("--action", action, "--format", "json")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.scenario.json"
+        path.write_bytes(doc)
+        assert _run(["reason", "--theory", str(theory_path(theory)),
+                     "--scenario", str(path), *extra])["exit"] in EXIT_CODES
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_template_loader_raises_only_a_value_error_naming_the_file(data):
+    name = data.draw(st.sampled_from(TEMPLATE_NAMES))
+    doc = data.draw(mutants((BUILTIN_DIR / f"{name}.json").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.json"
+        path.write_bytes(doc)
+        try:
+            load_registry(Path(tmp))
+        except ValueError as exc:
+            assert type(exc) is ValueError
+            assert str(path) in str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_template_commands_exit_with_a_documented_code(data):
+    name = data.draw(st.sampled_from(TEMPLATE_NAMES))
+    doc = data.draw(mutants((BUILTIN_DIR / f"{name}.json").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        base_dir = Path(tmp) / "bases"
+        base_dir.mkdir()
+        (base_dir / f"{name}.json").write_bytes(doc)
+        with mock.patch.dict(os.environ, {BASE_DIR_ENV: str(base_dir)}):
+            for argv in (["bases", "list"], ["bases", "show", name],
+                         ["instantiate", "--base", name, "--agent", "A",
+                          "--external", "0", "--substance", "0", "--name", "x",
+                          "--out", str(Path(tmp) / "out.xml")]):
+                assert _run(argv)["exit"] in EXIT_CODES, argv

@@ -15,11 +15,9 @@ from genet.model import (
 )
 from genet.reasoner import (
     DecisionKind,
-    ModeMismatchError,
     MoralVerdict,
     decide,
-    evaluate_consequentialist,
-    evaluate_deontological,
+    evaluate,
     influence_gate,
 )
 from genet.scenario import (
@@ -104,30 +102,28 @@ class TestInfluenceGate:
 
 class TestEvaluateConsequentialist:
     def test_mia_a1_voided_request(self, theories, scenarios):
-        evaluation = evaluate_consequentialist(theories["mia-egoism"],
-                                               scenarios["mia"], "A1")
+        evaluation = evaluate(theories["mia-egoism"], scenarios["mia"], "A1")
         assert evaluation.score == -1
         assert evaluation.verdict is MoralVerdict.WRONG
         assert evaluation.supererogation == (1,)
         assert "voided" in "\n".join(i.text for i in evaluation.trace.inferences)
 
     def test_mia_a2_permissible(self, theories, scenarios):
-        evaluation = evaluate_consequentialist(theories["mia-egoism"],
-                                               scenarios["mia"], "A2")
+        evaluation = evaluate(theories["mia-egoism"], scenarios["mia"], "A2")
         assert evaluation.score == 0
         assert evaluation.verdict is MoralVerdict.PERMISSIBLE
         assert evaluation.supererogation == ()
 
     def test_trolley_utilitarian_scores(self, theories, scenarios):
         theory = theories["trainco-utilitarianism"]
-        t1 = evaluate_consequentialist(theory, scenarios["trolley"], "T1")
-        t2 = evaluate_consequentialist(theory, scenarios["trolley"], "T2")
+        t1 = evaluate(theory, scenarios["trolley"], "T1")
+        t2 = evaluate(theory, scenarios["trolley"], "T2")
         assert (t1.score, t2.score) == (-1, -5)
 
     def test_marijuana_utilitarian_scores(self, theories, scenarios):
         theory = theories["doe-utilitarianism"]
-        m1 = evaluate_consequentialist(theory, scenarios["marijuana"], "M1")
-        m2 = evaluate_consequentialist(theory, scenarios["marijuana"], "M2")
+        m1 = evaluate(theory, scenarios["marijuana"], "M1")
+        m2 = evaluate(theory, scenarios["marijuana"], "M2")
         assert m1.score == -4 + 10000
         assert m2.score == 1 + 1 - 10000
 
@@ -140,14 +136,14 @@ class TestEvaluateConsequentialist:
             actions=(ActionOption("a0"), ActionOption("a1")),
             effects=(EffectAssertion("a0", "good", "increase", "forest"),),
             deontics=())
-        evaluation = evaluate_consequentialist(theory, scenario, "a0")
+        evaluation = evaluate(theory, scenario, "a0")
         assert evaluation.score == 0
         assert 0 in evaluation.trace.counted_contributions()
 
-    def test_mode_mismatch(self, theories, scenarios):
-        with pytest.raises(ModeMismatchError):
-            evaluate_consequentialist(theories["trainco-dct"],
-                                      scenarios["trolley"], "T1")
+    def test_follows_the_theory_mode(self, theories, scenarios):
+        # mia-egoism is consequentialist, so evaluate scores the action.
+        assert isinstance(evaluate(theories["mia-egoism"], scenarios["mia"],
+                                   "A1").score, int)
 
     @settings(deadline=None, max_examples=200)
     @given(group_scenarios())
@@ -168,7 +164,7 @@ class TestEvaluateConsequentialist:
                 direction = 1 if e.direction == "increase" else -1
                 morality = 1 if e.specification == "good" else -1
                 expected += direction * morality * group.cardinality
-            evaluation = evaluate_consequentialist(theory, scenario, action)
+            evaluation = evaluate(theory, scenario, action)
             assert evaluation.score == expected
 
     @settings(deadline=None)
@@ -176,7 +172,7 @@ class TestEvaluateConsequentialist:
     def test_score_is_the_sum_of_counted_contributions(self, scenario):
         theory = toy_theory()
         for action in scenario.action_ids():
-            evaluation = evaluate_consequentialist(theory, scenario, action)
+            evaluation = evaluate(theory, scenario, action)
             assert evaluation.score == sum(evaluation.trace.counted_contributions())
 
     @settings(deadline=None, max_examples=100)
@@ -188,24 +184,22 @@ class TestEvaluateConsequentialist:
             groups=tuple(dataclasses.replace(g, cardinality=g.cardinality * k)
                          for g in scenario.groups))
         for action in scenario.action_ids():
-            base = evaluate_consequentialist(theory, scenario, action)
-            big = evaluate_consequentialist(theory, scaled, action)
+            base = evaluate(theory, scenario, action)
+            big = evaluate(theory, scaled, action)
             assert big.score == base.score * k
         assert decide(theory, scaled).chosen == decide(theory, scenario).chosen
 
 
 class TestEvaluateDeontological:
     def test_trolley_t1_violates_kill(self, theories, scenarios):
-        evaluation = evaluate_deontological(theories["trainco-dct"],
-                                            scenarios["trolley"], "T1")
+        evaluation = evaluate(theories["trainco-dct"], scenarios["trolley"], "T1")
         assert evaluation.verdict is MoralVerdict.WRONG
         assert evaluation.score is None
         texts = [i.text for i in evaluation.trace.inferences]
         assert any("violates the kill prohibition" in t for t in texts)
 
     def test_trolley_t2_passes_with_warnings(self, theories, scenarios):
-        evaluation = evaluate_deontological(theories["trainco-dct"],
-                                            scenarios["trolley"], "T2")
+        evaluation = evaluate(theories["trainco-dct"], scenarios["trolley"], "T2")
         assert evaluation.verdict is MoralVerdict.PERMISSIBLE
         # The respectParents requirement has no assertion: warned, not failed.
         texts = [i.text for i in evaluation.trace.inferences]
@@ -213,8 +207,8 @@ class TestEvaluateDeontological:
 
     def test_mia_kantian_verdicts(self, theories, scenarios):
         theory = theories["mia-kantianism"]
-        a1 = evaluate_deontological(theory, scenarios["mia"], "A1")
-        a2 = evaluate_deontological(theory, scenarios["mia"], "A2")
+        a1 = evaluate(theory, scenarios["mia"], "A1")
+        a2 = evaluate(theory, scenarios["mia"], "A2")
         assert a1.verdict is MoralVerdict.PERMISSIBLE
         assert a2.verdict is MoralVerdict.WRONG
 
@@ -227,9 +221,9 @@ class TestEvaluateDeontological:
             effects=(),
             deontics=(DeonticAssertion("a0", "keep", True, AGENT),
                       DeonticAssertion("a1", "keep", False, AGENT)))
-        assert evaluate_deontological(theory, scenario, "a0").verdict \
+        assert evaluate(theory, scenario, "a0").verdict \
             is MoralVerdict.PERMISSIBLE
-        assert evaluate_deontological(theory, scenario, "a1").verdict \
+        assert evaluate(theory, scenario, "a1").verdict \
             is MoralVerdict.WRONG
 
     def test_subject_must_cover_the_target(self):
@@ -243,7 +237,7 @@ class TestEvaluateDeontological:
             deontics=(DeonticAssertion("a0", "lie", True, "g"),))
         # The prohibition only concerns the agent; lying toward the group
         # is outside its subject and cannot violate it.
-        assert evaluate_deontological(theory, scenario, "a0").verdict \
+        assert evaluate(theory, scenario, "a0").verdict \
             is MoralVerdict.PERMISSIBLE
 
     def test_assertions_are_cited_in_document_order(self):
@@ -257,7 +251,7 @@ class TestEvaluateDeontological:
             deontics=(DeonticAssertion("a0", "lie", True, "g"),
                       DeonticAssertion("a1", "lie", True, "g"),
                       DeonticAssertion("a0", "lie", False, AGENT)))
-        trace = evaluate_deontological(theory, scenario, "a0").trace
+        trace = evaluate(theory, scenario, "a0").trace
         assert [p.source for p in trace.premises if p.kind == "situationalFact"] == [
             "scenario:deontics[0]", "scenario:deontics[2]"]
 
@@ -270,7 +264,7 @@ class TestEvaluateDeontological:
             actions=(ActionOption("a0"), ActionOption("a1")),
             effects=(),
             deontics=(DeonticAssertion("a0", "lie", True, AGENT),))
-        trace = evaluate_deontological(theory, scenario, "a0").trace
+        trace = evaluate(theory, scenario, "a0").trace
         assert [p.source for p in trace.premises if p.kind == "theoryPrinciple"] == [
             "theory:principles[0]", "theory:principles[1]"]
         violations = [i for i in trace.inferences if "violates" in i.text]
@@ -284,14 +278,14 @@ class TestEvaluateDeontological:
             groups=tuple(dataclasses.replace(g, cardinality=cardinality)
                          for g in scenarios["trolley"].groups))
         for action in ("T1", "T2"):
-            assert evaluate_deontological(
-                theories["trainco-dct"], scaled, action).verdict is \
-                evaluate_deontological(
-                    theories["trainco-dct"], scenarios["trolley"], action).verdict
+            assert evaluate(theories["trainco-dct"], scaled, action).verdict is \
+                evaluate(theories["trainco-dct"], scenarios["trolley"], action).verdict
 
-    def test_mode_mismatch(self, theories, scenarios):
-        with pytest.raises(ModeMismatchError):
-            evaluate_deontological(theories["mia-egoism"], scenarios["mia"], "A1")
+    def test_follows_the_theory_mode(self, theories, scenarios):
+        # trainco-dct is deontological, so evaluate checks principles and
+        # gives no score.
+        assert evaluate(theories["trainco-dct"], scenarios["trolley"],
+                        "T1").score is None
 
 
 class TestDecide:
@@ -360,11 +354,9 @@ class TestDecide:
     @given(theory_scenarios())
     def test_agrees_with_evaluating_each_action(self, pair):
         # decide evaluates every action from one set of lookup tables; each
-        # public evaluate_* call builds its own. Both must give the same
-        # trace, score and ledger (decide may rewrite the verdict).
+        # evaluate call builds its own. Both must give the same trace,
+        # score and ledger (decide may rewrite the verdict).
         theory, scenario = pair
-        evaluate = (evaluate_consequentialist if theory.consequentiality
-                    else evaluate_deontological)
         decided = {e.action: e for e in decide(theory, scenario).evaluations}
         assert list(decided) == scenario.action_ids()
         for action in scenario.action_ids():
@@ -385,5 +377,5 @@ class TestDecide:
                      if groups[e.target].patientKind is PatientKind.HUMAN)
         pruned = dataclasses.replace(scenario, effects=kept)
         for action in scenario.action_ids():
-            assert evaluate_consequentialist(excluding, scenario, action).score \
-                == evaluate_consequentialist(inclusive, pruned, action).score
+            assert evaluate(excluding, scenario, action).score \
+                == evaluate(inclusive, pruned, action).score

@@ -104,6 +104,20 @@ class TestParseTheory:
             parse_theory(doc)
         assert err.value.code == "INVALID_INSTANCE"
 
+    @pytest.mark.parametrize("pattern, replacement, path", [
+        (r'specification="x"/>', 'specification="x"><foo/></principle>',
+         "/ethicalTheory/principles/principle[0]/foo"),
+        (">human<", ">human<foo/><", "/ethicalTheory/patientKinds/patientKind[0]/foo"),
+    ], ids=["principle", "patientKind"])
+    def test_child_of_a_leaf_element_rejected(self, pattern, replacement, path):
+        doc = mutate(pattern, replacement)
+        leaf = path.split("/")[-2].split("[")[0]
+        assert [(v.code, v.path, v.message) for v in schema_check(doc).violations] \
+            == [("UNEXPECTED_ELEMENT", path, f"{leaf} has no child elements")]
+        with pytest.raises(TheoryParseError) as err:
+            parse_theory(doc)
+        assert err.value.code == "SCHEMA_VIOLATION"
+
     def test_duplicate_patient_kind_rejected(self):
         doc = mutate("</patientKinds>",
                      "<patientKind>human</patientKind></patientKinds>")
