@@ -10,7 +10,6 @@ from .model import (
     Subject,
     ValidationReport,
     Violation,
-    matching_principles,
     validate_instance,
 )
 from .xmlio import (
@@ -22,13 +21,11 @@ from .xmlio import (
 )
 from .bases import (
     BaseTheoryTemplate,
-    ConformanceReport,
     InstantiationError,
     Mutability,
     PrincipleEdit,
     Registry,
     UnknownBaseTheoryError,
-    builtin_bases,
     check_conformance,
     instantiate,
     load_registry,

@@ -16,7 +16,6 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -46,9 +45,6 @@ UNKNOWN_BASE_THEORY = "UNKNOWN_BASE_THEORY"
 CONSEQUENTIALITY_MISMATCH = "CONSEQUENTIALITY_MISMATCH"
 NOT_REACHABLE = "NOT_REACHABLE"
 
-# check_conformance returns the model's report; `.conformant` reads `.ok`.
-ConformanceReport = ValidationReport
-
 
 class Mutability(Enum):
     ADD = "add"
@@ -74,24 +70,30 @@ class BaseTheoryTemplate:
 
 @dataclass(frozen=True)
 class PrincipleEdit:
-    """A single change to the default principle collection."""
+    """A single change to the default principle collection: adding the
+    principle when ``adds`` is true, removing it otherwise."""
 
-    kind: str  # "addPrinciple" | "removePrinciple"
+    adds: bool
     principle: MoralPrinciple
 
     @staticmethod
     def add(principle: MoralPrinciple) -> "PrincipleEdit":
-        return PrincipleEdit("addPrinciple", principle)
+        return PrincipleEdit(True, principle)
 
     @staticmethod
     def remove(principle: MoralPrinciple) -> "PrincipleEdit":
-        return PrincipleEdit("removePrinciple", principle)
+        return PrincipleEdit(False, principle)
 
 
 class InstantiationError(ValueError):
-    def __init__(self, code: str, message: str):
+    """``report`` holds the findings: the produced instance's own violations
+    for INVALID_INSTANCE, otherwise this one refusal at ``path``."""
+
+    def __init__(self, code: str, message: str, path: str = "principles",
+                 report: Optional[ValidationReport] = None):
         super().__init__(message)
         self.code = code
+        self.report = report or ValidationReport((Violation(code, path, message),))
 
 
 class UnknownBaseTheoryError(KeyError):
@@ -105,9 +107,13 @@ _TEMPLATE_KEYS = {"name", "consequentiality", "fixedPatientKinds", "mutability",
                   "defaultPrinciples", "freeFields"}
 
 
-def _decode_template(doc: bytes, source: str) -> BaseTheoryTemplate:
-    """Decode one template document. Unknown keys and mistyped values are
-    rejected, as in scenario documents."""
+def _decode_template(path: Path) -> BaseTheoryTemplate:
+    """Read and decode one template file. Unknown keys and mistyped values
+    are rejected, as in scenario documents."""
+    try:
+        doc = path.read_bytes()
+    except OSError as exc:  # a directory named *.json, or an unreadable file
+        raise ValueError(f"cannot read base-theory template {path}: {exc}") from exc
     try:
         data = _object(json.loads(doc), _TEMPLATE_KEYS, "document")
         principles = []
@@ -133,8 +139,8 @@ def _decode_template(doc: bytes, source: str) -> BaseTheoryTemplate:
             fixedPatientKinds=None if fixed is None
             else frozenset(PatientKind(k) for k in fixed),
             freeFields=tuple(free))
-    except ValueError as exc:  # also undecodable JSON, and ScenarioError
-        raise ValueError(f"malformed base-theory template {source}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also bad or too deep JSON, ScenarioError
+        raise ValueError(f"malformed base-theory template {path}: {exc}") from exc
 
 
 class Registry:
@@ -160,16 +166,8 @@ def load_registry(base_dir: Optional[Path] = None) -> Registry:
     environment variable overrides it (CLI contract).
     """
     if base_dir is None:
-        env = os.environ.get(BASE_DIR_ENV)
-        base_dir = env or str(resources.files("genet").joinpath("data/bases"))
-    paths = sorted(Path(base_dir).glob("*.json"))
-    return Registry([_decode_template(p.read_bytes(), str(p)) for p in paths])
-
-
-def builtin_bases() -> list[BaseTheoryTemplate]:
-    """The four packaged templates, in name order."""
-    registry = load_registry()
-    return [registry.get(name) for name in registry.names()]
+        base_dir = os.environ.get(BASE_DIR_ENV) or Path(__file__).parent / "data" / "bases"
+    return Registry([_decode_template(p) for p in sorted(Path(base_dir).glob("*.json"))])
 
 
 def _key(p: MoralPrinciple) -> tuple[str, str]:
@@ -193,19 +191,21 @@ def instantiate(base: BaseTheoryTemplate,
             raise InstantiationError(
                 FIXED_FIELD_VIOLATION,
                 f"{base.name} fixes patientKinds to "
-                f"{sorted(k.value for k in base.fixedPatientKinds)}")
+                f"{sorted(k.value for k in base.fixedPatientKinds)}",
+                path="patientKinds")
         kinds = base.fixedPatientKinds
     else:
         if patientKinds is None:
             raise InstantiationError(
                 FIXED_FIELD_VIOLATION,
-                f"{base.name} leaves patientKinds free; the instantiator must supply them")
+                f"{base.name} leaves patientKinds free; the instantiator must supply them",
+                path="patientKinds")
         kinds = frozenset(patientKinds)
 
     may_add, may_remove = _EDITS[base.mutability]
     principles = list(base.defaultPrinciples)
     for edit in edits:
-        if edit.kind == "addPrinciple":
+        if edit.adds:
             if not may_add:
                 raise InstantiationError(
                     MUTABILITY_VIOLATION,
@@ -216,7 +216,7 @@ def instantiate(base: BaseTheoryTemplate,
                     DUPLICATE_PRINCIPLE,
                     f"principle {_key(edit.principle)} is already present")
             principles.append(edit.principle)
-        elif edit.kind == "removePrinciple":
+        else:
             if not may_remove:
                 raise InstantiationError(
                     MUTABILITY_VIOLATION,
@@ -228,9 +228,6 @@ def instantiate(base: BaseTheoryTemplate,
                     UNKNOWN_REMOVAL,
                     f"no principle {_key(edit.principle)} to remove")
             principles.remove(matches[0])
-        else:
-            raise InstantiationError(MUTABILITY_VIOLATION,
-                                     f"unknown edit kind {edit.kind!r}")
     if not principles:
         raise InstantiationError(EMPTY_PRINCIPLES,
                                  "edits left the principle collection empty")
@@ -248,7 +245,7 @@ def instantiate(base: BaseTheoryTemplate,
     if not report.ok:
         raise InstantiationError(INVALID_INSTANCE,
                                  f"instantiation produced an invalid instance: "
-                                 f"{report.codes()}")
+                                 f"{report.codes()}", report=report)
     return instance
 
 

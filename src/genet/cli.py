@@ -2,15 +2,17 @@
 
 Exit codes: 0 success/decided, 1 validation or conformance failure,
 2 conflict or multiple-permissible outcome, 3 usage error (including an
-unreadable input, an unwritable output file or a malformed base-template
-file). Reports go to stdout, diagnostics to stderr. GENET_BASE_DIR
-overrides the packaged base-template directory.
+unreadable input, an unwritable output file, a closed stdout, or an
+unreadable or malformed base-template file). Reports go to stdout,
+diagnostics to stderr. GENET_BASE_DIR overrides the packaged base-template
+directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -97,7 +99,7 @@ def cmd_instantiate(args) -> int:
             instanceName=args.name,
             edits=edits)
     except bases_mod.InstantiationError as exc:
-        print(f"{exc.code}\tprinciples\t{exc}")
+        _print_report(exc.report)
         return EXIT_VIOLATION
 
     try:
@@ -221,7 +223,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "bases" and args.action == "show" and not args.name:
         parser.error("bases show requires a name")
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull, as Python's docs
+        # advise, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

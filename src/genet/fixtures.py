@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
-
-def fixture_root() -> Path:
-    return Path(str(resources.files("genet").joinpath("data/fixtures")))
+_ROOT = Path(__file__).parent / "data" / "fixtures"
 
 
 def theory_path(name: str) -> Path:
     """Path to a shipped theory document, e.g. ``trainco-dct``."""
-    return fixture_root() / "theories" / f"{name}.xml"
+    return _ROOT / "theories" / f"{name}.xml"
 
 
 def scenario_path(name: str) -> Path:
     """Path to a shipped scenario document, e.g. ``trolley``."""
-    return fixture_root() / "scenarios" / f"{name}.scenario.json"
+    return _ROOT / "scenarios" / f"{name}.scenario.json"

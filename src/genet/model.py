@@ -93,9 +93,6 @@ class Violation:
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
 
-    def __bool__(self) -> bool:
-        return not self.violations
-
     @property
     def ok(self) -> bool:
         return not self.violations
@@ -179,15 +176,3 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
         seen.add(key)
 
     return ValidationReport(tuple(out))
-
-
-def matching_principles(theory: EthicalTheoryInstance, specification: str,
-                        target_class: Subject) -> list[MoralPrinciple]:
-    """Principles whose specification equals the query token and whose
-    subject covers the target class (``all`` covers both).
-
-    Comparison is case-sensitive and byte-for-byte; document order is
-    preserved. Returns an empty list when nothing matches.
-    """
-    return [p for p in theory.principles
-            if p.specification == specification and p.subject.covers(target_class)]

@@ -39,6 +39,9 @@ AGENT_MISMATCH = "AGENT_MISMATCH"
 INERT_SPECIFICATION = "INERT_SPECIFICATION"
 EXCLUDED_PATIENT_KIND = "EXCLUDED_PATIENT_KIND"
 
+# "comment" carries authoring rationale and is ignored.
+_DOCUMENT_KEYS = {"scenario", "actingFor", "groups", "actions", "effects", "deontics",
+                  "request", "comment"}
 _GROUP_KEYS = {"id", "kind", "patientKind", "cardinality"}
 _ACTION_KEYS = {"id", "description"}
 _EFFECT_KEYS = {"action", "specification", "direction", "target", "requestDerived"}
@@ -48,6 +51,9 @@ _REQUEST_KEYS = {"requester", "influenceKind", "influenceLevel", "requestedActio
 _GROUP_KINDS = ("agentGroup", "patientGroup")
 _DIRECTIONS = ("increase", "decrease")
 _INFLUENCE_KINDS = ("substance", "external")
+# Far above any real population, far below CPython's 4,300-digit limit on
+# int/str conversion, which a score summed from cardinalities must stay under.
+MAX_CARDINALITY = 10**12
 
 
 class ScenarioError(ValueError):
@@ -153,17 +159,9 @@ def load_scenario(doc: bytes) -> Scenario:
     """
     try:
         data = json.loads(doc)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and huge integers
         raise ScenarioError(PARSE_ERROR, f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(PARSE_ERROR, "top level must be an object")
-
-    # "comment" carries authoring rationale and is ignored.
-    known = {"scenario", "actingFor", "groups", "actions", "effects",
-             "deontics", "request", "comment"}
-    for key in data:
-        if key not in known:
-            raise ScenarioError(PARSE_ERROR, f"unknown top-level key {key!r}")
+    _object(data, _DOCUMENT_KEYS, "document")
 
     name = _require(data, "scenario", str, "document")
     acting_for = _require(data, "actingFor", str, "document")
@@ -173,8 +171,9 @@ def load_scenario(doc: bytes) -> Scenario:
         where = f"groups[{i}]"
         _object(raw, _GROUP_KEYS, where)
         cardinality = _require(raw, "cardinality", int, where)
-        if cardinality < 1:
-            raise ScenarioError(RANGE_ERROR, f"{where}: cardinality must be >= 1")
+        if not 1 <= cardinality <= MAX_CARDINALITY:
+            raise ScenarioError(RANGE_ERROR, f"{where}: cardinality must be "
+                                             f"between 1 and {MAX_CARDINALITY}")
         try:
             patient_kind = PatientKind(_require(raw, "patientKind", str, where))
         except ValueError as exc:

@@ -144,10 +144,13 @@ def _read_percentage(elem, name: str, path: str, out: list[Violation]):
         out.append(Violation(BAD_INTEGER, f"{path}@{name}",
                              f"not an integer: {raw!r}"))
         return None
-    value = int(text)
-    if not 0 <= value <= 100:
+    sign = "-" if text[0] == "-" else ""
+    digits = text.lstrip("+-").lstrip("0") or "0"
+    # Longer numbers are out of range, and int() refuses over 4,300 digits.
+    value = int(sign + digits) if len(digits) <= 3 else None
+    if value is None or not 0 <= value <= 100:
         out.append(Violation(PERCENT_OUT_OF_RANGE, f"{path}@{name}",
-                             f"percentage {value} outside [0, 100]"))
+                             f"percentage {sign}{digits} outside [0, 100]"))
         return None
     return value
 

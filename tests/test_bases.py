@@ -4,12 +4,12 @@ import dataclasses
 import itertools
 import json
 import shutil
-from importlib import resources
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import genet
 from genet.bases import (
     BASE_DIR_ENV,
     BaseTheoryTemplate,
@@ -17,7 +17,6 @@ from genet.bases import (
     Mutability,
     PrincipleEdit,
     UnknownBaseTheoryError,
-    builtin_bases,
     check_conformance,
     instantiate,
     load_registry,
@@ -38,7 +37,7 @@ MASLOW = ["physiologySatisfaction", "safetySatisfaction", "loveSatisfaction",
           "esteemSatisfaction", "selfActualisationSatisfaction"]
 DOE = MoralAgent("Doe Family", "http://thedoes.fam")
 THRESH = InfluenceThresholds(external=50, substance=30)
-BUILTIN_DIR = Path(str(resources.files("genet").joinpath("data/bases")))
+BUILTIN_DIR = Path(genet.__file__).parent / "data" / "bases"
 
 
 def base(registry, name):
@@ -47,7 +46,7 @@ def base(registry, name):
 
 class TestBuiltinBases:
     def test_exactly_four(self):
-        assert sorted(t.name for t in builtin_bases()) == [
+        assert load_registry().names() == [
             "ChristianDivineCommandTheory", "Kantianism", "egoism",
             "utilitarianism"]
 
@@ -131,6 +130,22 @@ class TestLoadRegistry:
         with pytest.raises(ValueError, match=r"malformed base-theory template "
                                              r".*broken\.json: "):
             load_registry(base_dir=tmp_path)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"name": ' * 100_000],
+                             ids=["deep-lists", "deep-objects"])
+    def test_deep_nesting_names_its_file(self, tmp_path, text):
+        (tmp_path / "deep.json").write_text(text)
+        with pytest.raises(ValueError, match=r"malformed base-theory template "
+                                             r".*deep\.json: "):
+            load_registry(base_dir=tmp_path)
+
+    def test_directory_entry_names_itself(self, tmp_path):
+        shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path)
+        (tmp_path / "dir.json").mkdir()
+        with pytest.raises(ValueError, match=r"cannot read base-theory template "
+                                             r".*dir\.json: ") as err:
+            load_registry(base_dir=tmp_path)
+        assert type(err.value) is ValueError
 
     def test_misspelt_key_is_rejected(self, tmp_path):
         data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
@@ -247,7 +262,7 @@ class TestInstantiate:
         assert check_conformance(instance, registry).conformant
 
     def test_base_fields_copied_verbatim(self, registry):
-        for template in builtin_bases():
+        for template in map(registry.get, registry.names()):
             instance = instantiate(template, agent=DOE, thresholds=THRESH)
             assert instance.baseTheory == template.name
             assert instance.consequentiality == template.consequentiality

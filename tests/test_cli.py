@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from importlib.metadata import EntryPoint
@@ -13,7 +14,7 @@ import genet
 from genet.cli import main
 from genet.fixtures import scenario_path, theory_path
 from genet.xmlio import emit_theory, parse_theory
-from .conftest import theory_bytes
+from .conftest import scenario_bytes, theory_bytes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_ROOT = Path(genet.__file__).resolve().parent.parent
@@ -54,6 +55,15 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 1
         assert out == "EMPTY_AGENT_NAME\tagent.name\tagent name must be non-empty\n"
+
+    def test_threshold_past_the_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "huge.xml"
+        path.write_bytes(theory_bytes("doe-utilitarianism").replace(
+            b'external="50"', b'external="' + b"1" * 4400 + b'"'))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out.startswith("PERCENT_OUT_OF_RANGE\t/ethicalTheory/influenceThresholds"
+                              "@external\tpercentage 1111")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/theory.xml")
@@ -110,6 +120,31 @@ class TestInstantiate:
         assert code == 3
         assert stdout == ""
         assert err.startswith(f"error: cannot write {out_path}: ")
+
+    @pytest.mark.parametrize("options, finding", [
+        (["--external", "150"], "PERCENT_OUT_OF_RANGE\tinfluenceThresholds.external\t"
+                                "external threshold 150 outside [0, 100]"),
+        (["--agent", ""], "EMPTY_AGENT_NAME\tagent.name\tagent name must be non-empty"),
+        (["--agent-ref", "not a uri"],
+         "BAD_URI\tagent.reference\tnot syntactically a URI: 'not a uri'"),
+    ], ids=["external-150", "empty-agent", "bad-agent-ref"])
+    def test_invalid_instance_prints_its_violations(self, capsys, tmp_path, options,
+                                                    finding):
+        out_path = tmp_path / "x.xml"
+        # The last of a repeated option wins.
+        code, out, err = run(capsys, *INSTANTIATE, *options, "--out", str(out_path))
+        assert (code, out, err) == (1, finding + "\n", "")
+        assert not out_path.exists()
+
+    def test_free_patient_kinds_are_reported_at_patient_kinds(self, capsys, tmp_path,
+                                                              monkeypatch):
+        data = json.loads((BUILTIN_BASES / "egoism.json").read_text("utf-8"))
+        del data["fixedPatientKinds"]
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        monkeypatch.setenv("GENET_BASE_DIR", str(tmp_path))
+        code, out, _ = run(capsys, *INSTANTIATE, "--out", str(tmp_path / "x.xml"))
+        assert (code, out) == (1, "FIXED_FIELD_VIOLATION\tpatientKinds\tegoism leaves "
+                                  "patientKinds free; the instantiator must supply them\n")
 
     def test_unknown_base(self, capsys, tmp_path):
         code, _, err = run(capsys, "instantiate", "--base", "nosuch",
@@ -187,6 +222,25 @@ class TestReason:
         assert code == 1
         assert err.startswith("WELL_FORMEDNESS\t")
 
+    @pytest.mark.parametrize("name", ["deep", "huge-integer", "huge-cardinality"])
+    def test_undecodable_or_oversized_scenario_exits_1(self, capsys, tmp_path, name):
+        data = json.loads(scenario_bytes("trolley"))
+        data["groups"][1]["cardinality"] = int("9" * 4300)
+        # Two goods on the huge group: their summed score has 4,301 digits.
+        data["effects"] += [{"action": "T2", "specification": "physiologySatisfaction",
+                             "direction": "increase", "target": "worker"}] * 2
+        text = {"deep": "[" * 100_000,
+                "huge-integer": json.dumps(data).replace("9" * 4300, "1" * 4400),
+                "huge-cardinality": json.dumps(data)}[name]
+        path = tmp_path / "broken.scenario.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "reason", "--theory",
+                             str(theory_path("trainco-utilitarianism")),
+                             "--scenario", str(path))
+        assert (code, out) == (1, "")
+        code_text = "RANGE_ERROR" if name == "huge-cardinality" else "PARSE_ERROR"
+        assert err.startswith(f"{code_text}\t{path}\t")
+
     def test_output_is_deterministic(self, capsys):
         argv = ("reason", "--theory", str(theory_path("doe-utilitarianism")),
                 "--scenario", str(scenario_path("marijuana")), "--explain")
@@ -225,11 +279,13 @@ INSTANTIATE = ["instantiate", "--base", "egoism", "--agent", "A", "--external", 
 
 @pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
                                      INSTANTIATE], ids=["list", "show", "instantiate"])
-@pytest.mark.parametrize("broken", ["invalid-json", "specification-5"])
+@pytest.mark.parametrize("broken", ["invalid-json", "specification-5", "deep-nesting"])
 def test_malformed_template_is_usage(capsys, tmp_path, monkeypatch, command, broken):
     text = (BUILTIN_BASES / "egoism.json").read_text("utf-8")
     if broken == "invalid-json":
         text = text[:len(text) // 2]
+    elif broken == "deep-nesting":
+        text = "[" * 100_000
     else:
         data = json.loads(text)
         data["defaultPrinciples"][0]["specification"] = 5
@@ -243,6 +299,22 @@ def test_malformed_template_is_usage(capsys, tmp_path, monkeypatch, command, bro
     assert (code, stdout) == (3, "")
     assert err.startswith("error: malformed base-theory template ")
     assert "egoism.json" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
+                                     INSTANTIATE], ids=["list", "show", "instantiate"])
+def test_directory_entry_in_base_dir_is_usage(capsys, tmp_path, monkeypatch, command):
+    (tmp_path / "bases").mkdir()
+    shutil.copy(BUILTIN_BASES / "egoism.json", tmp_path / "bases")
+    (tmp_path / "bases" / "dir.json").mkdir()
+    monkeypatch.setenv("GENET_BASE_DIR", str(tmp_path / "bases"))
+    out = tmp_path / "x.xml"
+    code, stdout, err = run(capsys, *command,
+                            *(["--out", str(out)] if command == INSTANTIATE else []))
+    assert (code, stdout) == (3, "")
+    assert err.startswith(f"error: cannot read base-theory template "
+                          f"{tmp_path / 'bases' / 'dir.json'}: ")
     assert not out.exists()
 
 
@@ -270,6 +342,29 @@ def test_python_dash_m_genet():
                             capture_output=True, text=True, env=_this_tree_env())
     assert result.returncode == 0
     assert "Kantianism" in result.stdout
+
+
+def test_closed_stdout_is_usage(tmp_path):
+    """A reader that stops early, as `genet reason … | head -c 100` does,
+    ends the command with exit 3 and no traceback."""
+    data = json.loads(scenario_bytes("trolley"))
+    # A deontological request whose JSON output (about 0.6 MB) passes the
+    # 64 KiB pipe buffer, so the write itself meets the closed pipe.
+    data["actions"] = [f"A{i}" for i in range(300)]
+    data["effects"] = []
+    data["deontics"] = [{"action": f"A{i}", "specification": "kill", "holds": True,
+                         "target": "worker"} for i in range(300)]
+    path = tmp_path / "big.scenario.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genet", "reason", "--theory",
+         str(theory_path("trainco-dct")), "--scenario", str(path), "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_this_tree_env())
+    assert proc.stdout.read(100).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (3, "")
 
 
 def test_installed_script(tmp_path):

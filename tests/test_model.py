@@ -12,7 +12,6 @@ from genet.model import (
     MoralPrinciple,
     PatientKind,
     Subject,
-    matching_principles,
     validate_instance,
 )
 from .strategies import valid_instances
@@ -90,44 +89,7 @@ class TestValidateInstance:
         assert len(pairs) == len(set(pairs))
 
 
-class TestMatchingPrinciples:
-    def test_esteem_for_agent(self):
-        matches = matching_principles(mia_egoism(), "esteemSatisfaction",
-                                      Subject.AGENT)
-        assert [p.specification for p in matches] == ["esteemSatisfaction"]
-
-    def test_esteem_for_patients_is_empty(self):
-        # All of egoism's subjects are "agent".
-        assert matching_principles(mia_egoism(), "esteemSatisfaction",
-                                   Subject.PATIENTS) == []
-
-    def test_subject_all_covers_patients(self):
-        theory = dataclasses.replace(
-            mia_egoism(),
-            principles=(MoralPrinciple(True, Subject.ALL, "safetySatisfaction"),))
-        matches = matching_principles(theory, "safetySatisfaction",
-                                      Subject.PATIENTS)
-        assert len(matches) == 1
-
-    def test_case_sensitive(self):
-        assert matching_principles(mia_egoism(), "EsteemSatisfaction",
-                                   Subject.AGENT) == []
-
+class TestSubjectCovers:
     def test_all_is_not_a_target_class(self):
         with pytest.raises(ValueError):
-            matching_principles(mia_egoism(), "esteemSatisfaction", Subject.ALL)
-
-    @given(valid_instances)
-    def test_results_are_covered_subsets(self, theory):
-        for target in (Subject.AGENT, Subject.PATIENTS):
-            for p in theory.principles:
-                matches = matching_principles(theory, p.specification, target)
-                for m in matches:
-                    assert m in theory.principles
-                    assert m.specification == p.specification
-                    assert m.subject.covers(target)
-                # Principles left out either differ in spec or don't cover.
-                for other in theory.principles:
-                    if other.specification == p.specification \
-                            and other.subject.covers(target):
-                        assert other in matches
+            Subject.AGENT.covers(Subject.ALL)

@@ -11,6 +11,7 @@ from genet.scenario import (
     AGENT_MISMATCH,
     DANGLING_REFERENCE,
     DUPLICATE_ID,
+    MAX_CARDINALITY,
     PARSE_ERROR,
     RANGE_ERROR,
     ScenarioError,
@@ -90,6 +91,23 @@ class TestLoadScenario:
             load_scenario(broken)
         assert err.value.code == RANGE_ERROR
 
+    @pytest.mark.parametrize("cardinality", [MAX_CARDINALITY + 1, int("9" * 4300)],
+                             ids=["ceiling+1", "4300-nines"])
+    def test_cardinality_above_the_ceiling(self, cardinality):
+        # A score summed from 4,300-digit cardinalities cannot be printed.
+        broken = doc(groups=[{"id": "crowd", "kind": "patientGroup",
+                              "patientKind": "human", "cardinality": cardinality}])
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(broken)
+        assert err.value.code == RANGE_ERROR
+        assert str(err.value) == (f"groups[0]: cardinality must be between 1 "
+                                  f"and {MAX_CARDINALITY}")
+
+    def test_cardinality_at_the_ceiling(self):
+        group = {"id": "crowd", "kind": "patientGroup", "patientKind": "human",
+                 "cardinality": MAX_CARDINALITY}
+        assert load_scenario(doc(groups=[group])).groups[0].cardinality == MAX_CARDINALITY
+
     def test_influence_level_out_of_range(self):
         broken = doc(request={"requester": AGENT, "influenceKind": "substance",
                               "influenceLevel": 101, "requestedAction": "A1"})
@@ -106,6 +124,13 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(doc(extra=1))
         assert err.value.code == PARSE_ERROR
+        assert str(err.value) == "document: unknown key 'extra'"
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(b"[]")
+        assert (err.value.code, str(err.value)) == (PARSE_ERROR,
+                                                    "document: must be an object")
 
     def test_comment_key_tolerated(self):
         assert load_scenario(doc(comment="authoring note")).name == "toy"
@@ -114,6 +139,17 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError) as err:
             load_scenario(b"not json at all {")
         assert err.value.code == PARSE_ERROR
+
+    @pytest.mark.parametrize("broken", [
+        b"[" * 100_000,
+        b'{"x": ' * 100_000,
+        doc().replace(b'"cardinality": 3', b'"cardinality": ' + b"1" * 4400),
+    ], ids=["deep-lists", "deep-objects", "4400-digit-integer"])
+    def test_undecodable_depth_and_size_are_parse_errors(self, broken):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(broken)
+        assert err.value.code == PARSE_ERROR
+        assert str(err.value).startswith("not valid JSON: ")
 
     def test_misspelt_request_derived_is_rejected(self):
         data = json.loads(scenario_bytes("mia"))

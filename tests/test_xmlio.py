@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
 
+import genet
 from genet.model import PatientKind, Subject, validate_instance
 from genet.xmlio import (
     GENET_NS,
@@ -152,6 +154,26 @@ class TestSchemaCheck:
         doc = mutate('substance="30"', 'substance="-1"')
         assert "PERCENT_OUT_OF_RANGE" in schema_check(doc).codes()
 
+    @pytest.mark.parametrize("value", ["1" * 4400, "-" + "1" * 4400, "+000" + "9" * 4400],
+                             ids=["4400-digits", "negative", "signed-zero-padded"])
+    def test_percentage_past_the_digit_limit(self, value):
+        doc = mutate('external="50"', f'external="{value}"')
+        assert schema_check(doc).codes() == ["PERCENT_OUT_OF_RANGE"]
+        with pytest.raises(TheoryParseError) as err:
+            parse_theory(doc)
+        assert err.value.code == "SCHEMA_VIOLATION"
+
+    @pytest.mark.parametrize("value", ["101", "+0101", "-0005", "-1000", "0" * 30 + "1000"])
+    def test_out_of_range_message_names_the_integer(self, value):
+        doc = mutate('external="50"', f'external="{value}"')
+        assert [v.message for v in schema_check(doc).violations] == [
+            f"percentage {int(value)} outside [0, 100]"]
+
+    @pytest.mark.parametrize("value", ["-0", "+000", "0100", " 7 "])
+    def test_zero_padded_and_signed_percentages_in_range(self, value):
+        doc = mutate('external="50"', f'external="{value}"')
+        assert parse_theory(doc).influenceThresholds.external == int(value)
+
     def test_non_integer_percentage(self):
         doc = mutate('substance="30"', 'substance="lots"')
         assert "BAD_INTEGER" in schema_check(doc).codes()
@@ -220,9 +242,8 @@ class TestAgainstShippedXsd:
 
     @pytest.fixture()
     def xsd(self):
-        from importlib import resources
-        text = resources.files("genet").joinpath(
-            "data/schema/ethicalTheory.xsd").read_text("utf-8")
+        text = (Path(genet.__file__).parent / "data" / "schema"
+                / "ethicalTheory.xsd").read_text("utf-8")
         return ElementTree.fromstring(text)
 
     XS = "{http://www.w3.org/2001/XMLSchema}"
