@@ -3,6 +3,7 @@ instantiate, and reason with argument traces."""
 
 from .model import (
     EthicalTheoryInstance,
+    GenetError,
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
@@ -13,19 +14,15 @@ from .model import (
     validate_instance,
 )
 from .xmlio import (
-    InvalidInstanceError,
-    TheoryParseError,
     emit_theory,
     parse_theory,
     schema_check,
 )
 from .bases import (
     BaseTheoryTemplate,
-    InstantiationError,
     Mutability,
     PrincipleEdit,
     Registry,
-    UnknownBaseTheoryError,
     check_conformance,
     instantiate,
     load_registry,
@@ -37,7 +34,6 @@ from .scenario import (
     EffectAssertion,
     RequestContext,
     Scenario,
-    ScenarioError,
     StakeholderGroup,
     emit_scenario,
     load_scenario,

@@ -12,7 +12,6 @@ four live in ``genet/data/bases/``; see the README for the key schema.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +23,7 @@ from .model import (
     EMPTY_PRINCIPLES,
     INVALID_INSTANCE,
     EthicalTheoryInstance,
+    GenetError,
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
@@ -31,9 +31,12 @@ from .model import (
     Subject,
     ValidationReport,
     Violation,
+    expect_object,
+    load_json,
+    optional,
+    require,
     validate_instance,
 )
-from .scenario import _object, _optional, _require
 
 BASE_DIR_ENV = "GENET_BASE_DIR"
 
@@ -42,6 +45,8 @@ MUTABILITY_VIOLATION = "MUTABILITY_VIOLATION"
 FIXED_FIELD_VIOLATION = "FIXED_FIELD_VIOLATION"
 UNKNOWN_REMOVAL = "UNKNOWN_REMOVAL"
 UNKNOWN_BASE_THEORY = "UNKNOWN_BASE_THEORY"
+# A template file or directory that cannot be read or decoded.
+TEMPLATE_ERROR = "TEMPLATE_ERROR"
 CONSEQUENTIALITY_MISMATCH = "CONSEQUENTIALITY_MISMATCH"
 NOT_REACHABLE = "NOT_REACHABLE"
 
@@ -85,62 +90,43 @@ class PrincipleEdit:
         return PrincipleEdit(False, principle)
 
 
-class InstantiationError(ValueError):
-    """``report`` holds the findings: the produced instance's own violations
-    for INVALID_INSTANCE, otherwise this one refusal at ``path``."""
-
-    def __init__(self, code: str, message: str, path: str = "principles",
-                 report: Optional[ValidationReport] = None):
-        super().__init__(message)
-        self.code = code
-        self.report = report or ValidationReport((Violation(code, path, message),))
-
-
-class UnknownBaseTheoryError(KeyError):
-    def __init__(self, name: str):
-        super().__init__(f"no base theory named {name!r} is registered")
-        self.code = UNKNOWN_BASE_THEORY
-        self.name = name
-
-
 _TEMPLATE_KEYS = {"name", "consequentiality", "fixedPatientKinds", "mutability",
                   "defaultPrinciples", "freeFields"}
 
 
 def _decode_template(path: Path) -> BaseTheoryTemplate:
-    """Read and decode one template file. Unknown keys and mistyped values
-    are rejected, as in scenario documents."""
+    """Read and decode one template file. Repeated and unknown keys and
+    mistyped values are rejected, as in scenario documents."""
     try:
-        doc = path.read_bytes()
-    except OSError as exc:  # a directory named *.json, or an unreadable file
-        raise ValueError(f"cannot read base-theory template {path}: {exc}") from exc
-    try:
-        data = _object(json.loads(doc), _TEMPLATE_KEYS, "document")
+        data = expect_object(load_json(path.read_bytes()), _TEMPLATE_KEYS, "document")
         principles = []
-        for i, raw in enumerate(_require(data, "defaultPrinciples", list, "document")):
+        for i, raw in enumerate(require(data, "defaultPrinciples", list, "document")):
             where = f"defaultPrinciples[{i}]"
-            _object(raw, {"morality", "subject", "specification"}, where)
+            expect_object(raw, {"morality", "subject", "specification"}, where)
             principles.append(MoralPrinciple(
-                morality=_require(raw, "morality", bool, where),
-                subject=Subject(_require(raw, "subject", str, where)),
-                specification=_require(raw, "specification", str, where)))
+                morality=require(raw, "morality", bool, where),
+                subject=Subject(require(raw, "subject", str, where)),
+                specification=require(raw, "specification", str, where)))
         if not principles:
             raise ValueError("document: key 'defaultPrinciples' is empty")
-        fixed = _optional(data, "fixedPatientKinds", list, "document")
-        free = _optional(data, "freeFields", list, "document",
-                         BaseTheoryTemplate.freeFields)
+        fixed = optional(data, "fixedPatientKinds", list, "document")
+        free = optional(data, "freeFields", list, "document",
+                        BaseTheoryTemplate.freeFields)
         if not all(isinstance(field, str) for field in free):
             raise ValueError("document: key 'freeFields' must list only str")
         return BaseTheoryTemplate(
-            name=_require(data, "name", str, "document"),
-            consequentiality=_require(data, "consequentiality", bool, "document"),
+            name=require(data, "name", str, "document"),
+            consequentiality=require(data, "consequentiality", bool, "document"),
             defaultPrinciples=tuple(principles),
-            mutability=Mutability(_require(data, "mutability", str, "document")),
+            mutability=Mutability(require(data, "mutability", str, "document")),
             fixedPatientKinds=None if fixed is None
             else frozenset(PatientKind(k) for k in fixed),
             freeFields=tuple(free))
-    except (ValueError, RecursionError) as exc:  # also bad or too deep JSON, ScenarioError
-        raise ValueError(f"malformed base-theory template {path}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # An unreadable entry (such as a directory named *.json), or bad JSON.
+        problem = "cannot read" if isinstance(exc, OSError) else "malformed"
+        raise GenetError(TEMPLATE_ERROR, f"{problem} base-theory template {path}: {exc}",
+                         str(path)) from exc
 
 
 class Registry:
@@ -156,7 +142,8 @@ class Registry:
         try:
             return self._by_name[name]
         except KeyError:
-            raise UnknownBaseTheoryError(name) from None
+            raise GenetError(UNKNOWN_BASE_THEORY, f"no base theory named {name!r} "
+                             f"is registered", "baseTheory") from None
 
 
 def load_registry(base_dir: Optional[Path] = None) -> Registry:
@@ -165,9 +152,12 @@ def load_registry(base_dir: Optional[Path] = None) -> Registry:
     Defaults to the packaged builtin directory; the GENET_BASE_DIR
     environment variable overrides it (CLI contract).
     """
-    if base_dir is None:
-        base_dir = os.environ.get(BASE_DIR_ENV) or Path(__file__).parent / "data" / "bases"
-    return Registry([_decode_template(p) for p in sorted(Path(base_dir).glob("*.json"))])
+    base_dir = Path(base_dir or os.environ.get(BASE_DIR_ENV)
+                    or Path(__file__).parent / "data" / "bases")
+    if not base_dir.is_dir():
+        raise GenetError(TEMPLATE_ERROR, f"not a base-theory template directory: "
+                                         f"{base_dir}", str(base_dir))
+    return Registry([_decode_template(p) for p in sorted(base_dir.glob("*.json"))])
 
 
 def _key(p: MoralPrinciple) -> tuple[str, str]:
@@ -188,18 +178,18 @@ def instantiate(base: BaseTheoryTemplate,
     """
     if base.fixedPatientKinds is not None:
         if patientKinds is not None and frozenset(patientKinds) != base.fixedPatientKinds:
-            raise InstantiationError(
+            raise GenetError(
                 FIXED_FIELD_VIOLATION,
                 f"{base.name} fixes patientKinds to "
                 f"{sorted(k.value for k in base.fixedPatientKinds)}",
-                path="patientKinds")
+                "patientKinds")
         kinds = base.fixedPatientKinds
     else:
         if patientKinds is None:
-            raise InstantiationError(
+            raise GenetError(
                 FIXED_FIELD_VIOLATION,
                 f"{base.name} leaves patientKinds free; the instantiator must supply them",
-                path="patientKinds")
+                "patientKinds")
         kinds = frozenset(patientKinds)
 
     may_add, may_remove = _EDITS[base.mutability]
@@ -207,30 +197,30 @@ def instantiate(base: BaseTheoryTemplate,
     for edit in edits:
         if edit.adds:
             if not may_add:
-                raise InstantiationError(
+                raise GenetError(
                     MUTABILITY_VIOLATION,
                     f"{base.name} (mutability={base.mutability.value}) "
-                    f"forbids adding principles")
+                    f"forbids adding principles", "principles")
             if any(_key(p) == _key(edit.principle) for p in principles):
-                raise InstantiationError(
+                raise GenetError(
                     DUPLICATE_PRINCIPLE,
-                    f"principle {_key(edit.principle)} is already present")
+                    f"principle {_key(edit.principle)} is already present", "principles")
             principles.append(edit.principle)
         else:
             if not may_remove:
-                raise InstantiationError(
+                raise GenetError(
                     MUTABILITY_VIOLATION,
                     f"{base.name} (mutability={base.mutability.value}) "
-                    f"forbids removing principles")
+                    f"forbids removing principles", "principles")
             matches = [p for p in principles if _key(p) == _key(edit.principle)]
             if not matches:
-                raise InstantiationError(
+                raise GenetError(
                     UNKNOWN_REMOVAL,
-                    f"no principle {_key(edit.principle)} to remove")
+                    f"no principle {_key(edit.principle)} to remove", "principles")
             principles.remove(matches[0])
     if not principles:
-        raise InstantiationError(EMPTY_PRINCIPLES,
-                                 "edits left the principle collection empty")
+        raise GenetError(EMPTY_PRINCIPLES, "edits left the principle collection empty",
+                         "principles")
 
     instance = EthicalTheoryInstance(
         baseTheory=base.name,
@@ -243,9 +233,8 @@ def instantiate(base: BaseTheoryTemplate,
     )
     report = validate_instance(instance)
     if not report.ok:
-        raise InstantiationError(INVALID_INSTANCE,
-                                 f"instantiation produced an invalid instance: "
-                                 f"{report.codes()}", report=report)
+        raise GenetError(INVALID_INSTANCE, f"instantiation produced an invalid "
+                         f"instance: {report.codes()}", report=report)
     return instance
 
 
@@ -275,7 +264,8 @@ def check_conformance(instance: EthicalTheoryInstance,
     """Verify an instance against its registered template: fixed fields
     match and the principle list is reachable under the mutability mode.
 
-    Raises UnknownBaseTheoryError when the base theory is not registered.
+    Raises GenetError(UNKNOWN_BASE_THEORY) when the base theory is not
+    registered.
     """
     template = registry.get(instance.baseTheory)
     out: list[Violation] = []

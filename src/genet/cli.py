@@ -2,10 +2,10 @@
 
 Exit codes: 0 success/decided, 1 validation or conformance failure,
 2 conflict or multiple-permissible outcome, 3 usage error (including an
-unreadable input, an unwritable output file, a closed stdout, or an
-unreadable or malformed base-template file). Reports go to stdout,
-diagnostics to stderr. GENET_BASE_DIR overrides the packaged base-template
-directory.
+unreadable input, an unwritable output file, a closed stdout, an unknown
+base theory, or a base-template file or directory that cannot be read or is
+malformed). Reports go to stdout, diagnostics to stderr. GENET_BASE_DIR
+overrides the packaged base-template directory.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 from . import bases as bases_mod
 from . import reasoner, scenario as scenario_mod, xmlio
 from .model import (
+    GenetError,
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
@@ -56,7 +57,7 @@ def _read_file(path: str) -> bytes:
 def cmd_validate(args) -> int:
     try:
         xmlio.parse_theory(_read_file(args.path))
-    except xmlio.TheoryParseError as exc:
+    except GenetError as exc:
         # Schema findings, or the model invariants of a schema-clean document.
         _print_report(exc.report)
         return EXIT_VIOLATION
@@ -64,13 +65,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
-    try:
-        base = bases_mod.load_registry().get(args.base)
-    except (ValueError, bases_mod.UnknownBaseTheoryError) as exc:
-        # A malformed template file, or no template of that name.
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-
+    base = bases_mod.load_registry().get(args.base)
     edits: list[bases_mod.PrincipleEdit] = []
     try:
         for spec in args.add:
@@ -98,7 +93,7 @@ def cmd_instantiate(args) -> int:
                                            substance=args.substance),
             instanceName=args.name,
             edits=edits)
-    except bases_mod.InstantiationError as exc:
+    except GenetError as exc:
         _print_report(exc.report)
         return EXIT_VIOLATION
 
@@ -111,12 +106,8 @@ def cmd_instantiate(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    try:
-        registry = bases_mod.load_registry()
-        base = registry.get(args.name) if args.action == "show" else None
-    except (ValueError, bases_mod.UnknownBaseTheoryError) as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    registry = bases_mod.load_registry()
+    base = registry.get(args.name) if args.action == "show" else None
     if base is None:
         for name in registry.names():
             print(name)
@@ -140,12 +131,12 @@ def cmd_reason(args) -> int:
     scenario_doc = _read_file(args.scenario)
     try:
         theory = xmlio.parse_theory(theory_doc)
-    except xmlio.TheoryParseError as exc:
+    except GenetError as exc:
         print(f"{exc.code}\t{args.theory}\t{exc}", file=sys.stderr)
         return EXIT_VIOLATION
     try:
         scn = scenario_mod.load_scenario(scenario_doc)
-    except scenario_mod.ScenarioError as exc:
+    except GenetError as exc:
         print(f"{exc.code}\t{args.scenario}\t{exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
@@ -226,6 +217,9 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except GenetError as exc:  # a template that cannot be loaded, or no such template
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull, as Python's docs
         # advise, so that the flush at exit does not fail again.

@@ -8,7 +8,8 @@ the influence, and carries an ordered list of moral principles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 from urllib.parse import urlparse
@@ -104,6 +105,17 @@ class ValidationReport:
         return [v.code for v in self.violations]
 
 
+class GenetError(ValueError):
+    """The one error for rejected input: a violation ``code``, the message and
+    a ``report``, the findings given or else this one violation at ``path``."""
+
+    def __init__(self, code: str, message: str, path: str = "",
+                 report: Optional[ValidationReport] = None):
+        super().__init__(message)
+        self.code = code
+        self.report = report or ValidationReport((Violation(code, path, message),))
+
+
 # Violation codes emitted by validate_instance; bases and xmlio reuse some.
 EMPTY_BASE_THEORY = "EMPTY_BASE_THEORY"
 EMPTY_AGENT_NAME = "EMPTY_AGENT_NAME"
@@ -117,6 +129,8 @@ DUPLICATE_PRINCIPLE = "DUPLICATE_PRINCIPLE"
 EMPTY_INSTANCE_NAME = "EMPTY_INSTANCE_NAME"
 # Category for anything that decodes or instantiates to an invalid instance.
 INVALID_INSTANCE = "INVALID_INSTANCE"
+# Scenario and template JSON that is undecodable, mistyped or has unknown keys.
+PARSE_ERROR = "PARSE_ERROR"
 
 
 def _is_uri(text: str) -> bool:
@@ -176,3 +190,44 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
         seen.add(key)
 
     return ValidationReport(tuple(out))
+
+
+# Strict JSON, read by the scenario and template loaders: repeated and
+# unknown keys and mistyped values are rejected, never coerced.
+def _unique_keys(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ValueError(f"duplicate key {key!r}")
+    return data
+
+
+def load_json(doc: bytes):
+    """``json.loads``, but a key repeated in an object is a ValueError."""
+    return json.loads(doc, object_pairs_hook=_unique_keys)
+
+
+def expect_object(raw, keys: set[str], where: str) -> dict:
+    """``raw``, which must be an object with no keys outside ``keys``."""
+    if not isinstance(raw, dict):
+        raise GenetError(PARSE_ERROR, f"{where}: must be an object", where)
+    if not raw.keys() <= keys:
+        unknown = next(key for key in raw if key not in keys)
+        raise GenetError(PARSE_ERROR, f"{where}: unknown key {unknown!r}", where)
+    return raw
+
+
+def require(data: dict, key: str, kind, where: str):
+    """``data[key]``, which must be present and a ``kind`` (a bool is no int)."""
+    if key not in data:
+        raise GenetError(PARSE_ERROR, f"{where}: missing key {key!r}", f"{where}.{key}")
+    value = data[key]
+    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
+        raise GenetError(PARSE_ERROR, f"{where}: key {key!r} must be {kind.__name__}",
+                         f"{where}.{key}")
+    return value
+
+
+def optional(data: dict, key: str, kind, where: str, default=None):
+    """``data[key]`` checked as by ``require`` when present, else ``default``."""
+    return require(data, key, kind, where) if key in data else default

@@ -21,17 +21,22 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
+    PARSE_ERROR,
     EthicalTheoryInstance,
+    GenetError,
     PatientKind,
     Subject,
     ValidationReport,
     Violation,
+    expect_object,
+    load_json,
+    optional,
+    require,
 )
 
 #: Distinguished target meaning "the moral agent itself".
 AGENT = "AGENT"
 
-PARSE_ERROR = "PARSE_ERROR"
 DANGLING_REFERENCE = "DANGLING_REFERENCE"
 DUPLICATE_ID = "DUPLICATE_ID"
 RANGE_ERROR = "RANGE_ERROR"
@@ -54,12 +59,6 @@ _INFLUENCE_KINDS = ("substance", "external")
 # Far above any real population, far below CPython's 4,300-digit limit on
 # int/str conversion, which a score summed from cardinalities must stay under.
 MAX_CARDINALITY = 10**12
-
-
-class ScenarioError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 @dataclass(frozen=True)
@@ -115,39 +114,16 @@ class Scenario:
         return [a.id for a in self.actions]
 
 
-def _object(raw, keys: set[str], where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ScenarioError(PARSE_ERROR, f"{where}: must be an object")
-    if not raw.keys() <= keys:
-        unknown = next(key for key in raw if key not in keys)
-        raise ScenarioError(PARSE_ERROR, f"{where}: unknown key {unknown!r}")
-    return raw
-
-
-def _require(data: dict, key: str, kind, where: str):
-    if key not in data:
-        raise ScenarioError(PARSE_ERROR, f"{where}: missing key {key!r}")
-    value = data[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ScenarioError(PARSE_ERROR,
-                            f"{where}: key {key!r} must be {kind.__name__}")
-    return value
-
-
-def _optional(data: dict, key: str, kind, where: str, default=None):
-    return _require(data, key, kind, where) if key in data else default
-
-
 def _enum(value: str, allowed: tuple[str, ...], where: str) -> str:
     if value not in allowed:
-        raise ScenarioError(PARSE_ERROR, f"{where}: {value!r} not one of {allowed}")
+        raise GenetError(PARSE_ERROR, f"{where}: {value!r} not one of {allowed}", where)
     return value
 
 
 def _token(value: str, where: str) -> str:
     if not value or any(c.isspace() for c in value):
-        raise ScenarioError(PARSE_ERROR,
-                            f"{where}: must be a non-empty whitespace-free token")
+        raise GenetError(PARSE_ERROR,
+                         f"{where}: must be a non-empty whitespace-free token", where)
     return value
 
 
@@ -158,115 +134,117 @@ def load_scenario(doc: bytes) -> Scenario:
     effect/deontic/request target, and all range bounds.
     """
     try:
-        data = json.loads(doc)
+        data = load_json(doc)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and huge integers
-        raise ScenarioError(PARSE_ERROR, f"not valid JSON: {exc}") from exc
-    _object(data, _DOCUMENT_KEYS, "document")
+        raise GenetError(PARSE_ERROR, f"not valid JSON: {exc}", "document") from exc
+    expect_object(data, _DOCUMENT_KEYS, "document")
 
-    name = _require(data, "scenario", str, "document")
-    acting_for = _require(data, "actingFor", str, "document")
+    name = require(data, "scenario", str, "document")
+    acting_for = require(data, "actingFor", str, "document")
 
     groups: list[StakeholderGroup] = []
-    for i, raw in enumerate(_require(data, "groups", list, "document")):
+    for i, raw in enumerate(require(data, "groups", list, "document")):
         where = f"groups[{i}]"
-        _object(raw, _GROUP_KEYS, where)
-        cardinality = _require(raw, "cardinality", int, where)
+        expect_object(raw, _GROUP_KEYS, where)
+        cardinality = require(raw, "cardinality", int, where)
         if not 1 <= cardinality <= MAX_CARDINALITY:
-            raise ScenarioError(RANGE_ERROR, f"{where}: cardinality must be "
-                                             f"between 1 and {MAX_CARDINALITY}")
+            raise GenetError(RANGE_ERROR, f"{where}: cardinality must be between "
+                             f"1 and {MAX_CARDINALITY}", f"{where}.cardinality")
+        kind = require(raw, "patientKind", str, where)
         try:
-            patient_kind = PatientKind(_require(raw, "patientKind", str, where))
+            patient_kind = PatientKind(kind)
         except ValueError as exc:
-            raise ScenarioError(PARSE_ERROR, f"{where}: {exc}") from None
+            raise GenetError(PARSE_ERROR, f"{where}: {exc}",
+                             f"{where}.patientKind") from None
         groups.append(StakeholderGroup(
-            id=_token(_require(raw, "id", str, where), f"{where}.id"),
-            kind=_enum(_require(raw, "kind", str, where), _GROUP_KINDS, where),
+            id=_token(require(raw, "id", str, where), f"{where}.id"),
+            kind=_enum(require(raw, "kind", str, where), _GROUP_KINDS, where),
             patientKind=patient_kind,
             cardinality=cardinality))
 
     actions: list[ActionOption] = []
-    for i, raw in enumerate(_require(data, "actions", list, "document")):
+    for i, raw in enumerate(require(data, "actions", list, "document")):
         where = f"actions[{i}]"
         if isinstance(raw, str):
             actions.append(ActionOption(id=_token(raw, where)))
         elif isinstance(raw, dict):
-            _object(raw, _ACTION_KEYS, where)
+            expect_object(raw, _ACTION_KEYS, where)
             actions.append(ActionOption(
-                id=_token(_require(raw, "id", str, where), f"{where}.id"),
-                description=_optional(raw, "description", str, where)))
+                id=_token(require(raw, "id", str, where), f"{where}.id"),
+                description=optional(raw, "description", str, where)))
         else:
-            raise ScenarioError(PARSE_ERROR, f"{where}: must be an id or object")
+            raise GenetError(PARSE_ERROR, f"{where}: must be an id or object", where)
     if len(actions) < 2:
-        raise ScenarioError(RANGE_ERROR, "a scenario needs at least 2 actions")
+        raise GenetError(RANGE_ERROR, "a scenario needs at least 2 actions", "actions")
 
     group_ids = [g.id for g in groups]
     action_ids = [a.id for a in actions]
     for label, ids in (("group", group_ids), ("action", action_ids)):
         if len(set(ids)) < len(ids):
             dupes = {x for x, n in Counter(ids).items() if n > 1}
-            raise ScenarioError(DUPLICATE_ID,
-                                f"duplicate {label} ids: {sorted(dupes)}")
+            raise GenetError(DUPLICATE_ID, f"duplicate {label} ids: {sorted(dupes)}",
+                             f"{label}s")
     if AGENT in group_ids:
-        raise ScenarioError(DUPLICATE_ID, f"group id {AGENT!r} is reserved")
+        raise GenetError(DUPLICATE_ID, f"group id {AGENT!r} is reserved", "groups")
 
     targets = set(group_ids) | {AGENT}
     known_actions = set(action_ids)
 
     def check_refs(action: str, target: str, where: str) -> None:
         if action not in known_actions:
-            raise ScenarioError(DANGLING_REFERENCE,
-                                f"{where}: unknown action {action!r}")
+            raise GenetError(DANGLING_REFERENCE, f"{where}: unknown action {action!r}",
+                             f"{where}.action")
         if target not in targets:
-            raise ScenarioError(DANGLING_REFERENCE,
-                                f"{where}: unknown target {target!r}")
+            raise GenetError(DANGLING_REFERENCE, f"{where}: unknown target {target!r}",
+                             f"{where}.target")
 
     effects: list[EffectAssertion] = []
-    for i, raw in enumerate(_require(data, "effects", list, "document")):
+    for i, raw in enumerate(require(data, "effects", list, "document")):
         where = f"effects[{i}]"
-        _object(raw, _EFFECT_KEYS, where)
+        expect_object(raw, _EFFECT_KEYS, where)
         effect = EffectAssertion(
-            action=_require(raw, "action", str, where),
-            specification=_token(_require(raw, "specification", str, where),
+            action=require(raw, "action", str, where),
+            specification=_token(require(raw, "specification", str, where),
                                  f"{where}.specification"),
-            direction=_enum(_require(raw, "direction", str, where),
+            direction=_enum(require(raw, "direction", str, where),
                             _DIRECTIONS, where),
-            target=_require(raw, "target", str, where),
-            requestDerived=_optional(raw, "requestDerived", bool, where, False))
+            target=require(raw, "target", str, where),
+            requestDerived=optional(raw, "requestDerived", bool, where, False))
         check_refs(effect.action, effect.target, where)
         effects.append(effect)
 
     deontics: list[DeonticAssertion] = []
-    for i, raw in enumerate(_require(data, "deontics", list, "document")):
+    for i, raw in enumerate(require(data, "deontics", list, "document")):
         where = f"deontics[{i}]"
-        _object(raw, _DEONTIC_KEYS, where)
+        expect_object(raw, _DEONTIC_KEYS, where)
         assertion = DeonticAssertion(
-            action=_require(raw, "action", str, where),
-            specification=_token(_require(raw, "specification", str, where),
+            action=require(raw, "action", str, where),
+            specification=_token(require(raw, "specification", str, where),
                                  f"{where}.specification"),
-            holds=_require(raw, "holds", bool, where),
-            target=_require(raw, "target", str, where))
+            holds=require(raw, "holds", bool, where),
+            target=require(raw, "target", str, where))
         check_refs(assertion.action, assertion.target, where)
         deontics.append(assertion)
 
     request = None
     if data.get("request") is not None:
-        raw = _object(data["request"], _REQUEST_KEYS, "request")
-        level = _require(raw, "influenceLevel", int, "request")
+        raw = expect_object(data["request"], _REQUEST_KEYS, "request")
+        level = require(raw, "influenceLevel", int, "request")
         if not 0 <= level <= 100:
-            raise ScenarioError(RANGE_ERROR,
-                                f"request: influenceLevel {level} outside [0, 100]")
+            raise GenetError(RANGE_ERROR, f"request: influenceLevel {level} outside "
+                                          f"[0, 100]", "request.influenceLevel")
         request = RequestContext(
-            requester=_require(raw, "requester", str, "request"),
-            influenceKind=_enum(_require(raw, "influenceKind", str, "request"),
+            requester=require(raw, "requester", str, "request"),
+            influenceKind=_enum(require(raw, "influenceKind", str, "request"),
                                 _INFLUENCE_KINDS, "request"),
             influenceLevel=level,
-            requestedAction=_require(raw, "requestedAction", str, "request"))
+            requestedAction=require(raw, "requestedAction", str, "request"))
         if request.requester not in targets:
-            raise ScenarioError(DANGLING_REFERENCE,
-                                f"request: unknown requester {request.requester!r}")
+            raise GenetError(DANGLING_REFERENCE, f"request: unknown requester "
+                             f"{request.requester!r}", "request.requester")
         if request.requestedAction not in known_actions:
-            raise ScenarioError(DANGLING_REFERENCE,
-                                f"request: unknown action {request.requestedAction!r}")
+            raise GenetError(DANGLING_REFERENCE, f"request: unknown action "
+                             f"{request.requestedAction!r}", "request.requestedAction")
 
     return Scenario(name=name, actingFor=acting_for, groups=tuple(groups),
                     actions=tuple(actions), effects=tuple(effects),

@@ -22,6 +22,7 @@ from .model import (
     INVALID_INSTANCE,
     PERCENT_OUT_OF_RANGE,
     EthicalTheoryInstance,
+    GenetError,
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
@@ -49,7 +50,8 @@ ENUM_VIOLATION = "ENUM_VIOLATION"
 MIN_OCCURS = "MIN_OCCURS"
 DUPLICATE_PATIENT_KIND = "DUPLICATE_PATIENT_KIND"
 
-# Error categories carried by TheoryParseError.code (with INVALID_INSTANCE).
+# Error category raised by parse_theory, with WELL_FORMEDNESS,
+# NAMESPACE_MISMATCH and INVALID_INSTANCE.
 SCHEMA_VIOLATION = "SCHEMA_VIOLATION"
 
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
@@ -60,29 +62,6 @@ def parse_boolean(text: str) -> Optional[bool]:
     """Map the XSD boolean lexical space (surrounding whitespace allowed)
     to True or False; None for anything else."""
     return _BOOLEANS.get(text.strip())
-
-
-class TheoryParseError(ValueError):
-    """Raised when a document cannot be decoded into a theory instance.
-
-    ``code`` is one of WELL_FORMEDNESS, NAMESPACE_MISMATCH,
-    SCHEMA_VIOLATION, or INVALID_INSTANCE; ``report`` carries the
-    individual violations where applicable.
-    """
-
-    def __init__(self, code: str, report: ValidationReport, message: str):
-        super().__init__(message)
-        self.code = code
-        self.report = report
-
-
-class InvalidInstanceError(ValueError):
-    """Raised by emit_theory when the instance fails validation."""
-
-    def __init__(self, report: ValidationReport):
-        super().__init__(f"instance is invalid: {report.codes()}")
-        self.code = INVALID_INSTANCE
-        self.report = report
 
 
 def _qname(local: str) -> str:
@@ -306,22 +285,23 @@ def schema_check(doc: bytes) -> ValidationReport:
 def parse_theory(doc: bytes) -> EthicalTheoryInstance:
     """Decode a theory document, enforcing both the schema and the
     in-memory model invariants. Unknown elements and attributes are
-    hard errors, never skipped.
+    hard errors, never skipped. Raises GenetError with code
+    WELL_FORMEDNESS, NAMESPACE_MISMATCH, SCHEMA_VIOLATION or INVALID_INSTANCE.
     """
     violations, instance = _decode(doc)
     if violations:
         report = ValidationReport(tuple(violations))
         first = violations[0]
         if first.code in (WELL_FORMEDNESS, NAMESPACE_MISMATCH):
-            raise TheoryParseError(first.code, report, first.message)
+            raise GenetError(first.code, first.message, report=report)
         if first.code == DUPLICATE_PATIENT_KIND:
-            raise TheoryParseError(INVALID_INSTANCE, report, first.message)
-        raise TheoryParseError(SCHEMA_VIOLATION, report,
-                               f"schema violations: {report.codes()}")
+            raise GenetError(INVALID_INSTANCE, first.message, report=report)
+        raise GenetError(SCHEMA_VIOLATION, f"schema violations: {report.codes()}",
+                         report=report)
     core = validate_instance(instance)
     if not core.ok:
-        raise TheoryParseError(INVALID_INSTANCE, core,
-                               f"document decodes to an invalid instance: {core.codes()}")
+        raise GenetError(INVALID_INSTANCE, f"document decodes to an invalid instance: "
+                                           f"{core.codes()}", report=core)
     return instance
 
 
@@ -341,7 +321,8 @@ def emit_theory(instance: EthicalTheoryInstance) -> bytes:
     """
     report = validate_instance(instance)
     if not report.ok:
-        raise InvalidInstanceError(report)
+        raise GenetError(INVALID_INSTANCE, f"instance is invalid: {report.codes()}",
+                         report=report)
 
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     attrs = [f"xmlns={quoteattr(GENET_NS)}",

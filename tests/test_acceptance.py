@@ -13,7 +13,6 @@ import random
 import time
 
 from genet.bases import (
-    InstantiationError,
     PrincipleEdit,
     check_conformance,
     instantiate,
@@ -21,6 +20,7 @@ from genet.bases import (
 )
 from genet.model import (
     EthicalTheoryInstance,
+    GenetError,
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
@@ -156,7 +156,7 @@ def test_criterion_4_mutability(registry):
             try:
                 instantiate(template, agent=agent, thresholds=thresholds,
                             edits=edits)
-            except InstantiationError as exc:
+            except GenetError as exc:
                 assert exc.code == "MUTABILITY_VIOLATION", base_name
             else:
                 raise AssertionError(f"{base_name}: forbidden edit accepted")

@@ -12,17 +12,17 @@ from hypothesis import given, settings, strategies as st
 import genet
 from genet.bases import (
     BASE_DIR_ENV,
+    TEMPLATE_ERROR,
     BaseTheoryTemplate,
-    InstantiationError,
     Mutability,
     PrincipleEdit,
-    UnknownBaseTheoryError,
     check_conformance,
     instantiate,
     load_registry,
     reachable,
 )
 from genet.model import (
+    GenetError,
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
@@ -112,7 +112,7 @@ class TestLoadRegistry:
         (tmp_path / "broken.json").write_text('{"name": "broken"}')
         if via_env:
             monkeypatch.setenv(BASE_DIR_ENV, str(tmp_path))
-        with pytest.raises(ValueError, match="broken.json"):
+        with pytest.raises(GenetError, match="broken.json"):
             load_registry(None if via_env else tmp_path)
 
     @pytest.mark.parametrize("field", ["morality", "consequentiality"])
@@ -121,13 +121,13 @@ class TestLoadRegistry:
         owner = data["defaultPrinciples"][0] if field == "morality" else data
         owner[field] = "false"
         (tmp_path / "egoism.json").write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="malformed base-theory template"):
+        with pytest.raises(GenetError, match="malformed base-theory template"):
             load_registry(base_dir=tmp_path)
 
 
     def test_invalid_json_names_its_file(self, tmp_path):
         (tmp_path / "broken.json").write_text('{"name": ')
-        with pytest.raises(ValueError, match=r"malformed base-theory template "
+        with pytest.raises(GenetError, match=r"malformed base-theory template "
                                              r".*broken\.json: "):
             load_registry(base_dir=tmp_path)
 
@@ -135,23 +135,60 @@ class TestLoadRegistry:
                              ids=["deep-lists", "deep-objects"])
     def test_deep_nesting_names_its_file(self, tmp_path, text):
         (tmp_path / "deep.json").write_text(text)
-        with pytest.raises(ValueError, match=r"malformed base-theory template "
+        with pytest.raises(GenetError, match=r"malformed base-theory template "
                                              r".*deep\.json: "):
             load_registry(base_dir=tmp_path)
 
     def test_directory_entry_names_itself(self, tmp_path):
         shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path)
         (tmp_path / "dir.json").mkdir()
-        with pytest.raises(ValueError, match=r"cannot read base-theory template "
+        with pytest.raises(GenetError, match=r"cannot read base-theory template "
                                              r".*dir\.json: ") as err:
             load_registry(base_dir=tmp_path)
-        assert type(err.value) is ValueError
+        assert type(err.value) is GenetError
+        assert err.value.code == TEMPLATE_ERROR
+
+    @pytest.mark.parametrize("missing", ["absent", "a-file"])
+    def test_base_dir_must_be_a_directory(self, tmp_path, monkeypatch, missing):
+        base_dir = tmp_path / "bases"
+        if missing == "a-file":
+            shutil.copy(BUILTIN_DIR / "egoism.json", base_dir)
+        monkeypatch.setenv(BASE_DIR_ENV, str(base_dir))
+        with pytest.raises(GenetError) as err:
+            load_registry()
+        assert str(err.value) == f"not a base-theory template directory: {base_dir}"
+        assert err.value.report.codes() == [TEMPLATE_ERROR]
+
+    def test_unreadable_file_names_itself(self, tmp_path, monkeypatch):
+        # A mode-000 file; the suite may run as root, which reads any file.
+        shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path)
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        with pytest.raises(GenetError) as err:
+            load_registry(base_dir=tmp_path)
+        path = tmp_path / "egoism.json"
+        assert str(err.value) == (f"cannot read base-theory template {path}: "
+                                  f"[Errno 13] Permission denied: '{path}'")
+        assert err.value.code == TEMPLATE_ERROR
+
+    def test_repeated_key_is_rejected(self, tmp_path):
+        # json.loads alone would keep the last value, true.
+        text = (BUILTIN_DIR / "egoism.json").read_text("utf-8").replace(
+            '"consequentiality": true',
+            '"consequentiality": false, "consequentiality": true')
+        (tmp_path / "egoism.json").write_text(text)
+        with pytest.raises(GenetError, match=r"malformed base-theory template "
+                                             r".*egoism\.json: duplicate key "
+                                             r"'consequentiality'$"):
+            load_registry(base_dir=tmp_path)
 
     def test_misspelt_key_is_rejected(self, tmp_path):
         data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
         data["fixedPatientKind"] = data.pop("fixedPatientKinds")
         (tmp_path / "egoism.json").write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="unknown key 'fixedPatientKind'"):
+        with pytest.raises(GenetError, match="unknown key 'fixedPatientKind'"):
             load_registry(base_dir=tmp_path)
 
     @pytest.mark.parametrize("path, value", [
@@ -170,7 +207,7 @@ class TestLoadRegistry:
             owner = owner[key]
         owner[path[-1]] = value
         (tmp_path / "egoism.json").write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="malformed base-theory template"):
+        with pytest.raises(GenetError, match="malformed base-theory template"):
             load_registry(base_dir=tmp_path)
 
 
@@ -197,12 +234,12 @@ class TestInstantiate:
         for edit in (PrincipleEdit.add(MoralPrinciple(True, Subject.ALL, "foo")),
                      PrincipleEdit.remove(
                          MoralPrinciple(False, Subject.ALL, "mereMeans"))):
-            with pytest.raises(InstantiationError) as err:
+            with pytest.raises(GenetError) as err:
                 instantiate(kant, agent=DOE, thresholds=THRESH, edits=[edit])
             assert err.value.code == "MUTABILITY_VIOLATION"
 
     def test_utilitarianism_rejects_add(self, registry):
-        with pytest.raises(InstantiationError) as err:
+        with pytest.raises(GenetError) as err:
             instantiate(base(registry, "utilitarianism"), agent=DOE,
                         thresholds=THRESH,
                         edits=[PrincipleEdit.add(
@@ -215,7 +252,7 @@ class TestInstantiate:
                             edits=[PrincipleEdit.add(
                                 MoralPrinciple(False, Subject.PATIENTS, "usury"))])
         assert len(added.principles) == 7
-        with pytest.raises(InstantiationError) as err:
+        with pytest.raises(GenetError) as err:
             instantiate(dct, agent=DOE, thresholds=THRESH,
                         edits=[PrincipleEdit.remove(
                             MoralPrinciple(False, Subject.PATIENTS, "kill"))])
@@ -225,12 +262,12 @@ class TestInstantiate:
         util = base(registry, "utilitarianism")
         edits = [PrincipleEdit.remove(MoralPrinciple(True, Subject.ALL, s))
                  for s in MASLOW]
-        with pytest.raises(InstantiationError) as err:
+        with pytest.raises(GenetError) as err:
             instantiate(util, agent=DOE, thresholds=THRESH, edits=edits)
         assert err.value.code == "EMPTY_PRINCIPLES"
 
     def test_unknown_removal(self, registry):
-        with pytest.raises(InstantiationError) as err:
+        with pytest.raises(GenetError) as err:
             instantiate(base(registry, "utilitarianism"), agent=DOE,
                         thresholds=THRESH,
                         edits=[PrincipleEdit.remove(
@@ -238,11 +275,27 @@ class TestInstantiate:
         assert err.value.code == "UNKNOWN_REMOVAL"
 
     def test_fixed_patient_kinds_enforced(self, registry):
-        with pytest.raises(InstantiationError) as err:
+        with pytest.raises(GenetError) as err:
             instantiate(base(registry, "utilitarianism"), agent=DOE,
                         thresholds=THRESH,
                         patientKinds=frozenset({PatientKind.NATURE}))
         assert err.value.code == "FIXED_FIELD_VIOLATION"
+
+    def test_free_patient_kinds_are_taken_as_given(self, registry):
+        free = dataclasses.replace(base(registry, "egoism"), fixedPatientKinds=None)
+        kinds = frozenset({PatientKind.HUMAN, PatientKind.NATURE})
+        instance = instantiate(free, agent=DOE, thresholds=THRESH, patientKinds=kinds)
+        assert instance.patientKinds == kinds
+
+    def test_adding_a_present_principle_is_rejected(self, registry):
+        dct = base(registry, "ChristianDivineCommandTheory")
+        present = dct.defaultPrinciples[0]
+        with pytest.raises(GenetError) as err:
+            instantiate(dct, agent=DOE, thresholds=THRESH,
+                        edits=[PrincipleEdit.add(present)])
+        key = (present.specification, present.subject.value)
+        assert [(v.code, v.path, v.message) for v in err.value.report.violations] == [
+            ("DUPLICATE_PRINCIPLE", "principles", f"principle {key} is already present")]
 
     def test_business_egoism_replacement(self, registry):
         # Egoism for a business: replace the personal-preference defaults
@@ -300,14 +353,27 @@ class TestCheckConformance:
         instance = dataclasses.replace(
             parse_theory(theory_bytes("mia-kantianism")),
             baseTheory="Contractualism")
-        with pytest.raises(UnknownBaseTheoryError):
+        with pytest.raises(GenetError):
             check_conformance(instance, registry)
+
+    def test_patient_kinds_other_than_the_fixed_ones(self, registry):
+        instance = dataclasses.replace(parse_theory(theory_bytes("mia-kantianism")),
+                                       patientKinds=frozenset({PatientKind.NATURE}))
+        report = check_conformance(instance, registry)
+        assert [(v.code, v.path, v.message) for v in report.violations] == [
+            ("FIXED_FIELD_VIOLATION", "patientKinds",
+             "Kantianism fixes patientKinds to ['human']")]
 
     def test_consequentiality_mismatch(self, registry):
         instance = dataclasses.replace(
             parse_theory(theory_bytes("mia-kantianism")), consequentiality=True)
         assert "CONSEQUENTIALITY_MISMATCH" in \
             check_conformance(instance, registry).codes()
+
+    def test_repeated_principle_is_not_reachable(self, registry):
+        util = base(registry, "utilitarianism")
+        assert reachable(util, util.defaultPrinciples)
+        assert not reachable(util, util.defaultPrinciples + util.defaultPrinciples[:1])
 
     def test_none_templates_admit_one_list(self, registry):
         kant = base(registry, "Kantianism")

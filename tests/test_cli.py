@@ -161,6 +161,14 @@ class TestInstantiate:
         assert code == 3
         assert "bad --add/--remove" in err
 
+    def test_non_boolean_morality_is_usage(self, capsys, tmp_path):
+        out_path = tmp_path / "x.xml"
+        code, out, err = run(capsys, *INSTANTIATE, "--add", "x,all,maybe",
+                             "--out", str(out_path))
+        assert (code, out, err) == (3, "", "error: bad --add/--remove value: "
+                                           "not a boolean: 'maybe'\n")
+        assert not out_path.exists()
+
 
 class TestReason:
     def test_trolley_dct_decides_t2(self, capsys):
@@ -315,6 +323,20 @@ def test_directory_entry_in_base_dir_is_usage(capsys, tmp_path, monkeypatch, com
     assert (code, stdout) == (3, "")
     assert err.startswith(f"error: cannot read base-theory template "
                           f"{tmp_path / 'bases' / 'dir.json'}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
+                                     INSTANTIATE], ids=["list", "show", "instantiate"])
+def test_missing_base_dir_is_usage(capsys, tmp_path, monkeypatch, command):
+    # A misspelt GENET_BASE_DIR must not read as an empty registry.
+    base_dir = tmp_path / "nonexistent"
+    monkeypatch.setenv("GENET_BASE_DIR", str(base_dir))
+    out = tmp_path / "x.xml"
+    code, stdout, err = run(capsys, *command,
+                            *(["--out", str(out)] if command == INSTANTIATE else []))
+    assert (code, stdout, err) == (
+        3, "", f"error: not a base-theory template directory: {base_dir}\n")
     assert not out.exists()
 
 

@@ -36,9 +36,10 @@ import pytest
 
 from genet.cli import main
 from genet.fixtures import scenario_path, theory_path
+from genet.model import GenetError
 from genet.reasoner import decide, decision_to_dict
 from genet.scenario import load_scenario
-from genet.xmlio import GENET_NS, TheoryParseError, parse_theory, schema_check
+from genet.xmlio import GENET_NS, parse_theory, schema_check
 from .conftest import (CASE_THEORIES, SCENARIO_NAMES, THEORY_NAMES, scenario_bytes,
                        theory_bytes)
 
@@ -189,7 +190,7 @@ def _diagnose(doc: bytes) -> dict:
     try:
         parse_theory(doc)
         out["parse_theory"] = "ok"
-    except TheoryParseError as exc:
+    except GenetError as exc:
         out["parse_theory"] = [exc.code, str(exc)]
     return out
 

@@ -39,6 +39,12 @@ class TestValidateInstance:
         broken = dataclasses.replace(mia_egoism(), patientKinds=frozenset())
         assert validate_instance(broken).codes() == ["EMPTY_PATIENT_KINDS"]
 
+    def test_empty_principles(self):
+        broken = dataclasses.replace(mia_egoism(), principles=())
+        report = validate_instance(broken)
+        assert [(v.code, v.path) for v in report.violations] == [
+            ("EMPTY_PRINCIPLES", "principles")]
+
     def test_substance_threshold_out_of_range(self):
         broken = dataclasses.replace(
             mia_egoism(), influenceThresholds=InfluenceThresholds(50, 130))

@@ -1,17 +1,23 @@
-"""Mutation fuzzing of the shipped JSON inputs.
+"""Mutation fuzzing of every input that genet rejects.
 
 The scenario fixtures and the base templates are mutated by dropping a
 key or list entry, giving a value another type, nesting it past the
 decoder's depth, making it an integer of 4,300 or more digits, or cutting
 the bytes short; a template directory may also hold a directory named
-`dir.json`. Each loader must raise only its typed error, and the CLI must
-end every command with a documented exit code (0, 1, 2 or 3), never with a
-traceback. The malformed theory documents pinned in the golden file go
-through `genet validate` the same way.
+`dir.json`. Theory documents are mutated as in the malformed-theory golden
+file, or cut short; theory instances get invalid fields, and templates get
+arbitrary names, edits and patient kinds. Each library entry point must
+either accept its input or raise `GenetError` with a code it documents and
+at least one finding, and the CLI must end every command with a documented
+exit code (0, 1, 2 or 3), never with a traceback. The malformed theory
+documents pinned in the golden file go through `genet validate` the same
+way.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -21,10 +27,47 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genet.bases import BASE_DIR_ENV, load_registry
+from genet.bases import (
+    BASE_DIR_ENV,
+    FIXED_FIELD_VIOLATION,
+    MUTABILITY_VIOLATION,
+    TEMPLATE_ERROR,
+    UNKNOWN_BASE_THEORY,
+    UNKNOWN_REMOVAL,
+    PrincipleEdit,
+    instantiate,
+    load_registry,
+)
 from genet.fixtures import theory_path
-from genet.scenario import ScenarioError, load_scenario
-from .conftest import CASE_THEORIES, SCENARIO_NAMES, scenario_bytes, theory_bytes
+from genet.model import (
+    DUPLICATE_PRINCIPLE,
+    EMPTY_PRINCIPLES,
+    INVALID_INSTANCE,
+    GenetError,
+    InfluenceThresholds,
+    MoralAgent,
+    MoralPrinciple,
+    PatientKind,
+    Subject,
+    validate_instance,
+)
+from genet.scenario import (
+    DANGLING_REFERENCE,
+    DUPLICATE_ID,
+    PARSE_ERROR,
+    RANGE_ERROR,
+    load_scenario,
+)
+from genet.xmlio import (
+    NAMESPACE_MISMATCH,
+    SCHEMA_VIOLATION,
+    WELL_FORMEDNESS,
+    emit_theory,
+    parse_theory,
+)
+from .conftest import (CASE_THEORIES, SCENARIO_NAMES, THEORY_NAMES, scenario_bytes,
+                       theory_bytes)
+from .strategies import principles, valid_instances
 from .test_bases import BUILTIN_DIR
 from .test_golden import MALFORMED_GOLDEN, MUTATED_THEORIES, _load, _mutants, _run
 
@@ -38,6 +81,11 @@ HUGE_VALUES = ["[" * 50_000 + "]" * 50_000, '{"x": ' * 50_000 + "1" + "}" * 50_0
                "9" * 4300, "1" * 4400]
 PLACEHOLDER = "\0huge\0"
 EXIT_CODES = {0, 1, 2, 3}
+# The codes each entry point documents for a rejected input.
+SCENARIO_CODES = {PARSE_ERROR, DANGLING_REFERENCE, DUPLICATE_ID, RANGE_ERROR}
+THEORY_CODES = {WELL_FORMEDNESS, NAMESPACE_MISMATCH, SCHEMA_VIOLATION, INVALID_INSTANCE}
+INSTANTIATION_CODES = {FIXED_FIELD_VIOLATION, MUTABILITY_VIOLATION, DUPLICATE_PRINCIPLE,
+                       UNKNOWN_REMOVAL, EMPTY_PRINCIPLES, INVALID_INSTANCE}
 
 
 def _positions(value, at: tuple = ()):
@@ -77,11 +125,12 @@ def mutants(draw, doc: bytes) -> bytes:
 @settings(deadline=None, max_examples=300)
 @given(st.sampled_from(SCENARIO_NAMES).flatmap(
     lambda name: mutants(scenario_bytes(name))))
-def test_scenario_loader_raises_only_scenario_error(doc):
+def test_scenario_loader_raises_only_genet_error(doc):
     try:
         load_scenario(doc)
-    except ScenarioError:
-        pass
+    except GenetError as exc:
+        assert exc.code in SCENARIO_CODES
+        assert exc.report.codes() == [exc.code]
 
 
 @settings(deadline=None, max_examples=150)
@@ -115,16 +164,105 @@ def _template_dir(base_dir: Path, name: str, doc: bytes, with_directory: bool) -
 
 @settings(deadline=None, max_examples=300)
 @given(st.data())
-def test_template_loader_raises_only_a_value_error_naming_the_file(data):
+def test_template_loader_raises_only_a_genet_error_naming_the_file(data):
     name = data.draw(st.sampled_from(TEMPLATE_NAMES))
     doc = data.draw(mutants((BUILTIN_DIR / f"{name}.json").read_bytes()))
     with tempfile.TemporaryDirectory() as tmp:
         paths = _template_dir(Path(tmp), name, doc, data.draw(st.booleans()))
         try:
             load_registry(Path(tmp))
-        except ValueError as exc:
-            assert type(exc) is ValueError
+        except GenetError as exc:
+            assert type(exc) is GenetError
+            assert exc.report.codes() == [exc.code] == [TEMPLATE_ERROR]
             assert any(str(path) in str(exc) for path in paths)
+
+
+@functools.cache
+def _theory_mutants(name: str) -> list[bytes]:
+    return list(_mutants(theory_bytes(name)).values())
+
+
+@st.composite
+def theory_mutants(draw) -> bytes:
+    """A fixture theory document with one thing changed as in the golden
+    file, or cut short."""
+    name = draw(st.sampled_from(THEORY_NAMES))
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_theory_mutants(name)))
+    doc = theory_bytes(name)
+    return doc[:draw(st.integers(0, len(doc) - 1))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(theory_mutants())
+def test_theory_parser_raises_only_genet_error(doc):
+    try:
+        parse_theory(doc)
+    except GenetError as exc:
+        assert exc.code in THEORY_CODES
+        assert exc.report.violations
+
+
+# Each replaces one field of a valid instance with a value that
+# validate_instance rejects.
+BREAKS = {
+    "baseTheory": lambda t: dataclasses.replace(t, baseTheory=""),
+    "instanceName": lambda t: dataclasses.replace(t, instanceName=""),
+    "agent": lambda t: dataclasses.replace(t, agent=MoralAgent("", "not a uri")),
+    "patientKinds": lambda t: dataclasses.replace(t, patientKinds=frozenset()),
+    "thresholds": lambda t: dataclasses.replace(
+        t, influenceThresholds=InfluenceThresholds(-1, 101)),
+    "principles": lambda t: dataclasses.replace(t, principles=()),
+    "specification": lambda t: dataclasses.replace(t, principles=t.principles + (
+        MoralPrinciple(True, Subject.ALL, "two words"),)),
+    "duplicate": lambda t: dataclasses.replace(
+        t, principles=t.principles + t.principles[:1]),
+}
+
+
+@settings(deadline=None)
+@given(valid_instances, st.lists(st.sampled_from(sorted(BREAKS)), min_size=1))
+def test_emit_refuses_invalid_instances_with_their_findings(theory, breaks):
+    for name in breaks:
+        theory = BREAKS[name](theory)
+    with pytest.raises(GenetError) as err:
+        emit_theory(theory)
+    assert err.value.code == INVALID_INSTANCE
+    assert err.value.report == validate_instance(theory)
+    assert err.value.report.violations
+
+
+@given(st.text(max_size=30))
+def test_registry_get_rejects_unknown_names(name):
+    registry = load_registry()
+    if name in registry.names():
+        assert registry.get(name).name == name
+        return
+    with pytest.raises(GenetError) as err:
+        registry.get(name)
+    assert err.value.report.codes() == [err.value.code] == [UNKNOWN_BASE_THEORY]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_instantiate_raises_only_genet_error(data):
+    registry = load_registry()
+    template = registry.get(data.draw(st.sampled_from(registry.names())))
+    if data.draw(st.booleans()):
+        template = dataclasses.replace(template, fixedPatientKinds=None)
+    pool = st.one_of(st.sampled_from(template.defaultPrinciples), principles)
+    edits = data.draw(st.lists(st.builds(PrincipleEdit, st.booleans(), pool), max_size=6))
+    kinds = data.draw(st.none() | st.frozensets(st.sampled_from(list(PatientKind))))
+    try:
+        instance = instantiate(
+            template, agent=MoralAgent(data.draw(st.sampled_from(["A", ""]))),
+            thresholds=InfluenceThresholds(data.draw(st.integers(-1, 101)), 0),
+            patientKinds=kinds, edits=edits)
+    except GenetError as exc:
+        assert exc.code in INSTANTIATION_CODES
+        assert exc.report.violations
+    else:
+        assert validate_instance(instance).ok
 
 
 @settings(deadline=None, max_examples=150)

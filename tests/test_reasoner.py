@@ -19,6 +19,7 @@ from genet.reasoner import (
     decide,
     evaluate,
     influence_gate,
+    render_decision,
 )
 from genet.scenario import (
     AGENT,
@@ -139,6 +140,23 @@ class TestEvaluateConsequentialist:
         evaluation = evaluate(theory, scenario, "a0")
         assert evaluation.score == 0
         assert 0 in evaluation.trace.counted_contributions()
+
+    def test_voided_request_keeps_its_wrongness(self):
+        # The substance threshold 0 voids a request made at level 85.
+        theory = toy_theory(thresholds=(50, 0))
+        scenario = Scenario(
+            name="x", actingFor="Agent", groups=(),
+            actions=(ActionOption("a0"), ActionOption("a1")),
+            effects=(EffectAssertion("a0", "bad", "increase", AGENT,
+                                     requestDerived=True),),
+            deontics=(),
+            request=RequestContext(AGENT, "substance", 85, "a0"))
+        evaluation = evaluate(theory, scenario, "a0")
+        assert (evaluation.score, evaluation.supererogation) == (-1, ())
+        assert [i.text for i in evaluation.trace.inferences
+                if i.contribution is not None] == [
+            "a0 carries some moral wrong of magnitude 1 "
+            "(wrongness is retained despite the voided request)"]
 
     def test_follows_the_theory_mode(self, theories, scenarios):
         # mia-egoism is consequentialist, so evaluate scores the action.
@@ -330,6 +348,9 @@ class TestDecide:
         assert sorted(decision.tied) == ["a0", "a1"]
         assert all(e.verdict is MoralVerdict.UNDECIDABLE
                    for e in decision.evaluations)
+        assert render_decision(decision) == ("conflict: -\ntied: a0 a1\n"
+                                             "a0: undecidable score=+3\n"
+                                             "a1: undecidable score=+3")
 
     def test_all_wrong_deontological_is_a_conflict(self):
         theory = toy_theory(consequentiality=False,

@@ -5,16 +5,16 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from genet.model import PatientKind
+from genet.model import GenetError, PatientKind
 from genet.scenario import (
     AGENT,
     AGENT_MISMATCH,
     DANGLING_REFERENCE,
     DUPLICATE_ID,
+    EXCLUDED_PATIENT_KIND,
     MAX_CARDINALITY,
     PARSE_ERROR,
     RANGE_ERROR,
-    ScenarioError,
     emit_scenario,
     load_scenario,
     validate_scenario_against_theory,
@@ -60,19 +60,47 @@ class TestLoadScenario:
     def test_dangling_reference(self):
         broken = doc(effects=[{"action": "A1", "specification": "s",
                                "direction": "increase", "target": "ghost"}])
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == DANGLING_REFERENCE
 
     def test_dangling_action(self):
         broken = doc(deontics=[{"action": "A9", "specification": "lie",
                                 "holds": False, "target": AGENT}])
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == DANGLING_REFERENCE
 
+    @pytest.mark.parametrize("request_, message", [
+        ({"requester": "ghost", "requestedAction": "A1"},
+         "request: unknown requester 'ghost'"),
+        ({"requester": AGENT, "requestedAction": "A9"}, "request: unknown action 'A9'"),
+    ], ids=["requester", "requested-action"])
+    def test_dangling_request(self, request_, message):
+        broken = doc(request={"influenceKind": "substance", "influenceLevel": 10,
+                              **request_})
+        with pytest.raises(GenetError) as err:
+            load_scenario(broken)
+        assert (err.value.code, str(err.value)) == (DANGLING_REFERENCE, message)
+
+    @pytest.mark.parametrize("value, message", [
+        (None, "groups[0]: missing key 'patientKind'"),
+        (5, "groups[0]: key 'patientKind' must be str"),
+        ("robot", "groups[0]: 'robot' is not a valid PatientKind"),
+    ], ids=["missing", "int", "robot"])
+    def test_bad_group_patient_kind_names_its_group_once(self, value, message):
+        data = json.loads(scenario_bytes("trolley"))
+        if value is None:
+            del data["groups"][0]["patientKind"]
+        else:
+            data["groups"][0]["patientKind"] = value
+        with pytest.raises(GenetError) as err:
+            load_scenario(json.dumps(data).encode("utf-8"))
+        assert (err.value.code, str(err.value)) == (PARSE_ERROR, message)
+        assert err.value.report.violations[0].path == "groups[0].patientKind"
+
     def test_duplicate_action_id(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(doc(actions=["A1", "A1"], effects=[], deontics=[]))
         assert err.value.code == DUPLICATE_ID
 
@@ -80,14 +108,14 @@ class TestLoadScenario:
         broken = doc(groups=[{"id": AGENT, "kind": "patientGroup",
                               "patientKind": "human", "cardinality": 1}],
                      effects=[], deontics=[])
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == DUPLICATE_ID
 
     def test_cardinality_below_one(self):
         broken = doc(groups=[{"id": "crowd", "kind": "patientGroup",
                               "patientKind": "human", "cardinality": 0}])
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == RANGE_ERROR
 
@@ -97,7 +125,7 @@ class TestLoadScenario:
         # A score summed from 4,300-digit cardinalities cannot be printed.
         broken = doc(groups=[{"id": "crowd", "kind": "patientGroup",
                               "patientKind": "human", "cardinality": cardinality}])
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == RANGE_ERROR
         assert str(err.value) == (f"groups[0]: cardinality must be between 1 "
@@ -111,23 +139,35 @@ class TestLoadScenario:
     def test_influence_level_out_of_range(self):
         broken = doc(request={"requester": AGENT, "influenceKind": "substance",
                               "influenceLevel": 101, "requestedAction": "A1"})
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == RANGE_ERROR
 
     def test_fewer_than_two_actions(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(doc(actions=["A1"], effects=[], deontics=[]))
         assert err.value.code == RANGE_ERROR
 
+    @pytest.mark.parametrize("text, key", [
+        (b'{"scenario": "a", "scenario": "b"}', "scenario"),
+        (doc().replace(b'"cardinality": 3', b'"cardinality": 3, "cardinality": 4'),
+         "cardinality"),
+    ], ids=["document", "group"])
+    def test_repeated_key_is_rejected(self, text, key):
+        # json.loads alone would keep the last value.
+        with pytest.raises(GenetError) as err:
+            load_scenario(text)
+        assert err.value.code == PARSE_ERROR
+        assert str(err.value) == f"not valid JSON: duplicate key {key!r}"
+
     def test_unknown_top_level_key(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(doc(extra=1))
         assert err.value.code == PARSE_ERROR
         assert str(err.value) == "document: unknown key 'extra'"
 
     def test_top_level_must_be_an_object(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(b"[]")
         assert (err.value.code, str(err.value)) == (PARSE_ERROR,
                                                     "document: must be an object")
@@ -136,7 +176,7 @@ class TestLoadScenario:
         assert load_scenario(doc(comment="authoring note")).name == "toy"
 
     def test_not_json(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(b"not json at all {")
         assert err.value.code == PARSE_ERROR
 
@@ -146,7 +186,7 @@ class TestLoadScenario:
         doc().replace(b'"cardinality": 3', b'"cardinality": ' + b"1" * 4400),
     ], ids=["deep-lists", "deep-objects", "4400-digit-integer"])
     def test_undecodable_depth_and_size_are_parse_errors(self, broken):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == PARSE_ERROR
         assert str(err.value).startswith("not valid JSON: ")
@@ -156,7 +196,7 @@ class TestLoadScenario:
         index = next(i for i, e in enumerate(data["effects"]) if e.get("requestDerived"))
         effect = data["effects"][index]
         effect["requestDerivd"] = effect.pop("requestDerived")
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(json.dumps(data).encode("utf-8"))
         assert err.value.code == PARSE_ERROR
         assert str(err.value) == f"effects[{index}]: unknown key 'requestDerivd'"
@@ -173,7 +213,7 @@ class TestLoadScenario:
                                  "extra": 1}}),
     ], ids=["group", "action", "deontic", "request"])
     def test_unknown_nested_key(self, where, overrides):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(doc(**overrides))
         assert err.value.code == PARSE_ERROR
         assert str(err.value) == f"{where}: unknown key 'extra'"
@@ -182,19 +222,19 @@ class TestLoadScenario:
         broken = doc(effects=[{"action": "A1", "specification": "s",
                                "direction": "increase", "target": "crowd",
                                "requestDerived": "false"}])
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == PARSE_ERROR
 
     def test_description_must_be_string(self):
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(doc(actions=[{"id": "A1", "description": 5}, "A2"]))
         assert err.value.code == PARSE_ERROR
 
     def test_bad_direction(self):
         broken = doc(effects=[{"action": "A1", "specification": "s",
                                "direction": "sideways", "target": "crowd"}])
-        with pytest.raises(ScenarioError) as err:
+        with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == PARSE_ERROR
 
@@ -233,6 +273,16 @@ class TestValidateAgainstTheory:
         other = dataclasses.replace(scenarios["mia"], actingFor="Bob")
         report = validate_scenario_against_theory(other, theories["mia-egoism"])
         assert AGENT_MISMATCH in report.codes()
+
+    def test_excluded_patient_kind_is_a_warning(self, theories):
+        data = json.loads(scenario_bytes("trolley"))
+        data["groups"][1]["patientKind"] = "otherSentient"
+        scenario = load_scenario(json.dumps(data).encode("utf-8"))
+        report = validate_scenario_against_theory(scenario, theories["trainco-dct"])
+        assert [(v.code, v.path, v.message) for v in report.violations] == [(
+            EXCLUDED_PATIENT_KIND, "groups[1]",
+            "group 'worker' has patient kind 'otherSentient', which the theory "
+            "excludes; its effects will carry weight 0")]
 
     @pytest.mark.parametrize("case", SCENARIO_NAMES)
     def test_fixtures_have_no_errors_under_their_theories(self, case, theories,
