@@ -150,14 +150,23 @@ def load_registry(base_dir: Optional[Path] = None) -> Registry:
     """Load templates from a directory of ``*.json`` files.
 
     Defaults to the packaged builtin directory; the GENET_BASE_DIR
-    environment variable overrides it (CLI contract).
+    environment variable overrides it (CLI contract). Two files that give
+    the same template name are an error.
     """
     base_dir = Path(base_dir or os.environ.get(BASE_DIR_ENV)
                     or Path(__file__).parent / "data" / "bases")
     if not base_dir.is_dir():
         raise GenetError(TEMPLATE_ERROR, f"not a base-theory template directory: "
                                          f"{base_dir}", str(base_dir))
-    return Registry([_decode_template(p) for p in sorted(base_dir.glob("*.json"))])
+    files: dict[str, Path] = {}
+    templates = []
+    for path in sorted(base_dir.glob("*.json")):
+        template = _decode_template(path)
+        if (first := files.setdefault(template.name, path)) != path:
+            raise GenetError(TEMPLATE_ERROR, f"base-theory templates {first} and {path} "
+                             f"both give the name {template.name!r}", str(path))
+        templates.append(template)
+    return Registry(templates)
 
 
 def _key(p: MoralPrinciple) -> tuple[str, str]:

@@ -3,9 +3,10 @@
 Exit codes: 0 success/decided, 1 validation or conformance failure,
 2 conflict or multiple-permissible outcome, 3 usage error (including an
 unreadable input, an unwritable output file, a closed stdout, an unknown
-base theory, or a base-template file or directory that cannot be read or is
-malformed). Reports go to stdout, diagnostics to stderr. GENET_BASE_DIR
-overrides the packaged base-template directory.
+base theory, a base-template file or directory that cannot be read or is
+malformed, or two template files that give one name). Reports go to
+stdout, diagnostics to stderr. GENET_BASE_DIR overrides the packaged
+base-template directory.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import EthicalTheoryInstance, MoralPrinciple, Subject
 from .scenario import AGENT, DeonticAssertion, EffectAssertion, RequestContext, Scenario
@@ -31,16 +31,14 @@ class DecisionKind(Enum):
     CONFLICT = "conflict"
 
 
-@dataclass(frozen=True)
-class TracePremise:
+class TracePremise(NamedTuple):
     id: str
     kind: str  # situationalFact | theoryPrinciple | thresholdFact
     text: str
     source: str
 
 
-@dataclass(frozen=True)
-class TraceInference:
+class TraceInference(NamedTuple):
     id: str
     fromIds: tuple[str, ...]
     text: str

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from typing import Optional
 from xml.etree import ElementTree
-from xml.sax.saxutils import escape, quoteattr
 
 from .model import (
     INVALID_INSTANCE,
@@ -309,6 +308,21 @@ def parse_theory(doc: bytes) -> EthicalTheoryInstance:
 _KIND_ORDER = {kind: i for i, kind in enumerate(PatientKind)}
 
 
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                               "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+def quoteattr(value: str) -> str:
+    """Escape and quote an attribute value, with the same result as
+    ``xml.sax.saxutils.quoteattr``, whose import pulls in urllib and http."""
+    value = value.translate(_ATTR_ESCAPES)
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
 def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
@@ -339,7 +353,7 @@ def emit_theory(instance: EthicalTheoryInstance) -> bytes:
 
     lines.append("    <patientKinds>")
     for kind in sorted(instance.patientKinds, key=_KIND_ORDER.__getitem__):
-        lines.append(f"        <patientKind>{escape(kind.value)}</patientKind>")
+        lines.append(f"        <patientKind>{kind.value}</patientKind>")
     lines.append("    </patientKinds>")
 
     t = instance.influenceThresholds

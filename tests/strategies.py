@@ -22,9 +22,12 @@ from genet.scenario import (
     StakeholderGroup,
 )
 
-# XML cannot carry control characters or surrogates at all.
+# XML cannot carry surrogates, nor control characters other than tab,
+# newline and carriage return, which attributes carry as character
+# references.
 xml_text = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc")),
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc"),
+                           whitelist_characters="\t\n\r"),
     min_size=1, max_size=30)
 
 tokens = st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",

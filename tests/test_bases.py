@@ -148,6 +148,16 @@ class TestLoadRegistry:
         assert type(err.value) is GenetError
         assert err.value.code == TEMPLATE_ERROR
 
+    def test_repeated_template_name_names_both_files(self, tmp_path):
+        # Without the check, b.json would silently replace a.json.
+        for name in ("a.json", "b.json"):
+            shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path / name)
+        with pytest.raises(GenetError) as err:
+            load_registry(base_dir=tmp_path)
+        assert str(err.value) == (f"base-theory templates {tmp_path / 'a.json'} and "
+                                  f"{tmp_path / 'b.json'} both give the name 'egoism'")
+        assert err.value.report.codes() == [TEMPLATE_ERROR]
+
     @pytest.mark.parametrize("missing", ["absent", "a-file"])
     def test_base_dir_must_be_a_directory(self, tmp_path, monkeypatch, missing):
         base_dir = tmp_path / "bases"

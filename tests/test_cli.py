@@ -328,6 +328,23 @@ def test_directory_entry_in_base_dir_is_usage(capsys, tmp_path, monkeypatch, com
 
 @pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
                                      INSTANTIATE], ids=["list", "show", "instantiate"])
+def test_repeated_template_name_is_usage(capsys, tmp_path, monkeypatch, command):
+    base_dir = tmp_path / "bases"
+    base_dir.mkdir()
+    for name in ("a.json", "b.json"):
+        shutil.copy(BUILTIN_BASES / "egoism.json", base_dir / name)
+    monkeypatch.setenv("GENET_BASE_DIR", str(base_dir))
+    out = tmp_path / "x.xml"
+    code, stdout, err = run(capsys, *command,
+                            *(["--out", str(out)] if command == INSTANTIATE else []))
+    assert (code, stdout, err) == (
+        3, "", f"error: base-theory templates {base_dir / 'a.json'} and "
+               f"{base_dir / 'b.json'} both give the name 'egoism'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
+                                     INSTANTIATE], ids=["list", "show", "instantiate"])
 def test_missing_base_dir_is_usage(capsys, tmp_path, monkeypatch, command):
     # A misspelt GENET_BASE_DIR must not read as an empty registry.
     base_dir = tmp_path / "nonexistent"
@@ -364,6 +381,23 @@ def test_python_dash_m_genet():
                             capture_output=True, text=True, env=_this_tree_env())
     assert result.returncode == 0
     assert "Kantianism" in result.stdout
+
+
+def test_import_stays_clear_of_the_network_and_email_stack():
+    """`import genet.cli` loads none of the modules that
+    `xml.sax.saxutils` pulls in, which would add tens of milliseconds to
+    every command. `-S` keeps `.pth` hooks of site-packages out of the
+    result."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, genet.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT)))
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "genet.cli" in loaded
+    assert loaded.isdisjoint({"urllib.request", "http.client", "email", "ssl",
+                              "socket", "xml.sax"})
 
 
 def test_closed_stdout_is_usage(tmp_path):

@@ -3,9 +3,10 @@ from __future__ import annotations
 import re
 from pathlib import Path
 from xml.etree import ElementTree
+from xml.sax import saxutils
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import genet
 from genet.model import GenetError, PatientKind, Subject, validate_instance
@@ -13,6 +14,7 @@ from genet.xmlio import (
     GENET_NS,
     emit_theory,
     parse_theory,
+    quoteattr,
     schema_check,
 )
 from .conftest import VERBATIM_THEORIES, theory_bytes
@@ -225,6 +227,10 @@ class TestEmitTheory:
     @given(valid_instances)
     def test_deterministic_bytes(self, theory):
         assert emit_theory(theory) == emit_theory(theory)
+
+    @given(st.text() | st.text(alphabet="ab&<>\"'\t\n\r "))
+    def test_quoteattr_matches_saxutils(self, text):
+        assert quoteattr(text) == saxutils.quoteattr(text)
 
     def test_canonical_booleans_on_output(self):
         doc = mutate('consequentiality="true"', 'consequentiality="1"')
