@@ -13,10 +13,9 @@ four live in ``genet/data/bases/``; see the README for the key schema.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     DUPLICATE_PRINCIPLE,
@@ -63,8 +62,7 @@ _EDITS = {Mutability.ADD: (True, False), Mutability.REMOVE: (False, True),
           Mutability.NONE: (False, False), Mutability.ALL: (True, True)}
 
 
-@dataclass(frozen=True)
-class BaseTheoryTemplate:
+class BaseTheoryTemplate(NamedTuple):
     name: str
     consequentiality: bool
     defaultPrinciples: tuple[MoralPrinciple, ...]
@@ -73,8 +71,7 @@ class BaseTheoryTemplate:
     freeFields: tuple[str, ...] = ("agent", "influenceThresholds", "instanceName")
 
 
-@dataclass(frozen=True)
-class PrincipleEdit:
+class PrincipleEdit(NamedTuple):
     """A single change to the default principle collection: adding the
     principle when ``adds`` is true, removing it otherwise."""
 
@@ -111,7 +108,7 @@ def _decode_template(path: Path) -> BaseTheoryTemplate:
             raise ValueError("document: key 'defaultPrinciples' is empty")
         fixed = optional(data, "fixedPatientKinds", list, "document")
         free = optional(data, "freeFields", list, "document",
-                        BaseTheoryTemplate.freeFields)
+                        BaseTheoryTemplate._field_defaults["freeFields"])
         if not all(isinstance(field, str) for field in free):
             raise ValueError("document: key 'freeFields' must list only str")
         return BaseTheoryTemplate(

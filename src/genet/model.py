@@ -9,9 +9,9 @@ the influence, and carries an ordered list of moral principles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 from urllib.parse import urlparse
 
 
@@ -38,8 +38,7 @@ class Subject(Enum):
         return self is Subject.ALL or self is target
 
 
-@dataclass(frozen=True)
-class MoralPrinciple:
+class MoralPrinciple(NamedTuple):
     """One (morality, subject, specification) triple.
 
     morality=True marks the specified occurrence as morally good,
@@ -51,8 +50,7 @@ class MoralPrinciple:
     specification: str
 
 
-@dataclass(frozen=True)
-class MoralAgent:
+class MoralAgent(NamedTuple):
     """The entity decisions are made on behalf of.
 
     The reference URI is stored opaquely and never dereferenced.
@@ -62,16 +60,14 @@ class MoralAgent:
     reference: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class InfluenceThresholds:
+class InfluenceThresholds(NamedTuple):
     """Percentages above which a requester's influence voids their request."""
 
     external: int
     substance: int
 
 
-@dataclass(frozen=True)
-class EthicalTheoryInstance:
+class EthicalTheoryInstance(NamedTuple):
     baseTheory: str
     consequentiality: bool
     agent: MoralAgent
@@ -81,8 +77,7 @@ class EthicalTheoryInstance:
     instanceName: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A single invariant violation: machine-readable code, field path, text."""
 
     code: str
@@ -90,8 +85,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -127,10 +121,22 @@ EMPTY_SPECIFICATION = "EMPTY_SPECIFICATION"
 SPECIFICATION_WHITESPACE = "SPECIFICATION_WHITESPACE"
 DUPLICATE_PRINCIPLE = "DUPLICATE_PRINCIPLE"
 EMPTY_INSTANCE_NAME = "EMPTY_INSTANCE_NAME"
+NON_XML_CHARACTER = "NON_XML_CHARACTER"
 # Category for anything that decodes or instantiates to an invalid instance.
 INVALID_INSTANCE = "INVALID_INSTANCE"
 # Scenario and template JSON that is undecodable, mistyped or has unknown keys.
 PARSE_ERROR = "PARSE_ERROR"
+
+
+# A character outside the XML 1.0 Char production: a C0 control other than
+# tab, LF and CR, a lone surrogate, U+FFFE or U+FFFF. No theory document
+# can carry one, and a lone surrogate cannot even be printed.
+_NON_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _non_xml(path: str, text: str) -> Violation:
+    return Violation(NON_XML_CHARACTER, path,
+                     f"{path} holds a character that XML 1.0 cannot carry: {text!r}")
 
 
 def _is_uri(text: str) -> bool:
@@ -159,6 +165,12 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
     if theory.agent.reference is not None and not _is_uri(theory.agent.reference):
         out.append(Violation(BAD_URI, "agent.reference",
                              f"not syntactically a URI: {theory.agent.reference!r}"))
+    for path, text in (("baseTheory", theory.baseTheory),
+                       ("instanceName", theory.instanceName),
+                       ("agent.name", theory.agent.name),
+                       ("agent.reference", theory.agent.reference)):
+        if text and _NON_XML.search(text):
+            out.append(_non_xml(path, text))
 
     if not theory.patientKinds:
         out.append(Violation(EMPTY_PATIENT_KINDS, "patientKinds",
@@ -182,6 +194,8 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
         elif any(c.isspace() for c in p.specification):
             out.append(Violation(SPECIFICATION_WHITESPACE, f"{path}.specification",
                                  f"specification contains whitespace: {p.specification!r}"))
+        if _NON_XML.search(p.specification):
+            out.append(_non_xml(f"{path}.specification", p.specification))
         key = (p.specification, p.subject)
         if key in seen:
             out.append(Violation(DUPLICATE_PRINCIPLE, path,
@@ -203,8 +217,26 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_json(doc: bytes):
-    """``json.loads``, but a key repeated in an object is a ValueError."""
-    return json.loads(doc, object_pairs_hook=_unique_keys)
+    """``json.loads``, but a key repeated in an object, or a string holding a
+    character that XML 1.0 cannot carry, such as a lone surrogate, is a
+    ValueError."""
+    data = json.loads(doc, object_pairs_hook=_unique_keys)
+    # Strict JSON admits such a character only by a \u escape or verbatim,
+    # as non-ASCII bytes in every encoding json reads, so only documents
+    # with a backslash or a non-ASCII byte can hold one.
+    if b"\\" in doc or not doc.isascii():
+        items = [data]
+        while items:
+            item = items.pop()
+            if isinstance(item, dict):
+                items += item
+                items += item.values()
+            elif isinstance(item, list):
+                items += item
+            elif isinstance(item, str) and _NON_XML.search(item):
+                raise ValueError(f"string {item!r} holds a character that XML 1.0 "
+                                 f"cannot carry")
+    return data
 
 
 def expect_object(raw, keys: set[str], where: str) -> dict:

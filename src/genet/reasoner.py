@@ -10,7 +10,6 @@ names a winner or reports the conflict honestly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -45,8 +44,7 @@ class TraceInference(NamedTuple):
     contribution: Optional[int] = None  # set only for counted score contributions
 
 
-@dataclass(frozen=True)
-class ArgumentTrace:
+class ArgumentTrace(NamedTuple):
     premises: tuple[TracePremise, ...]
     inferences: tuple[TraceInference, ...]
     conclusion: str
@@ -55,8 +53,7 @@ class ArgumentTrace:
         return [i.contribution for i in self.inferences if i.contribution is not None]
 
 
-@dataclass(frozen=True)
-class ActionEvaluation:
+class ActionEvaluation(NamedTuple):
     action: str
     verdict: MoralVerdict
     trace: ArgumentTrace
@@ -64,8 +61,7 @@ class ActionEvaluation:
     supererogation: tuple[int, ...] = ()  # voided request-derived goods, score-inert
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     kind: DecisionKind
     chosen: tuple[str, ...]  # singleton = decided; >1 = tied permissible; () = conflict
     evaluations: tuple[ActionEvaluation, ...]
@@ -124,7 +120,7 @@ class _Tables:
         self.request = scenario.request
         # One premise key per principle, in document order, each naming the
         # position of the principle's first occurrence. The text determines
-        # the principle, and a string key hashes faster than the dataclass.
+        # the principle, and a string caches its hash where a tuple does not.
         first: dict[str, _PremiseKey] = {}
         self.premises: list[_PremiseKey] = []
         self.by_spec: dict[str, list[tuple[MoralPrinciple, _PremiseKey]]] = {}
@@ -360,15 +356,15 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
             final = []
             for e in evaluations:
                 if e.action == chosen.action:
-                    final.append(replace(e, verdict=MoralVerdict.OBLIGATORY_BEST))
+                    final.append(e._replace(verdict=MoralVerdict.OBLIGATORY_BEST))
                 elif e.verdict is MoralVerdict.OBLIGATORY_BEST:
-                    final.append(replace(e, verdict=MoralVerdict.PERMISSIBLE))
+                    final.append(e._replace(verdict=MoralVerdict.PERMISSIBLE))
                 else:
                     final.append(e)
             return Decision(DecisionKind.DECIDED, (chosen.action,), tuple(final))
 
         tied_ids = tuple(e.action for e in tied)
-        final = [replace(e, verdict=MoralVerdict.UNDECIDABLE)
+        final = [e._replace(verdict=MoralVerdict.UNDECIDABLE)
                  if e.action in tied_ids else e for e in evaluations]
         return Decision(DecisionKind.CONFLICT, (), tuple(final), tied=tied_ids)
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     PARSE_ERROR,
@@ -61,22 +60,19 @@ _INFLUENCE_KINDS = ("substance", "external")
 MAX_CARDINALITY = 10**12
 
 
-@dataclass(frozen=True)
-class StakeholderGroup:
+class StakeholderGroup(NamedTuple):
     id: str
     kind: str  # agentGroup | patientGroup
     patientKind: PatientKind
     cardinality: int
 
 
-@dataclass(frozen=True)
-class ActionOption:
+class ActionOption(NamedTuple):
     id: str
     description: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class EffectAssertion:
+class EffectAssertion(NamedTuple):
     action: str
     specification: str
     direction: str  # increase | decrease
@@ -84,24 +80,21 @@ class EffectAssertion:
     requestDerived: bool = False
 
 
-@dataclass(frozen=True)
-class DeonticAssertion:
+class DeonticAssertion(NamedTuple):
     action: str
     specification: str
     holds: bool
     target: str  # group id or AGENT
 
 
-@dataclass(frozen=True)
-class RequestContext:
+class RequestContext(NamedTuple):
     requester: str
     influenceKind: str  # substance | external
     influenceLevel: int
     requestedAction: str
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     actingFor: str
     groups: tuple[StakeholderGroup, ...]

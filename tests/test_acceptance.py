@@ -7,7 +7,6 @@ they also appear in captured output).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 import time
@@ -189,10 +188,8 @@ def _random_group_scenario(rng: random.Random) -> Scenario:
 
 
 def _scaled(scenario: Scenario, k: int) -> Scenario:
-    return dataclasses.replace(
-        scenario,
-        groups=tuple(dataclasses.replace(g, cardinality=g.cardinality * k)
-                     for g in scenario.groups))
+    return scenario._replace(groups=tuple(g._replace(cardinality=g.cardinality * k)
+                                          for g in scenario.groups))
 
 
 @criterion(6, "consequentialist scores scale linearly and decisions are "
@@ -225,10 +222,9 @@ def test_criterion_7_public_size_robustness(theories):
     scenario = load_scenario(scenario_bytes("marijuana"))
     assert {g.id: g.cardinality for g in scenario.groups}["family"] == 4
     for size in (5, 10, 100, 10 ** 6):
-        resized = dataclasses.replace(
-            scenario,
-            groups=tuple(dataclasses.replace(g, cardinality=size)
-                         if g.id == "public" else g for g in scenario.groups))
+        resized = scenario._replace(groups=tuple(
+            g._replace(cardinality=size) if g.id == "public" else g
+            for g in scenario.groups))
         decision = decide(theory, resized)
         assert decision.kind is DecisionKind.DECIDED, size
         assert decision.chosen == ("M1",), size

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import shutil
@@ -183,6 +182,13 @@ class TestLoadRegistry:
                                   f"[Errno 13] Permission denied: '{path}'")
         assert err.value.code == TEMPLATE_ERROR
 
+    def test_omitted_free_fields_take_the_default(self, tmp_path):
+        data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
+        del data["freeFields"]
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        assert load_registry(base_dir=tmp_path).get("egoism").freeFields == (
+            "agent", "influenceThresholds", "instanceName")
+
     def test_repeated_key_is_rejected(self, tmp_path):
         # json.loads alone would keep the last value, true.
         text = (BUILTIN_DIR / "egoism.json").read_text("utf-8").replace(
@@ -292,7 +298,7 @@ class TestInstantiate:
         assert err.value.code == "FIXED_FIELD_VIOLATION"
 
     def test_free_patient_kinds_are_taken_as_given(self, registry):
-        free = dataclasses.replace(base(registry, "egoism"), fixedPatientKinds=None)
+        free = base(registry, "egoism")._replace(fixedPatientKinds=None)
         kinds = frozenset({PatientKind.HUMAN, PatientKind.NATURE})
         instance = instantiate(free, agent=DOE, thresholds=THRESH, patientKinds=kinds)
         assert instance.patientKinds == kinds
@@ -345,38 +351,33 @@ class TestCheckConformance:
 
     def test_kantianism_with_extra_principle(self, registry):
         instance = parse_theory(theory_bytes("mia-kantianism"))
-        extra = dataclasses.replace(
-            instance,
-            principles=instance.principles
-            + (MoralPrinciple(True, Subject.ALL, "charity"),))
+        extra = instance._replace(principles=instance.principles
+                                  + (MoralPrinciple(True, Subject.ALL, "charity"),))
         assert check_conformance(extra, registry).codes() == ["NOT_REACHABLE"]
 
     def test_dct_missing_kill(self, registry):
         instance = parse_theory(theory_bytes("trainco-dct"))
-        pruned = dataclasses.replace(
-            instance,
-            principles=tuple(p for p in instance.principles
-                             if p.specification != "kill"))
+        pruned = instance._replace(principles=tuple(
+            p for p in instance.principles if p.specification != "kill"))
         assert check_conformance(pruned, registry).codes() == ["NOT_REACHABLE"]
 
     def test_unknown_base_theory(self, registry):
-        instance = dataclasses.replace(
-            parse_theory(theory_bytes("mia-kantianism")),
+        instance = parse_theory(theory_bytes("mia-kantianism"))._replace(
             baseTheory="Contractualism")
         with pytest.raises(GenetError):
             check_conformance(instance, registry)
 
     def test_patient_kinds_other_than_the_fixed_ones(self, registry):
-        instance = dataclasses.replace(parse_theory(theory_bytes("mia-kantianism")),
-                                       patientKinds=frozenset({PatientKind.NATURE}))
+        instance = parse_theory(theory_bytes("mia-kantianism"))._replace(
+            patientKinds=frozenset({PatientKind.NATURE}))
         report = check_conformance(instance, registry)
         assert [(v.code, v.path, v.message) for v in report.violations] == [
             ("FIXED_FIELD_VIOLATION", "patientKinds",
              "Kantianism fixes patientKinds to ['human']")]
 
     def test_consequentiality_mismatch(self, registry):
-        instance = dataclasses.replace(
-            parse_theory(theory_bytes("mia-kantianism")), consequentiality=True)
+        instance = parse_theory(theory_bytes("mia-kantianism"))._replace(
+            consequentiality=True)
         assert "CONSEQUENTIALITY_MISMATCH" in \
             check_conformance(instance, registry).codes()
 
@@ -388,7 +389,7 @@ class TestCheckConformance:
     def test_none_templates_admit_one_list(self, registry):
         kant = base(registry, "Kantianism")
         assert reachable(kant, kant.defaultPrinciples)
-        flipped = (dataclasses.replace(kant.defaultPrinciples[0], morality=False),
+        flipped = (kant.defaultPrinciples[0]._replace(morality=False),
                    kant.defaultPrinciples[1])
         assert not reachable(kant, flipped)
 

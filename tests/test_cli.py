@@ -127,7 +127,13 @@ class TestInstantiate:
         (["--agent", ""], "EMPTY_AGENT_NAME\tagent.name\tagent name must be non-empty"),
         (["--agent-ref", "not a uri"],
          "BAD_URI\tagent.reference\tnot syntactically a URI: 'not a uri'"),
-    ], ids=["external-150", "empty-agent", "bad-agent-ref"])
+        # An undecodable byte in a command-line argument arrives as a lone surrogate.
+        (["--agent", "\udcff"], "NON_XML_CHARACTER\tagent.name\tagent.name holds a "
+                                "character that XML 1.0 cannot carry: '\\udcff'"),
+        (["--agent", "a\x01b"], "NON_XML_CHARACTER\tagent.name\tagent.name holds a "
+                                "character that XML 1.0 cannot carry: 'a\\x01b'"),
+    ], ids=["external-150", "empty-agent", "bad-agent-ref", "surrogate-agent",
+            "control-agent"])
     def test_invalid_instance_prints_its_violations(self, capsys, tmp_path, options,
                                                     finding):
         out_path = tmp_path / "x.xml"
@@ -230,7 +236,8 @@ class TestReason:
         assert code == 1
         assert err.startswith("WELL_FORMEDNESS\t")
 
-    @pytest.mark.parametrize("name", ["deep", "huge-integer", "huge-cardinality"])
+    @pytest.mark.parametrize("name", ["deep", "huge-integer", "huge-cardinality",
+                                      "lone-surrogate"])
     def test_undecodable_or_oversized_scenario_exits_1(self, capsys, tmp_path, name):
         data = json.loads(scenario_bytes("trolley"))
         data["groups"][1]["cardinality"] = int("9" * 4300)
@@ -239,7 +246,8 @@ class TestReason:
                              "direction": "increase", "target": "worker"}] * 2
         text = {"deep": "[" * 100_000,
                 "huge-integer": json.dumps(data).replace("9" * 4300, "1" * 4400),
-                "huge-cardinality": json.dumps(data)}[name]
+                "huge-cardinality": json.dumps(data),
+                "lone-surrogate": json.dumps(data).replace('"T1"', '"T\\ud800"')}[name]
         path = tmp_path / "broken.scenario.json"
         path.write_text(text)
         code, out, err = run(capsys, "reason", "--theory",
@@ -287,7 +295,8 @@ INSTANTIATE = ["instantiate", "--base", "egoism", "--agent", "A", "--external", 
 
 @pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
                                      INSTANTIATE], ids=["list", "show", "instantiate"])
-@pytest.mark.parametrize("broken", ["invalid-json", "specification-5", "deep-nesting"])
+@pytest.mark.parametrize("broken", ["invalid-json", "specification-5", "deep-nesting",
+                                    "lone-surrogate"])
 def test_malformed_template_is_usage(capsys, tmp_path, monkeypatch, command, broken):
     text = (BUILTIN_BASES / "egoism.json").read_text("utf-8")
     if broken == "invalid-json":
@@ -296,7 +305,8 @@ def test_malformed_template_is_usage(capsys, tmp_path, monkeypatch, command, bro
         text = "[" * 100_000
     else:
         data = json.loads(text)
-        data["defaultPrinciples"][0]["specification"] = 5
+        data["defaultPrinciples"][0]["specification"] = (
+            5 if broken == "specification-5" else "x\ud800")
         text = json.dumps(data)
     (tmp_path / "bases").mkdir()
     (tmp_path / "bases" / "egoism.json").write_text(text)
@@ -385,9 +395,9 @@ def test_python_dash_m_genet():
 
 def test_import_stays_clear_of_the_network_and_email_stack():
     """`import genet.cli` loads none of the modules that
-    `xml.sax.saxutils` pulls in, which would add tens of milliseconds to
-    every command. `-S` keeps `.pth` hooks of site-packages out of the
-    result."""
+    `xml.sax.saxutils` pulls in, nor `dataclasses` and the `inspect` it
+    imports; each would add milliseconds to every command. `-S` keeps
+    `.pth` hooks of site-packages out of the result."""
     result = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, genet.cli; print(' '.join(sorted(sys.modules)))"],
@@ -397,7 +407,21 @@ def test_import_stays_clear_of_the_network_and_email_stack():
     loaded = set(result.stdout.split())
     assert "genet.cli" in loaded
     assert loaded.isdisjoint({"urllib.request", "http.client", "email", "ssl",
-                              "socket", "xml.sax"})
+                              "socket", "xml.sax", "dataclasses", "inspect"})
+
+
+def test_lone_surrogate_in_scenario_is_a_finding(tmp_path):
+    """A lone surrogate cannot be written to stdout, so `reason` rejects the
+    scenario that holds one, in a process as from a shell."""
+    path = tmp_path / "surrogate.scenario.json"
+    path.write_bytes(scenario_bytes("trolley").replace(b'"T1"', b'"T\\ud800"'))
+    result = subprocess.run(
+        [sys.executable, "-m", "genet", "reason", "--theory",
+         str(theory_path("trainco-utilitarianism")), "--scenario", str(path)],
+        capture_output=True, text=True, env=_this_tree_env())
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == (f"PARSE_ERROR\t{path}\tnot valid JSON: string "
+                             f"'T\\ud800' holds a character that XML 1.0 cannot carry\n")
 
 
 def test_closed_stdout_is_usage(tmp_path):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 
@@ -12,6 +10,7 @@ from genet.model import (
     MoralPrinciple,
     PatientKind,
     Subject,
+    load_json,
     validate_instance,
 )
 from .strategies import valid_instances
@@ -36,53 +35,49 @@ class TestValidateInstance:
         assert validate_instance(mia_egoism()).ok
 
     def test_empty_patient_kinds(self):
-        broken = dataclasses.replace(mia_egoism(), patientKinds=frozenset())
+        broken = mia_egoism()._replace(patientKinds=frozenset())
         assert validate_instance(broken).codes() == ["EMPTY_PATIENT_KINDS"]
 
     def test_empty_principles(self):
-        broken = dataclasses.replace(mia_egoism(), principles=())
+        broken = mia_egoism()._replace(principles=())
         report = validate_instance(broken)
         assert [(v.code, v.path) for v in report.violations] == [
             ("EMPTY_PRINCIPLES", "principles")]
 
     def test_substance_threshold_out_of_range(self):
-        broken = dataclasses.replace(
-            mia_egoism(), influenceThresholds=InfluenceThresholds(50, 130))
+        broken = mia_egoism()._replace(influenceThresholds=InfluenceThresholds(50, 130))
         report = validate_instance(broken)
         assert report.codes() == ["PERCENT_OUT_OF_RANGE"]
         assert report.violations[0].path == "influenceThresholds.substance"
 
     def test_duplicate_principle_pair(self):
         theory = mia_egoism()
-        broken = dataclasses.replace(
-            theory, principles=theory.principles + (theory.principles[0],))
+        broken = theory._replace(principles=theory.principles + (theory.principles[0],))
         assert "DUPLICATE_PRINCIPLE" in validate_instance(broken).codes()
 
     def test_same_pair_different_morality_still_duplicate(self):
         # Interpretation: one good and one bad principle for the same
         # (specification, subject) would have the reasoner double-count.
         theory = mia_egoism()
-        flipped = dataclasses.replace(theory.principles[0], morality=False)
-        broken = dataclasses.replace(theory,
-                                     principles=theory.principles + (flipped,))
+        flipped = theory.principles[0]._replace(morality=False)
+        broken = theory._replace(principles=theory.principles + (flipped,))
         assert "DUPLICATE_PRINCIPLE" in validate_instance(broken).codes()
 
     def test_whitespace_specification(self):
         theory = mia_egoism()
         bad = MoralPrinciple(True, Subject.ALL, "two words")
-        broken = dataclasses.replace(theory, principles=theory.principles + (bad,))
+        broken = theory._replace(principles=theory.principles + (bad,))
         assert "SPECIFICATION_WHITESPACE" in validate_instance(broken).codes()
 
     def test_bad_agent_reference(self):
-        broken = dataclasses.replace(mia_egoism(),
-                                     agent=MoralAgent("Mia", "not a uri"))
+        broken = mia_egoism()._replace(agent=MoralAgent("Mia", "not a uri"))
         assert "BAD_URI" in validate_instance(broken).codes()
 
     def test_empty_instance_name_rejected_but_absent_ok(self):
         assert validate_instance(
-            dataclasses.replace(mia_egoism(), instanceName=None)).ok
+            mia_egoism()._replace(instanceName=None)).ok
         assert not validate_instance(
-            dataclasses.replace(mia_egoism(), instanceName="")).ok
+            mia_egoism()._replace(instanceName="")).ok
 
     @given(valid_instances)
     def test_deterministic(self, theory):
@@ -93,6 +88,27 @@ class TestValidateInstance:
         assert validate_instance(theory).ok
         pairs = [(p.specification, p.subject) for p in theory.principles]
         assert len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("doc, holds", [
+    (b'["\\ud83d\\ude00"]', "\U0001f600"),  # a surrogate pair is one character
+    (b'["\\\\ud800"]', "\\ud800"),  # an escaped backslash, then text
+    ('["\ufffd\\t"]'.encode("utf-8"), "\ufffd\t"),
+    (b'["T\\ud800"]', None),
+    (b'{"a": {"T\\udfff": 1}}', None),
+    (b'["\\u0001"]', None),
+    (b'["\\uFFFE"]', None),
+    ('["\uffff"]'.encode("utf-8"), None),
+    ('["\ud800"]'.encode("utf-8", "surrogatepass"), None),
+    ('["\ud800"]'.encode("utf-16", "surrogatepass"), None),
+], ids=["pair", "escaped-backslash", "allowed", "lone-high", "lone-low-in-key",
+        "control", "fffe", "raw-ffff", "raw-surrogate-utf8", "raw-surrogate-utf16"])
+def test_load_json_rejects_strings_xml_cannot_carry(doc, holds):
+    if holds is None:
+        with pytest.raises(ValueError, match="holds a character that XML 1.0 cannot carry"):
+            load_json(doc)
+    else:
+        assert load_json(doc) == [holds]
 
 
 class TestSubjectCovers:

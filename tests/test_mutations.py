@@ -16,7 +16,6 @@ way.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import os
@@ -206,17 +205,15 @@ def test_theory_parser_raises_only_genet_error(doc):
 # Each replaces one field of a valid instance with a value that
 # validate_instance rejects.
 BREAKS = {
-    "baseTheory": lambda t: dataclasses.replace(t, baseTheory=""),
-    "instanceName": lambda t: dataclasses.replace(t, instanceName=""),
-    "agent": lambda t: dataclasses.replace(t, agent=MoralAgent("", "not a uri")),
-    "patientKinds": lambda t: dataclasses.replace(t, patientKinds=frozenset()),
-    "thresholds": lambda t: dataclasses.replace(
-        t, influenceThresholds=InfluenceThresholds(-1, 101)),
-    "principles": lambda t: dataclasses.replace(t, principles=()),
-    "specification": lambda t: dataclasses.replace(t, principles=t.principles + (
+    "baseTheory": lambda t: t._replace(baseTheory=""),
+    "instanceName": lambda t: t._replace(instanceName=""),
+    "agent": lambda t: t._replace(agent=MoralAgent("", "not a uri")),
+    "patientKinds": lambda t: t._replace(patientKinds=frozenset()),
+    "thresholds": lambda t: t._replace(influenceThresholds=InfluenceThresholds(-1, 101)),
+    "principles": lambda t: t._replace(principles=()),
+    "specification": lambda t: t._replace(principles=t.principles + (
         MoralPrinciple(True, Subject.ALL, "two words"),)),
-    "duplicate": lambda t: dataclasses.replace(
-        t, principles=t.principles + t.principles[:1]),
+    "duplicate": lambda t: t._replace(principles=t.principles + t.principles[:1]),
 }
 
 
@@ -249,7 +246,7 @@ def test_instantiate_raises_only_genet_error(data):
     registry = load_registry()
     template = registry.get(data.draw(st.sampled_from(registry.names())))
     if data.draw(st.booleans()):
-        template = dataclasses.replace(template, fixedPatientKinds=None)
+        template = template._replace(fixedPatientKinds=None)
     pool = st.one_of(st.sampled_from(template.defaultPrinciples), principles)
     edits = data.draw(st.lists(st.builds(PrincipleEdit, st.booleans(), pool), max_size=6))
     kinds = data.draw(st.none() | st.frozensets(st.sampled_from(list(PatientKind))))

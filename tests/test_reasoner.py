@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -197,10 +195,8 @@ class TestEvaluateConsequentialist:
     @given(group_scenarios(), st.sampled_from([2, 10, 1000]))
     def test_argmax_is_scale_invariant(self, scenario, k):
         theory = toy_theory()
-        scaled = dataclasses.replace(
-            scenario,
-            groups=tuple(dataclasses.replace(g, cardinality=g.cardinality * k)
-                         for g in scenario.groups))
+        scaled = scenario._replace(groups=tuple(
+            g._replace(cardinality=g.cardinality * k) for g in scenario.groups))
         for action in scenario.action_ids():
             base = evaluate(theory, scenario, action)
             big = evaluate(theory, scaled, action)
@@ -291,10 +287,8 @@ class TestEvaluateDeontological:
 
     @given(cardinality=st.integers(1, 10 ** 6))
     def test_group_size_never_matters(self, theories, scenarios, cardinality):
-        scaled = dataclasses.replace(
-            scenarios["trolley"],
-            groups=tuple(dataclasses.replace(g, cardinality=cardinality)
-                         for g in scenarios["trolley"].groups))
+        scaled = scenarios["trolley"]._replace(groups=tuple(
+            g._replace(cardinality=cardinality) for g in scenarios["trolley"].groups))
         for action in ("T1", "T2"):
             assert evaluate(theories["trainco-dct"], scaled, action).verdict is \
                 evaluate(theories["trainco-dct"], scenarios["trolley"], action).verdict
@@ -396,7 +390,7 @@ class TestDecide:
         groups = {g.id: g for g in scenario.groups}
         kept = tuple(e for e in scenario.effects
                      if groups[e.target].patientKind is PatientKind.HUMAN)
-        pruned = dataclasses.replace(scenario, effects=kept)
+        pruned = scenario._replace(effects=kept)
         for action in scenario.action_ids():
             assert evaluate(excluding, scenario, action).score \
                 == evaluate(inclusive, pruned, action).score

@@ -269,8 +269,7 @@ class TestValidateAgainstTheory:
         assert report.ok
 
     def test_agent_mismatch_is_an_error(self, theories, scenarios):
-        import dataclasses
-        other = dataclasses.replace(scenarios["mia"], actingFor="Bob")
+        other = scenarios["mia"]._replace(actingFor="Bob")
         report = validate_scenario_against_theory(other, theories["mia-egoism"])
         assert AGENT_MISMATCH in report.codes()
 

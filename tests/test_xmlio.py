@@ -208,9 +208,8 @@ class TestEmitTheory:
         assert b'baseTheory="utilitarianism"' in emit_theory(theory)
 
     def test_invalid_instance_refused(self):
-        import dataclasses
         theory = parse_theory(theory_bytes("mia-kantianism"))
-        broken = dataclasses.replace(theory, patientKinds=frozenset())
+        broken = theory._replace(patientKinds=frozenset())
         with pytest.raises(GenetError):
             emit_theory(broken)
 
