@@ -18,15 +18,6 @@ from .xmlio import (
     parse_theory,
     schema_check,
 )
-from .bases import (
-    BaseTheoryTemplate,
-    Mutability,
-    PrincipleEdit,
-    Registry,
-    check_conformance,
-    instantiate,
-    load_registry,
-)
 from .scenario import (
     AGENT,
     ActionOption,
@@ -56,3 +47,20 @@ from .reasoner import (
 )
 
 __version__ = "0.1.0"
+
+# genet.bases and its names load on first use, so that `reason` and
+# `validate` never pay for them (PEP 562).
+_BASES_NAMES = frozenset({"BaseTheoryTemplate", "Mutability", "PrincipleEdit",
+                          "Registry", "check_conformance", "instantiate",
+                          "load_registry"})
+
+
+def __getattr__(name: str):
+    if name != "bases" and name not in _BASES_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not `from . import bases`: that would look the name up
+    # here again before the submodule is bound, and recurse without end.
+    from importlib import import_module
+
+    bases = import_module(".bases", __name__)
+    return bases if name == "bases" else getattr(bases, name)

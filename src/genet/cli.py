@@ -2,11 +2,11 @@
 
 Exit codes: 0 success/decided, 1 validation or conformance failure,
 2 conflict or multiple-permissible outcome, 3 usage error (including an
-unreadable input, an unwritable output file, a closed stdout, an unknown
-base theory, a base-template file or directory that cannot be read or is
-malformed, or two template files that give one name). Reports go to
-stdout, diagnostics to stderr. GENET_BASE_DIR overrides the packaged
-base-template directory.
+unreadable input, an unwritable output file, a closed stdout, a stdout
+whose encoding cannot carry the output, an unknown base theory, a
+base-template file or directory that cannot be read or is malformed, or
+two template files that give one name). Reports go to stdout, diagnostics
+to stderr. GENET_BASE_DIR overrides the packaged base-template directory.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import bases as bases_mod
 from . import reasoner, scenario as scenario_mod, xmlio
 from .model import (
     GenetError,
@@ -66,6 +65,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
+    from . import bases as bases_mod  # loaded here: `reason` never needs it
+
     base = bases_mod.load_registry().get(args.base)
     edits: list[bases_mod.PrincipleEdit] = []
     try:
@@ -107,6 +108,8 @@ def cmd_instantiate(args) -> int:
 
 
 def cmd_bases(args) -> int:
+    from . import bases as bases_mod
+
     registry = bases_mod.load_registry()
     base = registry.get(args.name) if args.action == "show" else None
     if base is None:
@@ -220,6 +223,11 @@ def main(argv=None) -> int:
         sys.stdout.flush()
     except GenetError as exc:  # a template that cannot be loaded, or no such template
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnicodeEncodeError as exc:
+        # Document text that stdout's encoding cannot carry, such as an
+        # action id "Té" under PYTHONIOENCODING=ascii. stderr escapes it.
+        print(f"error: cannot write the output to stdout: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout. Point it at devnull, as Python's docs

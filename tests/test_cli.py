@@ -396,8 +396,9 @@ def test_python_dash_m_genet():
 def test_import_stays_clear_of_the_network_and_email_stack():
     """`import genet.cli` loads none of the modules that
     `xml.sax.saxutils` pulls in, nor `dataclasses` and the `inspect` it
-    imports; each would add milliseconds to every command. `-S` keeps
-    `.pth` hooks of site-packages out of the result."""
+    imports, nor `genet.bases`, which only `instantiate` and `bases` use;
+    each would add milliseconds to every command. `-S` keeps `.pth` hooks
+    of site-packages out of the result."""
     result = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, genet.cli; print(' '.join(sorted(sys.modules)))"],
@@ -407,7 +408,78 @@ def test_import_stays_clear_of_the_network_and_email_stack():
     loaded = set(result.stdout.split())
     assert "genet.cli" in loaded
     assert loaded.isdisjoint({"urllib.request", "http.client", "email", "ssl",
-                              "socket", "xml.sax", "dataclasses", "inspect"})
+                              "socket", "xml.sax", "dataclasses", "inspect",
+                              "genet.bases"})
+
+
+LAZY_BASES_PROBE = """
+import sys, genet
+assert "genet.bases" not in sys.modules
+assert "egoism" in genet.bases.load_registry().names()
+from genet import (BaseTheoryTemplate, Mutability, PrincipleEdit, Registry,
+                   check_conformance, instantiate, load_registry)
+assert Registry is genet.bases.Registry
+try:
+    genet.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_bases_loads_on_first_use():
+    """`genet.bases` and its re-exports load when first named, as
+    `import genet; genet.bases.load_registry()` and `from genet import
+    Registry` do; any other missing name is still an AttributeError."""
+    result = subprocess.run([sys.executable, "-c", LAZY_BASES_PROBE],
+                            capture_output=True, text=True, env=_this_tree_env())
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "module 'genet' has no attribute 'no_such_name'\n"
+
+
+def test_instantiate_in_a_fresh_process(tmp_path):
+    out = tmp_path / "x.xml"
+    result = subprocess.run([sys.executable, "-m", "genet", *INSTANTIATE,
+                             "--out", str(out)],
+                            capture_output=True, text=True, env=_this_tree_env())
+    assert (result.returncode, result.stderr) == (0, "")
+    assert parse_theory(out.read_bytes()).baseTheory == "egoism"
+
+
+def _run_ascii_stdout(*argv, **env):
+    return subprocess.run([sys.executable, "-m", "genet", *argv],
+                          capture_output=True, text=True,
+                          env=_this_tree_env(PYTHONIOENCODING="ascii", **env))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stdout_that_cannot_encode_the_output(tmp_path, fmt):
+    """Text output that stdout's encoding cannot carry is a usage error,
+    not a traceback with exit 1; JSON escapes to ASCII and still works."""
+    path = tmp_path / "te.scenario.json"
+    path.write_bytes(scenario_bytes("trolley").replace(b'"T1"', '"Té"'.encode()))
+    result = _run_ascii_stdout("reason", "--theory",
+                               str(theory_path("trainco-utilitarianism")),
+                               "--scenario", str(path), "--format", fmt)
+    assert "Traceback" not in result.stderr
+    if fmt == "json":
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["chosen"] == ["Té"]
+    else:
+        assert result.returncode == 3
+        assert result.stderr.splitlines()[-1].startswith(
+            "error: cannot write the output to stdout: 'ascii' codec can't "
+            "encode character '\\xe9'")
+
+
+@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "égoïsme"]],
+                         ids=["list", "show"])
+def test_non_ascii_template_name_on_ascii_stdout(tmp_path, command):
+    data = json.loads((BUILTIN_BASES / "egoism.json").read_text("utf-8"))
+    data["name"] = "égoïsme"
+    (tmp_path / "egoism.json").write_text(json.dumps(data), "utf-8")
+    result = _run_ascii_stdout(*command, GENET_BASE_DIR=str(tmp_path))
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("error: cannot write the output to stdout: ")
 
 
 def test_lone_surrogate_in_scenario_is_a_finding(tmp_path):

@@ -10,6 +10,7 @@ from genet.model import (
     MoralPrinciple,
     PatientKind,
     Subject,
+    _NON_XML,
     load_json,
     validate_instance,
 )
@@ -68,6 +69,13 @@ class TestValidateInstance:
         bad = MoralPrinciple(True, Subject.ALL, "two words")
         broken = theory._replace(principles=theory.principles + (bad,))
         assert "SPECIFICATION_WHITESPACE" in validate_instance(broken).codes()
+        # Every character str.isspace() accepts, leading or inner; U+200B
+        # ZERO WIDTH SPACE is not one of them.
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        for spec in [f"{c}a" for c in spaces] + [f"a{c}b" for c in spaces] + ["a\u200bb"]:
+            broken = theory._replace(principles=(MoralPrinciple(True, Subject.ALL, spec),))
+            codes = validate_instance(broken).codes()
+            assert ("SPECIFICATION_WHITESPACE" in codes) == (spec != "a\u200bb"), spec
 
     def test_bad_agent_reference(self):
         broken = mia_egoism()._replace(agent=MoralAgent("Mia", "not a uri"))
@@ -109,6 +117,18 @@ def test_load_json_rejects_strings_xml_cannot_carry(doc, holds):
             load_json(doc)
     else:
         assert load_json(doc) == [holds]
+
+
+def _xml_char(cp: int) -> bool:
+    """The Char production of XML 1.0, section 2.2."""
+    return (cp in (0x9, 0xA, 0xD) or 0x20 <= cp <= 0xD7FF
+            or 0xE000 <= cp <= 0xFFFD or 0x10000 <= cp <= 0x10FFFF)
+
+
+def test_non_xml_matches_exactly_what_the_char_production_leaves_out():
+    every = "".join(map(chr, range(0x110000)))  # lone surrogates included
+    assert _NON_XML.findall(every) == [chr(cp) for cp in range(0x110000)
+                                       if not _xml_char(cp)]
 
 
 class TestSubjectCovers:
