@@ -22,6 +22,7 @@ from .model import (
     EMPTY_PRINCIPLES,
     INVALID_INSTANCE,
     EthicalTheoryInstance,
+    Field,
     GenetError,
     InfluenceThresholds,
     MoralAgent,
@@ -32,7 +33,7 @@ from .model import (
     Violation,
     expect_object,
     load_json,
-    optional,
+    read_object,
     require,
     validate_instance,
 )
@@ -89,6 +90,9 @@ class PrincipleEdit(NamedTuple):
 
 _TEMPLATE_KEYS = {"name", "consequentiality", "fixedPatientKinds", "mutability",
                   "defaultPrinciples", "freeFields"}
+_PRINCIPLE = {"morality": Field(bool),
+              "subject": Field(str, lambda value, *_: Subject(value)),
+              "specification": Field(str)}
 
 
 def _decode_template(path: Path) -> BaseTheoryTemplate:
@@ -96,19 +100,15 @@ def _decode_template(path: Path) -> BaseTheoryTemplate:
     mistyped values are rejected, as in scenario documents."""
     try:
         data = expect_object(load_json(path.read_bytes()), _TEMPLATE_KEYS, "document")
-        principles = []
-        for i, raw in enumerate(require(data, "defaultPrinciples", list, "document")):
-            where = f"defaultPrinciples[{i}]"
-            expect_object(raw, {"morality", "subject", "specification"}, where)
-            principles.append(MoralPrinciple(
-                morality=require(raw, "morality", bool, where),
-                subject=Subject(require(raw, "subject", str, where)),
-                specification=require(raw, "specification", str, where)))
+        principles = [
+            MoralPrinciple(*read_object(raw, _PRINCIPLE, f"defaultPrinciples[{i}]"))
+            for i, raw in enumerate(require(data, "defaultPrinciples", list, "document"))]
         if not principles:
             raise ValueError("document: key 'defaultPrinciples' is empty")
-        fixed = optional(data, "fixedPatientKinds", list, "document")
-        free = optional(data, "freeFields", list, "document",
-                        BaseTheoryTemplate._field_defaults["freeFields"])
+        fixed = (require(data, "fixedPatientKinds", list, "document")
+                 if "fixedPatientKinds" in data else None)
+        free = (require(data, "freeFields", list, "document") if "freeFields" in data
+                else BaseTheoryTemplate._field_defaults["freeFields"])
         if not all(isinstance(field, str) for field in free):
             raise ValueError("document: key 'freeFields' must list only str")
         return BaseTheoryTemplate(

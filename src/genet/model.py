@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 from urllib.parse import urlparse
 
 
@@ -22,6 +22,10 @@ class PatientKind(Enum):
     OTHER_ANIMAL = "otherAnimal"
     NATURE = "nature"
     OTHER_SENTIENT = "otherSentient"
+
+
+# For the decoders: a dict lookup costs less than PatientKind(value).
+PATIENT_KINDS = {kind.value: kind for kind in PatientKind}
 
 
 class Subject(Enum):
@@ -214,7 +218,8 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
 def _unique_keys(pairs: list) -> dict:
     data = dict(pairs)
     if len(data) < len(pairs):
-        key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        seen: set = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
         raise ValueError(f"duplicate key {key!r}")
     return data
 
@@ -263,6 +268,23 @@ def require(data: dict, key: str, kind, where: str):
     return value
 
 
-def optional(data: dict, key: str, kind, where: str, default=None):
-    """``data[key]`` checked as by ``require`` when present, else ``default``."""
-    return require(data, key, kind, where) if key in data else default
+class Field(NamedTuple):
+    """A key of a JSON object: its type, the check that returns its value given the
+    value, the object's path and the key, and its default if it may be absent."""
+
+    kind: type
+    check: Optional[Callable] = None
+    default: object = ...  # required
+
+
+def read_object(raw, fields: dict[str, Field], where: str) -> list:
+    """The values of ``raw``, an object with no keys outside ``fields``, for
+    each of ``fields`` in turn, each typed as by ``require``, then checked."""
+    expect_object(raw, fields.keys(), where)
+    values = []
+    for key, (kind, check, default) in fields.items():
+        if type(value := raw.get(key, default)) is not kind and (
+                key in raw or default is ...):
+            value = require(raw, key, kind, where)
+        values.append(value if check is None else check(value, where, key))
+    return values

@@ -21,7 +21,9 @@ from typing import NamedTuple, Optional
 
 from .model import (
     PARSE_ERROR,
+    PATIENT_KINDS,
     EthicalTheoryInstance,
+    Field,
     GenetError,
     PatientKind,
     Subject,
@@ -29,7 +31,7 @@ from .model import (
     Violation,
     expect_object,
     load_json,
-    optional,
+    read_object,
     require,
 )
 
@@ -46,15 +48,6 @@ EXCLUDED_PATIENT_KIND = "EXCLUDED_PATIENT_KIND"
 # "comment" carries authoring rationale and is ignored.
 _DOCUMENT_KEYS = {"scenario", "actingFor", "groups", "actions", "effects", "deontics",
                   "request", "comment"}
-_GROUP_KEYS = {"id", "kind", "patientKind", "cardinality"}
-_ACTION_KEYS = {"id", "description"}
-_EFFECT_KEYS = {"action", "specification", "direction", "target", "requestDerived"}
-_DEONTIC_KEYS = {"action", "specification", "holds", "target"}
-_REQUEST_KEYS = {"requester", "influenceKind", "influenceLevel", "requestedAction"}
-
-_GROUP_KINDS = ("agentGroup", "patientGroup")
-_DIRECTIONS = ("increase", "decrease")
-_INFLUENCE_KINDS = ("substance", "external")
 # Far above any real population, far below CPython's 4,300-digit limit on
 # int/str conversion, which a score summed from cardinalities must stay under.
 MAX_CARDINALITY = 10**12
@@ -107,17 +100,58 @@ class Scenario(NamedTuple):
         return [a.id for a in self.actions]
 
 
-def _enum(value: str, allowed: tuple[str, ...], where: str) -> str:
-    if value not in allowed:
-        raise GenetError(PARSE_ERROR, f"{where}: {value!r} not one of {allowed}", where)
+def _one_of(*allowed: str):
+    def check(value: str, where: str, key: str) -> str:
+        if value not in allowed:
+            raise GenetError(PARSE_ERROR, f"{where}: {value!r} not one of {allowed}", where)
+        return value
+    return check
+
+
+def _token(value: str, where: str, key: Optional[str] = None) -> str:
+    # str.split() splits at exactly the characters str.isspace() accepts.
+    if value.split() != [value]:
+        path = where if key is None else f"{where}.{key}"
+        raise GenetError(PARSE_ERROR, f"{path}: must be a non-empty whitespace-free token",
+                         path)
     return value
 
 
-def _token(value: str, where: str) -> str:
-    if not value or any(c.isspace() for c in value):
-        raise GenetError(PARSE_ERROR,
-                         f"{where}: must be a non-empty whitespace-free token", where)
+def _cardinality(value: int, where: str, key: str) -> int:
+    if not 1 <= value <= MAX_CARDINALITY:
+        raise GenetError(RANGE_ERROR, f"{where}: cardinality must be between "
+                         f"1 and {MAX_CARDINALITY}", f"{where}.{key}")
     return value
+
+
+def _patient_kind(value: str, where: str, key: str) -> PatientKind:
+    if (kind := PATIENT_KINDS.get(value)) is None:
+        raise GenetError(PARSE_ERROR, f"{where}: {value!r} is not a valid PatientKind",
+                         f"{where}.{key}")
+    return kind
+
+
+def _percentage(value: int, where: str, key: str) -> int:
+    if not 0 <= value <= 100:
+        raise GenetError(RANGE_ERROR, f"{where}: {key} {value} outside [0, 100]",
+                         f"{where}.{key}")
+    return value
+
+
+# The objects a scenario holds, one row each: every key in the order it is
+# read, with its type, its check and, if it may be absent, its default.
+_GROUP = {"cardinality": Field(int, _cardinality),
+          "patientKind": Field(str, _patient_kind), "id": Field(str, _token),
+          "kind": Field(str, _one_of("agentGroup", "patientGroup"))}
+_ACTION = {"id": Field(str, _token), "description": Field(str, default=None)}
+_EFFECT = {"action": Field(str), "specification": Field(str, _token),
+           "direction": Field(str, _one_of("increase", "decrease")), "target": Field(str),
+           "requestDerived": Field(bool, default=False)}
+_DEONTIC = {"action": Field(str), "specification": Field(str, _token),
+            "holds": Field(bool), "target": Field(str)}
+_REQUEST = {"influenceLevel": Field(int, _percentage), "requester": Field(str),
+            "influenceKind": Field(str, _one_of("substance", "external")),
+            "requestedAction": Field(str)}
 
 
 def load_scenario(doc: bytes) -> Scenario:
@@ -137,34 +171,16 @@ def load_scenario(doc: bytes) -> Scenario:
 
     groups: list[StakeholderGroup] = []
     for i, raw in enumerate(require(data, "groups", list, "document")):
-        where = f"groups[{i}]"
-        expect_object(raw, _GROUP_KEYS, where)
-        cardinality = require(raw, "cardinality", int, where)
-        if not 1 <= cardinality <= MAX_CARDINALITY:
-            raise GenetError(RANGE_ERROR, f"{where}: cardinality must be between "
-                             f"1 and {MAX_CARDINALITY}", f"{where}.cardinality")
-        kind = require(raw, "patientKind", str, where)
-        try:
-            patient_kind = PatientKind(kind)
-        except ValueError as exc:
-            raise GenetError(PARSE_ERROR, f"{where}: {exc}",
-                             f"{where}.patientKind") from None
-        groups.append(StakeholderGroup(
-            id=_token(require(raw, "id", str, where), f"{where}.id"),
-            kind=_enum(require(raw, "kind", str, where), _GROUP_KINDS, where),
-            patientKind=patient_kind,
-            cardinality=cardinality))
+        cardinality, patient_kind, id_, kind = read_object(raw, _GROUP, f"groups[{i}]")
+        groups.append(StakeholderGroup(id_, kind, patient_kind, cardinality))
 
     actions: list[ActionOption] = []
     for i, raw in enumerate(require(data, "actions", list, "document")):
         where = f"actions[{i}]"
         if isinstance(raw, str):
-            actions.append(ActionOption(id=_token(raw, where)))
+            actions.append(ActionOption(_token(raw, where)))
         elif isinstance(raw, dict):
-            expect_object(raw, _ACTION_KEYS, where)
-            actions.append(ActionOption(
-                id=_token(require(raw, "id", str, where), f"{where}.id"),
-                description=optional(raw, "description", str, where)))
+            actions.append(ActionOption(*read_object(raw, _ACTION, where)))
         else:
             raise GenetError(PARSE_ERROR, f"{where}: must be an id or object", where)
     if len(actions) < 2:
@@ -183,61 +199,30 @@ def load_scenario(doc: bytes) -> Scenario:
     targets = set(group_ids) | {AGENT}
     known_actions = set(action_ids)
 
-    def check_refs(action: str, target: str, where: str) -> None:
-        if action not in known_actions:
-            raise GenetError(DANGLING_REFERENCE, f"{where}: unknown action {action!r}",
-                             f"{where}.action")
-        if target not in targets:
-            raise GenetError(DANGLING_REFERENCE, f"{where}: unknown target {target!r}",
-                             f"{where}.target")
-
     effects: list[EffectAssertion] = []
-    for i, raw in enumerate(require(data, "effects", list, "document")):
-        where = f"effects[{i}]"
-        expect_object(raw, _EFFECT_KEYS, where)
-        effect = EffectAssertion(
-            action=require(raw, "action", str, where),
-            specification=_token(require(raw, "specification", str, where),
-                                 f"{where}.specification"),
-            direction=_enum(require(raw, "direction", str, where),
-                            _DIRECTIONS, where),
-            target=require(raw, "target", str, where),
-            requestDerived=optional(raw, "requestDerived", bool, where, False))
-        check_refs(effect.action, effect.target, where)
-        effects.append(effect)
-
     deontics: list[DeonticAssertion] = []
-    for i, raw in enumerate(require(data, "deontics", list, "document")):
-        where = f"deontics[{i}]"
-        expect_object(raw, _DEONTIC_KEYS, where)
-        assertion = DeonticAssertion(
-            action=require(raw, "action", str, where),
-            specification=_token(require(raw, "specification", str, where),
-                                 f"{where}.specification"),
-            holds=require(raw, "holds", bool, where),
-            target=require(raw, "target", str, where))
-        check_refs(assertion.action, assertion.target, where)
-        deontics.append(assertion)
+    for key, row, make, items in (("effects", _EFFECT, EffectAssertion, effects),
+                                  ("deontics", _DEONTIC, DeonticAssertion, deontics)):
+        for i, raw in enumerate(require(data, key, list, "document")):
+            item = make(*read_object(raw, row, where := f"{key}[{i}]"))
+            if item.action not in known_actions:
+                raise GenetError(DANGLING_REFERENCE, f"{where}: unknown action "
+                                 f"{item.action!r}", f"{where}.action")
+            if item.target not in targets:
+                raise GenetError(DANGLING_REFERENCE, f"{where}: unknown target "
+                                 f"{item.target!r}", f"{where}.target")
+            items.append(item)
 
     request = None
     if data.get("request") is not None:
-        raw = expect_object(data["request"], _REQUEST_KEYS, "request")
-        level = require(raw, "influenceLevel", int, "request")
-        if not 0 <= level <= 100:
-            raise GenetError(RANGE_ERROR, f"request: influenceLevel {level} outside "
-                                          f"[0, 100]", "request.influenceLevel")
-        request = RequestContext(
-            requester=require(raw, "requester", str, "request"),
-            influenceKind=_enum(require(raw, "influenceKind", str, "request"),
-                                _INFLUENCE_KINDS, "request"),
-            influenceLevel=level,
-            requestedAction=require(raw, "requestedAction", str, "request"))
-        if request.requester not in targets:
+        level, requester, kind, action = read_object(data["request"], _REQUEST, "request")
+        request = RequestContext(requester, kind, level, action)
+        if requester not in targets:
             raise GenetError(DANGLING_REFERENCE, f"request: unknown requester "
-                             f"{request.requester!r}", "request.requester")
-        if request.requestedAction not in known_actions:
+                             f"{requester!r}", "request.requester")
+        if action not in known_actions:
             raise GenetError(DANGLING_REFERENCE, f"request: unknown action "
-                             f"{request.requestedAction!r}", "request.requestedAction")
+                             f"{action!r}", "request.requestedAction")
 
     return Scenario(name=name, actingFor=acting_for, groups=tuple(groups),
                     actions=tuple(actions), effects=tuple(effects),

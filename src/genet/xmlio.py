@@ -5,20 +5,21 @@ The document format: root ``ethicalTheory`` in the namespace
 instanceName (optional), consequentiality (required), and child elements
 agent, patientKinds, influenceThresholds, principles, in that order.
 
-Validation is implemented directly from the schema constraints so that
-diagnostics are identical across platforms; the authoritative XSD ships
-in ``genet/data/schema/ethicalTheory.xsd`` and conformance against it is
-exercised by the test suite.
+Validation reads ``ELEMENTS``, one row per schema element and the schema's
+one statement in code, so diagnostics are identical across platforms. The
+authoritative XSD ships in ``genet/data/schema/ethicalTheory.xsd``, and the
+test suite checks the table against it.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import NamedTuple, Optional
 from xml.etree import ElementTree
 
 from .model import (
     INVALID_INSTANCE,
+    PATIENT_KINDS,
     PERCENT_OUT_OF_RANGE,
     EthicalTheoryInstance,
     GenetError,
@@ -53,7 +54,8 @@ DUPLICATE_PATIENT_KIND = "DUPLICATE_PATIENT_KIND"
 # NAMESPACE_MISMATCH and INVALID_INSTANCE.
 SCHEMA_VIOLATION = "SCHEMA_VIOLATION"
 
-_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
+# An xs:integer: its sign and its digits without leading zeros.
+_INTEGER_RE = re.compile(r"([+-]?)0*([0-9]+)")
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
@@ -63,136 +65,159 @@ def parse_boolean(text: str) -> Optional[bool]:
     return _BOOLEANS.get(text.strip())
 
 
-def _qname(local: str) -> str:
-    return f"{{{GENET_NS}}}{local}"
-
-
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _check_attrs(elem, path: str, required: list[str], optional: list[str],
-                 out: list[Violation]) -> None:
-    for name in required:
-        if name not in elem.attrib:
+class _Element(NamedTuple):
+    """A schema element: its required and optional attributes, whether it may hold
+    text, and its content: a ``sequence``, one or more ``child``, or nothing."""
+
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    text: bool = False
+    child: Optional[str] = None
+    sequence: tuple[str, ...] = ()
+
+
+# The theory schema, one row per element.
+ELEMENTS = {
+    "ethicalTheory": _Element(("baseTheory", "consequentiality"), ("instanceName",),
+                              sequence=("agent", "patientKinds", "influenceThresholds",
+                                        "principles")),
+    "agent": _Element(("name",), ("reference",)),
+    "patientKinds": _Element(child="patientKind"),
+    "patientKind": _Element(text=True),
+    "influenceThresholds": _Element(("external", "substance")),
+    "principles": _Element(child="principle"),
+    "principle": _Element(("morality", "subject", "specification")),
+}
+
+# Per element: its row, required and allowed attributes, qualified child tag.
+_ROWS = {name: (row, frozenset(row.required), frozenset(row.required + row.optional),
+                row.child and f"{{{GENET_NS}}}{row.child}")
+         for name, row in ELEMENTS.items()}
+_ROOT = f"{{{GENET_NS}}}ethicalTheory"
+_SEQUENCE = {f"{{{GENET_NS}}}{name}": i
+             for i, name in enumerate(ELEMENTS["ethicalTheory"].sequence)}
+_XSI = f"{{{XSI_NS}}}"
+_SUBJECTS = {subject.value: subject for subject in Subject}
+
+
+def _check_attrs(attrib, path: str, row: _Element, allowed, out: list[Violation]) -> None:
+    for name in row.required:
+        if name not in attrib:
             out.append(Violation(MISSING_ATTRIBUTE, f"{path}@{name}",
                                  f"required attribute {name!r} is missing"))
-    allowed = set(required) | set(optional)
-    for name in elem.attrib:
-        # Tolerate the standard XML Schema instance attributes
-        # (schemaLocation etc.).
-        if name not in allowed and not name.startswith(f"{{{XSI_NS}}}"):
+    for name in attrib:
+        # Tolerate the XML Schema instance attributes (schemaLocation etc.).
+        if name not in allowed and not name.startswith(_XSI):
             out.append(Violation(UNEXPECTED_ATTRIBUTE, f"{path}@{name}",
                                  f"attribute {name!r} is not defined by the schema"))
 
 
-def _check_no_text(elem, path: str, out: list[Violation]) -> None:
-    texts = [elem.text or ""] + [child.tail or "" for child in elem]
-    if any(t.strip() for t in texts):
+def _check_text(elem, path: str, out: list[Violation]) -> None:
+    """Report character data other than whitespace, which ``str.isspace()`` accepts."""
+    text = elem.text
+    for sub in elem:
+        if text and not text.isspace():
+            break
+        text = sub.tail
+    if text and not text.isspace():
         out.append(Violation(UNEXPECTED_TEXT, path,
                              "element must not contain character data"))
 
 
 def _read_boolean(elem, name: str, path: str, out: list[Violation]):
-    raw = elem.get(name)
-    if raw is None:
+    if (raw := elem.get(name)) is None:
         return None
-    value = parse_boolean(raw)
-    if value is None:
-        out.append(Violation(BAD_BOOLEAN, f"{path}@{name}",
-                             f"not a boolean: {raw!r}"))
+    if (value := parse_boolean(raw)) is None:
+        out.append(Violation(BAD_BOOLEAN, f"{path}@{name}", f"not a boolean: {raw!r}"))
     return value
 
 
-def _read_enum(enum, raw: str, name: str, path: str, out: list[Violation]):
-    try:
-        return enum(raw)
-    except ValueError:
+def _read_enum(members: dict, raw, name: str, path: str, out: list[Violation]):
+    if (member := members.get(raw)) is None and raw is not None:
         out.append(Violation(ENUM_VIOLATION, path, f"{name} {raw!r} outside "
-                             f"enumeration {[member.value for member in enum]}"))
-        return None
+                             f"enumeration {list(members)}"))
+    return member
 
 
 def _read_percentage(elem, name: str, path: str, out: list[Violation]):
-    raw = elem.get(name)
-    if raw is None:
+    if (raw := elem.get(name)) is None:
         return None
-    text = raw.strip()
-    if not _INTEGER_RE.match(text):
-        out.append(Violation(BAD_INTEGER, f"{path}@{name}",
-                             f"not an integer: {raw!r}"))
+    if (match := _INTEGER_RE.fullmatch(raw.strip())) is None:
+        out.append(Violation(BAD_INTEGER, f"{path}@{name}", f"not an integer: {raw!r}"))
         return None
-    sign = "-" if text[0] == "-" else ""
-    digits = text.lstrip("+-").lstrip("0") or "0"
+    sign, digits = match[1].strip("+"), match[2]
     # Longer numbers are out of range, and int() refuses over 4,300 digits.
-    value = int(sign + digits) if len(digits) <= 3 else None
-    if value is None or not 0 <= value <= 100:
+    if len(digits) > 3 or not 0 <= (value := int(sign + digits)) <= 100:
         out.append(Violation(PERCENT_OUT_OF_RANGE, f"{path}@{name}",
                              f"percentage {sign}{digits} outside [0, 100]"))
         return None
     return value
 
 
-def _element(elem, path: str, out: list[Violation], required=(), optional=(),
-             text: bool = False, child: Optional[str] = None, decode=None) -> list:
-    """Check one element against its schema type: its attributes, its
-    character data (allowed only when ``text``) and its content, which is
-    no child elements or, when ``child`` is given, one or more elements of
-    that tag. Each such child is decoded in document order by
-    ``decode(child, path, out)``; the results other than None are returned.
-    """
-    _check_attrs(elem, path, required, optional, out)
-    if not text:
-        _check_no_text(elem, path, out)
-    if child is None:
-        for sub in elem:
-            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{_local(sub.tag)}",
-                                 f"{_local(elem.tag)} has no child elements"))
-        return []
-    if len(elem) == 0:
-        out.append(Violation(MIN_OCCURS, f"{path}/{child}",
-                             f"at least one {child} is required"))
-    values = []
-    for i, sub in enumerate(elem):
-        cpath = f"{path}/{child}[{i}]"
-        if sub.tag != _qname(child):
-            out.append(Violation(UNEXPECTED_ELEMENT, cpath,
-                                 f"unexpected element {_local(sub.tag)!r}"))
-        elif (value := decode(sub, cpath, out)) is not None:
-            values.append(value)
-    return values
-
-
-def _decode_patient_kind(elem, path: str, out: list[Violation]) -> Optional[PatientKind]:
-    _element(elem, path, out, text=True)
-    return _read_enum(PatientKind, elem.text or "", "patientKind", path, out)
-
-
-def _decode_principle(elem, path: str, out: list[Violation]) -> Optional[MoralPrinciple]:
-    _element(elem, path, out, ["morality", "subject", "specification"])
-    morality = _read_boolean(elem, "morality", path, out)
-    raw = elem.get("subject")
-    subject = (None if raw is None
-               else _read_enum(Subject, raw, "subject", f"{path}@subject", out))
-    specification = elem.get("specification")
-    if morality is None or subject is None or specification is None:
+def _walk(elem, path: str, name: str, out: list[Violation]):
+    """Check an element against its row, then its children, depth first in document
+    order. Returns a collection's list of child values, else its value or None."""
+    row, need, allowed, qchild = _ROWS[name]
+    attrib = elem.attrib
+    if not need <= attrib.keys() <= allowed:
+        _check_attrs(attrib, path, row, allowed, out)
+    if not row.text:
+        _check_text(elem, path, out)
+    if qchild is not None:
+        child = row.child
+        if not len(elem):
+            out.append(Violation(MIN_OCCURS, f"{path}/{child}",
+                                 f"at least one {child} is required"))
+        values = []
+        for i, sub in enumerate(elem):
+            cpath = f"{path}/{child}[{i}]"
+            if sub.tag != qchild:
+                out.append(Violation(UNEXPECTED_ELEMENT, cpath,
+                                     f"unexpected element {_local(sub.tag)!r}"))
+            elif (value := _walk(sub, cpath, child, out)) is not None:
+                values.append(value)
+        # The XSD tolerates repeated patientKind values; the model is a
+        # set, so decoding them would be lossy. Reject instead.
+        if child == "patientKind" and len(set(values)) < len(values):
+            out.append(Violation(DUPLICATE_PATIENT_KIND, path,
+                                 "patientKind values must be distinct"))
+        return values
+    for sub in elem:
+        out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{_local(sub.tag)}",
+                             f"{name} has no child elements"))
+    if name == "patientKind":
+        return _read_enum(PATIENT_KINDS, elem.text or "", name, path, out)
+    if name == "principle":
+        morality = _read_boolean(attrib, "morality", path, out)
+        subject = _read_enum(_SUBJECTS, attrib.get("subject"), "subject",
+                             f"{path}@subject", out)
+        specification = attrib.get("specification")
+        if None in (morality, subject, specification):
+            return None
+        return MoralPrinciple(morality, subject, specification)
+    if name == "agent":
+        return MoralAgent(attrib.get("name", ""), attrib.get("reference"))
+    external = _read_percentage(attrib, "external", path, out)
+    substance = _read_percentage(attrib, "substance", path, out)
+    if None in (external, substance):
         return None
-    return MoralPrinciple(morality=morality, subject=subject, specification=specification)
+    return InfluenceThresholds(external, substance)
 
 
 def _decode(doc: bytes):
-    """Structural walk shared by schema_check and parse_theory.
-
-    Returns (schema violations, decoded instance or None). The instance
-    is only built when the document is schema-clean.
-    """
+    """The walk schema_check and parse_theory share: (schema violations, the
+    decoded instance, built only when the document is schema-clean, or None)."""
     out: list[Violation] = []
     try:
         root = ElementTree.fromstring(doc)
     except ElementTree.ParseError as exc:
         return [Violation(WELL_FORMEDNESS, "/", f"not well-formed XML: {exc}")], None
 
-    if root.tag != _qname("ethicalTheory"):
+    if root.tag != _ROOT:
         if _local(root.tag) == "ethicalTheory":
             return [Violation(NAMESPACE_MISMATCH, "/ethicalTheory",
                               f"root element is not in namespace {GENET_NS}")], None
@@ -200,76 +225,43 @@ def _decode(doc: bytes):
                           "root element must be ethicalTheory")], None
 
     path = "/ethicalTheory"
-    _check_attrs(root, path, ["baseTheory", "consequentiality"], ["instanceName"], out)
-    consequentiality = _read_boolean(root, "consequentiality", path, out)
-    _check_no_text(root, path, out)
+    row, need, allowed, _ = _ROWS["ethicalTheory"]
+    attrib = root.attrib
+    if not need <= attrib.keys() <= allowed:
+        _check_attrs(attrib, path, row, allowed, out)
+    consequentiality = _read_boolean(attrib, "consequentiality", path, out)
+    _check_text(root, path, out)
 
     # The schema demands this exact child sequence.
-    expected = ["agent", "patientKinds", "influenceThresholds", "principles"]
     found: dict[str, ElementTree.Element] = {}
     cursor = 0
     for child in root:
-        name = _local(child.tag)
-        if not child.tag.startswith(f"{{{GENET_NS}}}") or name not in expected:
-            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{name}",
-                                 f"element {name!r} is not defined by the schema"))
+        if (index := _SEQUENCE.get(child.tag)) is None:
+            name, problem = _local(child.tag), "is not defined by the schema"
+        elif (name := row.sequence[index]) in found:
+            problem = "occurs more than once"
+        elif index < cursor:
+            problem = "is out of sequence"
+        else:
+            found[name] = child
+            cursor = index
             continue
-        index = expected.index(name)
-        if name in found:
-            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{name}",
-                                 f"element {name!r} occurs more than once"))
-            continue
-        if index < cursor:
-            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{name}",
-                                 f"element {name!r} is out of sequence"))
-            continue
-        found[name] = child
-        cursor = index
-    for name in expected:
+        out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{name}",
+                             f"element {name!r} {problem}"))
+    for name in row.sequence:
         if name not in found:
             out.append(Violation(MISSING_ELEMENT, f"{path}/{name}",
                                  f"required element {name!r} is missing"))
-
-    agent = None
-    if (elem := found.get("agent")) is not None:
-        _element(elem, f"{path}/agent", out, ["name"], ["reference"])
-        agent = MoralAgent(name=elem.get("name", ""), reference=elem.get("reference"))
-
-    kinds: list[PatientKind] = []
-    if (elem := found.get("patientKinds")) is not None:
-        kinds = _element(elem, f"{path}/patientKinds", out,
-                         child="patientKind", decode=_decode_patient_kind)
-        # The XSD tolerates repeated patientKind values; the model is a
-        # set, so decoding them would be lossy. Reject instead.
-        if len(kinds) != len(set(kinds)):
-            out.append(Violation(DUPLICATE_PATIENT_KIND, f"{path}/patientKinds",
-                                 "patientKind values must be distinct"))
-
-    thresholds = None
-    if (elem := found.get("influenceThresholds")) is not None:
-        tpath = f"{path}/influenceThresholds"
-        _element(elem, tpath, out, ["external", "substance"])
-        external = _read_percentage(elem, "external", tpath, out)
-        substance = _read_percentage(elem, "substance", tpath, out)
-        if external is not None and substance is not None:
-            thresholds = InfluenceThresholds(external=external, substance=substance)
-
-    principles: list[MoralPrinciple] = []
-    if (elem := found.get("principles")) is not None:
-        principles = _element(elem, f"{path}/principles", out,
-                              child="principle", decode=_decode_principle)
+    # Walked in document order, which found keeps.
+    values = {name: _walk(elem, f"{path}/{name}", name, out)
+              for name, elem in found.items()}
 
     if out:
         return out, None
     return [], EthicalTheoryInstance(
-        baseTheory=root.get("baseTheory", ""),
-        instanceName=root.get("instanceName"),
-        consequentiality=consequentiality,
-        agent=agent,
-        patientKinds=frozenset(kinds),
-        influenceThresholds=thresholds,
-        principles=tuple(principles),
-    )
+        attrib.get("baseTheory", ""), consequentiality, values["agent"],
+        frozenset(values["patientKinds"]), values["influenceThresholds"],
+        tuple(values["principles"]), attrib.get("instanceName"))
 
 
 def schema_check(doc: bytes) -> ValidationReport:

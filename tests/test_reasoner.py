@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,13 +23,20 @@ from genet.reasoner import (
 )
 from genet.scenario import (
     AGENT,
+    EXCLUDED_PATIENT_KIND,
+    INERT_SPECIFICATION,
     ActionOption,
     DeonticAssertion,
     EffectAssertion,
     RequestContext,
     Scenario,
     StakeholderGroup,
+    emit_scenario,
+    load_scenario,
+    validate_scenario_against_theory,
 )
+from genet.xmlio import emit_theory, parse_theory
+from benchmarks import oracle
 from .strategies import group_scenarios, theory_scenarios
 
 # Verdicts expected for every (scenario, theory) pairing of the shipped
@@ -394,3 +403,21 @@ class TestDecide:
         for action in scenario.action_ids():
             assert evaluate(excluding, scenario, action).score \
                 == evaluate(inclusive, pruned, action).score
+
+    @settings(deadline=None, max_examples=200)
+    @given(theory_scenarios())
+    def test_agrees_with_the_independent_oracle(self, pair):
+        # benchmarks/oracle.py decides from the emitted documents with plain
+        # dicts, ElementTree and json alone; genet reads the same documents.
+        theory_doc, scenario_doc = emit_theory(pair[0]), emit_scenario(pair[1])
+        expected = oracle.decide(oracle.decode_theory_xml(theory_doc),
+                                 json.loads(scenario_doc))
+        theory, scenario = parse_theory(theory_doc), load_scenario(scenario_doc)
+        decision = decide(theory, scenario)
+        assert decision.kind.value == expected.kind
+        assert tuple(sorted(decision.chosen)) == expected.chosen
+        assert {e.action: (e.verdict.value, e.score)
+                for e in decision.evaluations} == expected.verdicts
+        codes = validate_scenario_against_theory(scenario, theory).codes()
+        assert codes.count(INERT_SPECIFICATION) == expected.inert_effects
+        assert codes.count(EXCLUDED_PATIENT_KIND) == expected.excluded_groups

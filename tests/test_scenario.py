@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,48 @@ class TestLoadScenario:
             load_scenario(text)
         assert err.value.code == PARSE_ERROR
         assert str(err.value) == f"not valid JSON: duplicate key {key!r}"
+
+    def test_first_repeat_in_a_large_object_is_named_in_one_pass(self):
+        # 200,000 keys, then k7 and k1 again: the earliest second occurrence
+        # is named. Finding it used to take time quadratic in the key count.
+        keys = [f'"k{i}": 0' for i in range(200_000)] + ['"k7": 0', '"k1": 0']
+        start = time.perf_counter()
+        with pytest.raises(GenetError) as err:
+            load_scenario(("{" + ", ".join(keys) + "}").encode("utf-8"))
+        assert time.perf_counter() - start < 5
+        assert err.value.code == PARSE_ERROR
+        assert str(err.value) == "not valid JSON: duplicate key 'k7'"
+
+    @pytest.mark.parametrize("where, overrides", [
+        ("groups[0].id", lambda t: {"groups": [{"id": t, "kind": "patientGroup",
+                                                "patientKind": "human",
+                                                "cardinality": 3}],
+                                    "effects": []}),
+        ("actions[0]", lambda t: {"actions": [t, "A2"], "effects": []}),
+        ("actions[0].id", lambda t: {"actions": [{"id": t}, "A2"], "effects": []}),
+        ("effects[0].specification",
+         lambda t: {"effects": [{"action": "A1", "specification": t,
+                                 "direction": "increase", "target": "crowd"}]}),
+        ("deontics[0].specification",
+         lambda t: {"deontics": [{"action": "A2", "specification": t,
+                                  "holds": True, "target": AGENT}]}),
+    ], ids=["group-id", "action-id", "action-object-id", "effect-specification",
+            "deontic-specification"])
+    def test_whitespace_in_a_token_is_a_parse_error(self, where, overrides):
+        # Every character str.isspace() accepts, leading, inner or trailing,
+        # and the empty token; U+200B ZERO WIDTH SPACE is not whitespace. XML
+        # cannot carry \x0b, \x0c or \x1c-\x1f, so the JSON reader rejects those.
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        for token in ([""] + [f"{c}a" for c in spaces] + [f"a{c}b" for c in spaces]
+                      + [f"a{c}" for c in spaces]):
+            with pytest.raises(GenetError) as err:
+                load_scenario(doc(**overrides(token)))
+            message = (f"{where}: must be a non-empty whitespace-free token"
+                       if not set(token) & set("\x0b\x0c\x1c\x1d\x1e\x1f") else
+                       f"not valid JSON: string {token!r} holds a character that XML 1.0 "
+                       f"cannot carry")
+            assert (err.value.code, str(err.value)) == (PARSE_ERROR, message)
+        load_scenario(doc(**overrides("a\u200bb")))
 
     def test_unknown_top_level_key(self):
         with pytest.raises(GenetError) as err:

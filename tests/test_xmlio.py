@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import genet
 from genet.model import GenetError, PatientKind, Subject, validate_instance
 from genet.xmlio import (
+    ELEMENTS,
     GENET_NS,
     emit_theory,
     parse_theory,
@@ -237,10 +238,10 @@ class TestEmitTheory:
 
 
 class TestAgainstShippedXsd:
-    """Cross-checks the hand-written validator against the XSD file.
+    """Cross-checks the validator's element table against the XSD file.
 
     No XSD engine is available here, so the test reads the schema
-    document itself and verifies our constraints match its facets.
+    document itself and compares it with ``xmlio.ELEMENTS``.
     """
 
     @pytest.fixture()
@@ -276,25 +277,50 @@ class TestAgainstShippedXsd:
         assert pct.find(f"{self.XS}restriction/{self.XS}minInclusive").get("value") == "0"
         assert pct.find(f"{self.XS}restriction/{self.XS}maxInclusive").get("value") == "100"
 
+    def elements(self, xsd) -> dict:
+        """Every element the XSD declares, by name: its complexType, named or
+        inline, or None for an element of a simple type."""
+        complex_types = {t.get("name"): t for t in xsd.findall(f"{self.XS}complexType")}
+        return {e.get("name"): complex_types.get(e.get("type"),
+                                                 e.find(f"{self.XS}complexType"))
+                for e in xsd.iter(f"{self.XS}element")}
+
+    def test_every_element_has_a_row(self, xsd):
+        elements = self.elements(xsd)
+        assert sorted(elements) == sorted(ELEMENTS)
+        # Only an element of a simple type holds character data.
+        assert {name for name, row in ELEMENTS.items() if row.text} == {
+            name for name, kind in elements.items() if kind is None}
+
     def test_required_attributes(self, xsd):
-        required = {
-            (t.get("name"), a.get("name"))
-            for t in xsd.iter(f"{self.XS}complexType")
-            for a in t.iter(f"{self.XS}attribute")
-            if a.get("use") == "required"}
-        assert ("ethicalTheory", "baseTheory") in required
-        assert ("ethicalTheory", "consequentiality") in required
-        assert ("ethicalTheory", "instanceName") not in required
-        assert ("influencesType", "external") in required
-        assert ("influencesType", "substance") in required
-        assert ("moralAgent", "name") in required
-        assert ("moralAgent", "reference") not in required
-        assert ("moralPrincipleType", "morality") in required
-        assert ("moralPrincipleType", "subject") in required
-        assert ("moralPrincipleType", "specification") in required
+        # Each complexType's required and optional attributes, in the XSD's
+        # order, which is the order of the MISSING_ATTRIBUTE findings.
+        for name, kind in self.elements(xsd).items():
+            attributes = [] if kind is None else kind.findall(f"{self.XS}attribute")
+            assert ELEMENTS[name].required == tuple(
+                a.get("name") for a in attributes if a.get("use") == "required"), name
+            assert ELEMENTS[name].optional == tuple(
+                a.get("name") for a in attributes if a.get("use") != "required"), name
+
+    def test_root_child_sequence(self, xsd):
+        root = self.elements(xsd)["ethicalTheory"]
+        children = root.findall(f"{self.XS}sequence/{self.XS}element")
+        assert tuple(c.get("name") for c in children) == ELEMENTS["ethicalTheory"].sequence
+        # Each exactly once.
+        assert all(c.get("minOccurs") is c.get("maxOccurs") is None for c in children)
+        assert all(not row.sequence for name, row in ELEMENTS.items()
+                   if name != "ethicalTheory")
 
     def test_min_occurs_one_on_collections(self, xsd):
-        elements = {e.get("name"): e for e in xsd.iter(f"{self.XS}element")}
-        for name in ("patientKind", "principle"):
-            assert elements[name].get("minOccurs") == "1"
-            assert elements[name].get("maxOccurs") == "unbounded"
+        # A collection holds one or more elements of its one child tag.
+        collections = {}
+        for name, kind in self.elements(xsd).items():
+            children = ([] if kind is None or name == "ethicalTheory"
+                        else kind.findall(f"{self.XS}sequence/{self.XS}element"))
+            for child in children:
+                assert (child.get("minOccurs"), child.get("maxOccurs")) == (
+                    "1", "unbounded"), child.get("name")
+                collections[name] = child.get("name")
+        assert collections == {name: row.child for name, row in ELEMENTS.items()
+                               if row.child is not None}
+        assert sorted(collections) == ["patientKinds", "principles"]
