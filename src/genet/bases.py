@@ -31,10 +31,9 @@ from .model import (
     Subject,
     ValidationReport,
     Violation,
-    expect_object,
     load_json,
     read_object,
-    require,
+    token,
     validate_instance,
 )
 
@@ -88,37 +87,48 @@ class PrincipleEdit(NamedTuple):
         return PrincipleEdit(False, principle)
 
 
-_TEMPLATE_KEYS = {"name", "consequentiality", "fixedPatientKinds", "mutability",
-                  "defaultPrinciples", "freeFields"}
 _PRINCIPLE = {"morality": Field(bool),
               "subject": Field(str, lambda value, *_: Subject(value)),
-              "specification": Field(str)}
+              "specification": Field(str, token)}
+
+
+def _principles(raws: list) -> tuple[MoralPrinciple, ...]:
+    principles: dict[tuple[str, Subject], MoralPrinciple] = {}
+    for i, raw in enumerate(raws):
+        p = MoralPrinciple(*read_object(raw, _PRINCIPLE, f"defaultPrinciples[{i}]"))
+        if principles.setdefault((p.specification, p.subject), p) is not p:
+            raise ValueError(f"defaultPrinciples[{i}]: duplicate (specification, "
+                             f"subject) pair ({p.specification!r}, {p.subject.value})")
+    if not principles:
+        raise ValueError("document: key 'defaultPrinciples' is empty")
+    return tuple(principles.values())
+
+
+def _names(values: list, where: str, key: str) -> tuple[str, ...]:
+    if not all(type(value) is str for value in values):
+        raise ValueError(f"{where}: key {key!r} must list only str")
+    return tuple(values)
+
+
+# A template document, its keys in the order they are checked, all of them
+# before any default principle is read.
+_TEMPLATE = {"defaultPrinciples": Field(list),
+             "fixedPatientKinds": Field(list, default=None),
+             "freeFields": Field(list, _names,
+                                 default=BaseTheoryTemplate._field_defaults["freeFields"]),
+             "name": Field(str), "consequentiality": Field(bool),
+             "mutability": Field(str, lambda value, *_: Mutability(value))}
 
 
 def _decode_template(path: Path) -> BaseTheoryTemplate:
     """Read and decode one template file. Repeated and unknown keys and
     mistyped values are rejected, as in scenario documents."""
     try:
-        data = expect_object(load_json(path.read_bytes()), _TEMPLATE_KEYS, "document")
-        principles = [
-            MoralPrinciple(*read_object(raw, _PRINCIPLE, f"defaultPrinciples[{i}]"))
-            for i, raw in enumerate(require(data, "defaultPrinciples", list, "document"))]
-        if not principles:
-            raise ValueError("document: key 'defaultPrinciples' is empty")
-        fixed = (require(data, "fixedPatientKinds", list, "document")
-                 if "fixedPatientKinds" in data else None)
-        free = (require(data, "freeFields", list, "document") if "freeFields" in data
-                else BaseTheoryTemplate._field_defaults["freeFields"])
-        if not all(isinstance(field, str) for field in free):
-            raise ValueError("document: key 'freeFields' must list only str")
-        return BaseTheoryTemplate(
-            name=require(data, "name", str, "document"),
-            consequentiality=require(data, "consequentiality", bool, "document"),
-            defaultPrinciples=tuple(principles),
-            mutability=Mutability(require(data, "mutability", str, "document")),
-            fixedPatientKinds=None if fixed is None
-            else frozenset(PatientKind(k) for k in fixed),
-            freeFields=tuple(free))
+        raws, fixed, free, name, consequential, mutability = read_object(
+            load_json(path.read_bytes()), _TEMPLATE, "document")
+        fixed = None if fixed is None else frozenset(map(PatientKind, fixed))
+        return BaseTheoryTemplate(name, consequential, _principles(raws), mutability,
+                                  fixed, free)
     except (OSError, ValueError, RecursionError) as exc:
         # An unreadable entry (such as a directory named *.json), or bad JSON.
         problem = "cannot read" if isinstance(exc, OSError) else "malformed"

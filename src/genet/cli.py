@@ -152,7 +152,7 @@ def cmd_reason(args) -> int:
     if errors:
         return EXIT_VIOLATION
 
-    if args.action:
+    if args.action is not None:
         if args.action not in scn.action_ids():
             print(f"error: no action {args.action!r} in scenario", file=sys.stderr)
             return EXIT_USAGE

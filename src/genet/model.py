@@ -247,30 +247,9 @@ def load_json(doc: bytes):
     return data
 
 
-def expect_object(raw, keys: set[str], where: str) -> dict:
-    """``raw``, which must be an object with no keys outside ``keys``."""
-    if not isinstance(raw, dict):
-        raise GenetError(PARSE_ERROR, f"{where}: must be an object", where)
-    if not raw.keys() <= keys:
-        unknown = next(key for key in raw if key not in keys)
-        raise GenetError(PARSE_ERROR, f"{where}: unknown key {unknown!r}", where)
-    return raw
-
-
-def require(data: dict, key: str, kind, where: str):
-    """``data[key]``, which must be present and a ``kind`` (a bool is no int)."""
-    if key not in data:
-        raise GenetError(PARSE_ERROR, f"{where}: missing key {key!r}", f"{where}.{key}")
-    value = data[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise GenetError(PARSE_ERROR, f"{where}: key {key!r} must be {kind.__name__}",
-                         f"{where}.{key}")
-    return value
-
-
 class Field(NamedTuple):
-    """A key of a JSON object: its type, the check that returns its value given the
-    value, the object's path and the key, and its default if it may be absent."""
+    """A key of a JSON object: its type (``object``: any), the check that returns its
+    value given the value, the object's path and the key, and its default if absent."""
 
     kind: type
     check: Optional[Callable] = None
@@ -279,12 +258,31 @@ class Field(NamedTuple):
 
 def read_object(raw, fields: dict[str, Field], where: str) -> list:
     """The values of ``raw``, an object with no keys outside ``fields``, for
-    each of ``fields`` in turn, each typed as by ``require``, then checked."""
-    expect_object(raw, fields.keys(), where)
+    each of ``fields`` in turn: present and of exactly its type (JSON gives
+    no subtypes, and a bool is no int), then checked, or else its default."""
+    if type(raw) is not dict:
+        raise GenetError(PARSE_ERROR, f"{where}: must be an object", where)
+    if not raw.keys() <= fields.keys():
+        unknown = next(key for key in raw if key not in fields)
+        raise GenetError(PARSE_ERROR, f"{where}: unknown key {unknown!r}", where)
     values = []
     for key, (kind, check, default) in fields.items():
-        if type(value := raw.get(key, default)) is not kind and (
-                key in raw or default is ...):
-            value = require(raw, key, kind, where)
-        values.append(value if check is None else check(value, where, key))
+        if (value := raw.get(key, ...)) is ... and default is not ...:
+            values.append(default)
+        elif type(value) is kind or kind is object and value is not ...:
+            values.append(value if check is None else check(value, where, key))
+        else:
+            problem = (f"missing key {key!r}" if value is ...
+                       else f"key {key!r} must be {kind.__name__}")
+            raise GenetError(PARSE_ERROR, f"{where}: {problem}", f"{where}.{key}")
     return values
+
+
+def token(value: str, where: str, key: Optional[str] = None) -> str:
+    """``value``, which must be non-empty and hold no character ``str.isspace()``
+    accepts: exactly the characters ``str.split()`` splits at."""
+    if value.split() != [value]:
+        path = where if key is None else f"{where}.{key}"
+        raise GenetError(PARSE_ERROR, f"{path}: must be a non-empty whitespace-free token",
+                         path)
+    return value

@@ -29,10 +29,9 @@ from .model import (
     Subject,
     ValidationReport,
     Violation,
-    expect_object,
     load_json,
     read_object,
-    require,
+    token,
 )
 
 #: Distinguished target meaning "the moral agent itself".
@@ -45,9 +44,6 @@ AGENT_MISMATCH = "AGENT_MISMATCH"
 INERT_SPECIFICATION = "INERT_SPECIFICATION"
 EXCLUDED_PATIENT_KIND = "EXCLUDED_PATIENT_KIND"
 
-# "comment" carries authoring rationale and is ignored.
-_DOCUMENT_KEYS = {"scenario", "actingFor", "groups", "actions", "effects", "deontics",
-                  "request", "comment"}
 # Far above any real population, far below CPython's 4,300-digit limit on
 # int/str conversion, which a score summed from cardinalities must stay under.
 MAX_CARDINALITY = 10**12
@@ -108,15 +104,6 @@ def _one_of(*allowed: str):
     return check
 
 
-def _token(value: str, where: str, key: Optional[str] = None) -> str:
-    # str.split() splits at exactly the characters str.isspace() accepts.
-    if value.split() != [value]:
-        path = where if key is None else f"{where}.{key}"
-        raise GenetError(PARSE_ERROR, f"{path}: must be a non-empty whitespace-free token",
-                         path)
-    return value
-
-
 def _cardinality(value: int, where: str, key: str) -> int:
     if not 1 <= value <= MAX_CARDINALITY:
         raise GenetError(RANGE_ERROR, f"{where}: cardinality must be between "
@@ -138,16 +125,20 @@ def _percentage(value: int, where: str, key: str) -> int:
     return value
 
 
-# The objects a scenario holds, one row each: every key in the order it is
-# read, with its type, its check and, if it may be absent, its default.
+# The document and the objects it holds, one row each: every key in the
+# order it is read, with its type, its check and, if it may be absent, its
+# default. "comment" carries authoring rationale and is ignored.
+_DOCUMENT = {"scenario": Field(str), "actingFor": Field(str), "groups": Field(list),
+             "actions": Field(list), "effects": Field(list), "deontics": Field(list),
+             "request": Field(dict, default=None), "comment": Field(object, default=None)}
 _GROUP = {"cardinality": Field(int, _cardinality),
-          "patientKind": Field(str, _patient_kind), "id": Field(str, _token),
+          "patientKind": Field(str, _patient_kind), "id": Field(str, token),
           "kind": Field(str, _one_of("agentGroup", "patientGroup"))}
-_ACTION = {"id": Field(str, _token), "description": Field(str, default=None)}
-_EFFECT = {"action": Field(str), "specification": Field(str, _token),
+_ACTION = {"id": Field(str, token), "description": Field(str, default=None)}
+_EFFECT = {"action": Field(str), "specification": Field(str, token),
            "direction": Field(str, _one_of("increase", "decrease")), "target": Field(str),
            "requestDerived": Field(bool, default=False)}
-_DEONTIC = {"action": Field(str), "specification": Field(str, _token),
+_DEONTIC = {"action": Field(str), "specification": Field(str, token),
             "holds": Field(bool), "target": Field(str)}
 _REQUEST = {"influenceLevel": Field(int, _percentage), "requester": Field(str),
             "influenceKind": Field(str, _one_of("substance", "external")),
@@ -164,21 +155,20 @@ def load_scenario(doc: bytes) -> Scenario:
         data = load_json(doc)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and huge integers
         raise GenetError(PARSE_ERROR, f"not valid JSON: {exc}", "document") from exc
-    expect_object(data, _DOCUMENT_KEYS, "document")
-
-    name = require(data, "scenario", str, "document")
-    acting_for = require(data, "actingFor", str, "document")
+    # Every top-level key is checked before any object it holds is read.
+    (name, acting_for, raw_groups, raw_actions, raw_effects, raw_deontics,
+     raw_request, _) = read_object(data, _DOCUMENT, "document")
 
     groups: list[StakeholderGroup] = []
-    for i, raw in enumerate(require(data, "groups", list, "document")):
+    for i, raw in enumerate(raw_groups):
         cardinality, patient_kind, id_, kind = read_object(raw, _GROUP, f"groups[{i}]")
         groups.append(StakeholderGroup(id_, kind, patient_kind, cardinality))
 
     actions: list[ActionOption] = []
-    for i, raw in enumerate(require(data, "actions", list, "document")):
+    for i, raw in enumerate(raw_actions):
         where = f"actions[{i}]"
         if isinstance(raw, str):
-            actions.append(ActionOption(_token(raw, where)))
+            actions.append(ActionOption(token(raw, where)))
         elif isinstance(raw, dict):
             actions.append(ActionOption(*read_object(raw, _ACTION, where)))
         else:
@@ -201,9 +191,10 @@ def load_scenario(doc: bytes) -> Scenario:
 
     effects: list[EffectAssertion] = []
     deontics: list[DeonticAssertion] = []
-    for key, row, make, items in (("effects", _EFFECT, EffectAssertion, effects),
-                                  ("deontics", _DEONTIC, DeonticAssertion, deontics)):
-        for i, raw in enumerate(require(data, key, list, "document")):
+    for key, raws, row, make, items in (
+            ("effects", raw_effects, _EFFECT, EffectAssertion, effects),
+            ("deontics", raw_deontics, _DEONTIC, DeonticAssertion, deontics)):
+        for i, raw in enumerate(raws):
             item = make(*read_object(raw, row, where := f"{key}[{i}]"))
             if item.action not in known_actions:
                 raise GenetError(DANGLING_REFERENCE, f"{where}: unknown action "
@@ -214,8 +205,8 @@ def load_scenario(doc: bytes) -> Scenario:
             items.append(item)
 
     request = None
-    if data.get("request") is not None:
-        level, requester, kind, action = read_object(data["request"], _REQUEST, "request")
+    if raw_request is not None:
+        level, requester, kind, action = read_object(raw_request, _REQUEST, "request")
         request = RequestContext(requester, kind, level, action)
         if requester not in targets:
             raise GenetError(DANGLING_REFERENCE, f"request: unknown requester "

@@ -37,6 +37,7 @@ MASLOW = ["physiologySatisfaction", "safetySatisfaction", "loveSatisfaction",
 DOE = MoralAgent("Doe Family", "http://thedoes.fam")
 THRESH = InfluenceThresholds(external=50, substance=30)
 BUILTIN_DIR = Path(genet.__file__).parent / "data" / "bases"
+MISSING = object()  # a key left out of the document
 
 
 def base(registry, name):
@@ -184,10 +185,11 @@ class TestLoadRegistry:
 
     def test_omitted_free_fields_take_the_default(self, tmp_path):
         data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
-        del data["freeFields"]
+        del data["freeFields"], data["fixedPatientKinds"]
         (tmp_path / "egoism.json").write_text(json.dumps(data))
-        assert load_registry(base_dir=tmp_path).get("egoism").freeFields == (
-            "agent", "influenceThresholds", "instanceName")
+        egoism = load_registry(base_dir=tmp_path).get("egoism")
+        assert egoism.freeFields == ("agent", "influenceThresholds", "instanceName")
+        assert egoism.fixedPatientKinds is None
 
     def test_repeated_key_is_rejected(self, tmp_path):
         # json.loads alone would keep the last value, true.
@@ -214,17 +216,57 @@ class TestLoadRegistry:
         (("defaultPrinciples",), []),
         (("defaultPrinciples", 0), "x"), (("defaultPrinciples", 0, "subject"), 5),
         (("defaultPrinciples", 0, "specification"), 5),
-        (("defaultPrinciples", 0, "weight"), 1)],
-        ids=lambda arg: ".".join(map(str, arg)) if isinstance(arg, tuple) else repr(arg))
+        (("defaultPrinciples", 0, "weight"), 1), (("consequentiality",), 1),
+        *(((key,), MISSING) for key in ("name", "consequentiality", "mutability",
+                                         "defaultPrinciples"))],
+        ids=lambda arg: ".".join(map(str, arg)) if isinstance(arg, tuple)
+        else "missing" if arg is MISSING else repr(arg))
     def test_values_are_type_checked(self, tmp_path, path, value):
         data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
         owner = data
         for key in path[:-1]:
             owner = owner[key]
-        owner[path[-1]] = value
+        if value is MISSING:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
         (tmp_path / "egoism.json").write_text(json.dumps(data))
-        with pytest.raises(GenetError, match="malformed base-theory template"):
+        with pytest.raises(GenetError) as err:
             load_registry(base_dir=tmp_path)
+        # The finding names the object at fault.
+        where = "document" if len(path) == 1 else f"defaultPrinciples[{path[1]}]"
+        assert str(err.value).startswith(
+            f"malformed base-theory template {tmp_path / 'egoism.json'}: {where}: ")
+
+    @pytest.mark.parametrize("index, principle, problem", [
+        (0, {"specification": ""},
+         "defaultPrinciples[0].specification: must be a non-empty whitespace-free token"),
+        (0, {"specification": "self Actualisation"},
+         "defaultPrinciples[0].specification: must be a non-empty whitespace-free token"),
+        (1, {"specification": "physiologySatisfaction", "morality": False},
+         "defaultPrinciples[1]: duplicate (specification, subject) pair "
+         "('physiologySatisfaction', agent)"),
+    ], ids=["empty-specification", "whitespace-specification", "duplicate-pair"])
+    def test_default_principles_keep_the_theory_invariants(self, tmp_path, index,
+                                                           principle, problem):
+        # No instance could be made from such defaults.
+        data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
+        data["defaultPrinciples"][index].update(principle)
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        with pytest.raises(GenetError) as err:
+            load_registry(base_dir=tmp_path)
+        assert str(err.value) == (f"malformed base-theory template "
+                                  f"{tmp_path / 'egoism.json'}: {problem}")
+        assert err.value.code == TEMPLATE_ERROR
+
+    def test_top_level_faults_come_before_principle_faults(self, tmp_path):
+        data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
+        data["defaultPrinciples"][0]["weight"] = 1
+        data["mutability"] = "sometimes"
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        with pytest.raises(GenetError) as err:
+            load_registry(base_dir=tmp_path)
+        assert str(err.value).endswith(": 'sometimes' is not a valid Mutability")
 
 
 class TestInstantiate:

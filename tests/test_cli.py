@@ -228,6 +228,14 @@ class TestReason:
         assert code == 3
         assert "T9" in err
 
+    def test_empty_action_id_is_usage(self, capsys):
+        # An empty --action names no action; it does not mean "every action".
+        code, out, err = run(capsys, "reason",
+                             "--theory", str(theory_path("trainco-dct")),
+                             "--scenario", str(scenario_path("trolley")),
+                             "--action", "")
+        assert (code, out, err) == (3, "", "error: no action '' in scenario\n")
+
     def test_invalid_theory_exits_1(self, capsys, tmp_path):
         path = tmp_path / "broken.xml"
         path.write_bytes(b"<ethicalTheory>")

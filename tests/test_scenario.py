@@ -23,6 +23,8 @@ from genet.scenario import (
 from .conftest import CASE_THEORIES, SCENARIO_NAMES, scenario_bytes
 from .strategies import group_scenarios
 
+MISSING = object()  # a key left out of the document
+
 
 def doc(**overrides) -> bytes:
     data = {
@@ -215,8 +217,39 @@ class TestLoadScenario:
         assert (err.value.code, str(err.value)) == (PARSE_ERROR,
                                                     "document: must be an object")
 
+    @pytest.mark.parametrize("key, value, message", [
+        *(pytest.param(key, MISSING, f"document: missing key {key!r}", id=f"{key}-missing")
+          for key in ("scenario", "actingFor", "groups", "actions", "effects",
+                      "deontics")),
+        *(pytest.param(key, value, f"document: key {key!r} must be {kind}",
+                       id=f"{key}-{value!r}")
+          for key, value, kind in (("scenario", 5, "str"), ("actingFor", None, "str"),
+                                   ("groups", {}, "list"), ("actions", "A1", "list"),
+                                   ("effects", {}, "list"), ("deontics", None, "list"),
+                                   ("request", None, "dict"), ("request", [], "dict"))),
+    ])
+    def test_top_level_keys_are_required_and_typed(self, key, value, message):
+        data = json.loads(doc())
+        if value is MISSING:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(GenetError) as err:
+            load_scenario(json.dumps(data).encode("utf-8"))
+        assert (err.value.code, str(err.value)) == (PARSE_ERROR, message)
+        assert [v.path for v in err.value.report.violations] == [f"document.{key}"]
+
+    def test_top_level_faults_come_before_nested_ones(self):
+        broken = json.loads(doc(effects={}))
+        del broken["groups"][0]["cardinality"]
+        with pytest.raises(GenetError) as err:
+            load_scenario(json.dumps(broken).encode("utf-8"))
+        assert str(err.value) == "document: key 'effects' must be list"
+
     def test_comment_key_tolerated(self):
-        assert load_scenario(doc(comment="authoring note")).name == "toy"
+        # A comment of any JSON type is read past.
+        for comment in ("authoring note", 5, 1.5, True, None, [1], {"a": 1}):
+            assert load_scenario(doc(comment=comment)) == load_scenario(doc())
 
     def test_not_json(self):
         with pytest.raises(GenetError) as err:
