@@ -42,8 +42,6 @@ from .reasoner import (
     influence_gate,
     render_decision,
     render_evaluation,
-    render_trace,
-    trace_to_dict,
 )
 
 __version__ = "0.1.0"

@@ -180,6 +180,11 @@ def _key(p: MoralPrinciple) -> tuple[str, str]:
     return (p.specification, p.subject.value)
 
 
+def _fixes_patient_kinds(template: BaseTheoryTemplate) -> str:
+    return (f"{template.name} fixes patientKinds to "
+            f"{sorted(k.value for k in template.fixedPatientKinds)}")
+
+
 def instantiate(base: BaseTheoryTemplate,
                 agent: MoralAgent,
                 thresholds: InfluenceThresholds,
@@ -192,48 +197,34 @@ def instantiate(base: BaseTheoryTemplate,
     are applied in order and must be legal for the template's mutability
     mode. The result always passes validate_instance.
     """
-    if base.fixedPatientKinds is not None:
-        if patientKinds is not None and frozenset(patientKinds) != base.fixedPatientKinds:
-            raise GenetError(
-                FIXED_FIELD_VIOLATION,
-                f"{base.name} fixes patientKinds to "
-                f"{sorted(k.value for k in base.fixedPatientKinds)}",
-                "patientKinds")
-        kinds = base.fixedPatientKinds
-    else:
-        if patientKinds is None:
-            raise GenetError(
-                FIXED_FIELD_VIOLATION,
-                f"{base.name} leaves patientKinds free; the instantiator must supply them",
-                "patientKinds")
-        kinds = frozenset(patientKinds)
+    kinds = base.fixedPatientKinds if patientKinds is None else frozenset(patientKinds)
+    if kinds is None:
+        raise GenetError(
+            FIXED_FIELD_VIOLATION,
+            f"{base.name} leaves patientKinds free; the instantiator must supply them",
+            "patientKinds")
+    if base.fixedPatientKinds not in (None, kinds):
+        raise GenetError(FIXED_FIELD_VIOLATION, _fixes_patient_kinds(base), "patientKinds")
 
     may_add, may_remove = _EDITS[base.mutability]
     principles = list(base.defaultPrinciples)
     for edit in edits:
+        if not (may_add if edit.adds else may_remove):
+            raise GenetError(
+                MUTABILITY_VIOLATION,
+                f"{base.name} (mutability={base.mutability.value}) forbids "
+                f"{'adding' if edit.adds else 'removing'} principles", "principles")
+        key = _key(edit.principle)
+        present = [p for p in principles if _key(p) == key]
+        if edit.adds and present:
+            raise GenetError(DUPLICATE_PRINCIPLE, f"principle {key} is already present",
+                             "principles")
+        if not (edit.adds or present):
+            raise GenetError(UNKNOWN_REMOVAL, f"no principle {key} to remove", "principles")
         if edit.adds:
-            if not may_add:
-                raise GenetError(
-                    MUTABILITY_VIOLATION,
-                    f"{base.name} (mutability={base.mutability.value}) "
-                    f"forbids adding principles", "principles")
-            if any(_key(p) == _key(edit.principle) for p in principles):
-                raise GenetError(
-                    DUPLICATE_PRINCIPLE,
-                    f"principle {_key(edit.principle)} is already present", "principles")
             principles.append(edit.principle)
         else:
-            if not may_remove:
-                raise GenetError(
-                    MUTABILITY_VIOLATION,
-                    f"{base.name} (mutability={base.mutability.value}) "
-                    f"forbids removing principles", "principles")
-            matches = [p for p in principles if _key(p) == _key(edit.principle)]
-            if not matches:
-                raise GenetError(
-                    UNKNOWN_REMOVAL,
-                    f"no principle {_key(edit.principle)} to remove", "principles")
-            principles.remove(matches[0])
+            principles.remove(present[0])
     if not principles:
         raise GenetError(EMPTY_PRINCIPLES, "edits left the principle collection empty",
                          "principles")
@@ -292,10 +283,8 @@ def check_conformance(instance: EthicalTheoryInstance,
             f"{str(template.consequentiality).lower()}"))
     if (template.fixedPatientKinds is not None
             and instance.patientKinds != template.fixedPatientKinds):
-        out.append(Violation(
-            FIXED_FIELD_VIOLATION, "patientKinds",
-            f"{template.name} fixes patientKinds to "
-            f"{sorted(k.value for k in template.fixedPatientKinds)}"))
+        out.append(Violation(FIXED_FIELD_VIOLATION, "patientKinds",
+                             _fixes_patient_kinds(template)))
     if not reachable(template, instance.principles):
         out.append(Violation(
             NOT_REACHABLE, "principles",

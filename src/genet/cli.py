@@ -111,11 +111,11 @@ def cmd_bases(args) -> int:
     from . import bases as bases_mod
 
     registry = bases_mod.load_registry()
-    base = registry.get(args.name) if args.action == "show" else None
-    if base is None:
+    if args.action == "list":
         for name in registry.names():
             print(name)
         return EXIT_OK
+    base = registry.get(args.name)
     print(f"name: {base.name}")
     print(f"consequentiality: {str(base.consequentiality).lower()}")
     if base.fixedPatientKinds is not None:
@@ -152,25 +152,23 @@ def cmd_reason(args) -> int:
     if errors:
         return EXIT_VIOLATION
 
-    if args.action is not None:
-        if args.action not in scn.action_ids():
-            print(f"error: no action {args.action!r} in scenario", file=sys.stderr)
-            return EXIT_USAGE
-        evaluation = reasoner.evaluate(theory, scn, args.action)
-        if args.format == "json":
-            print(json.dumps(reasoner.evaluation_to_dict(evaluation), indent=2))
-        else:
-            print(reasoner.render_evaluation(evaluation, explain=args.explain))
-        return EXIT_OK
-
-    decision = reasoner.decide(theory, scn)
-    if args.format == "json":
-        print(json.dumps(reasoner.decision_to_dict(decision), indent=2))
+    if args.action is None:
+        result = reasoner.decide(theory, scn)
+        to_dict, render = reasoner.decision_to_dict, reasoner.render_decision
+        code = (EXIT_OK if result.kind is reasoner.DecisionKind.DECIDED
+                else EXIT_CONFLICT)
+    elif args.action in scn.action_ids():
+        result = reasoner.evaluate(theory, scn, args.action)
+        to_dict, render = reasoner.evaluation_to_dict, reasoner.render_evaluation
+        code = EXIT_OK
     else:
-        print(reasoner.render_decision(decision, explain=args.explain))
-    if decision.kind is reasoner.DecisionKind.DECIDED:
-        return EXIT_OK
-    return EXIT_CONFLICT
+        print(f"error: no action {args.action!r} in scenario", file=sys.stderr)
+        return EXIT_USAGE
+    if args.format == "json":
+        print(json.dumps(to_dict(result), indent=2))
+    else:
+        print(render(result, explain=args.explain))
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bases" and args.action == "show" and not args.name:
-        parser.error("bases show requires a name")
+    if args.command == "bases" and (args.action == "show") != (args.name is not None):
+        parser.error("bases show requires a name" if args.name is None
+                     else "bases list takes no name")
     try:
         code = args.func(args)
         sys.stdout.flush()

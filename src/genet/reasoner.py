@@ -194,6 +194,7 @@ def _consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
 
     score = 0
     ledger: list[int] = []
+    counted: list[str] = []  # the inferences that carry a contribution
     for index, effect in effects:
         if effect.target == AGENT:
             target_class = Subject.AGENT
@@ -226,11 +227,11 @@ def _consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
             morality = 1 if principle.morality else -1
             value = direction * morality * weight
             if excluded:
-                builder.infer(
+                counted.append(builder.infer(
                     [fact, p_id],
                     f"{target_text} is of an excluded patient kind; "
                     f"the effect carries weight 0",
-                    contribution=0)
+                    contribution=0))
                 continue
             if effect.requestDerived and gate_id is not None and gate_voided and value > 0:
                 ledger.append(value)
@@ -247,10 +248,10 @@ def _consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
                     note = " (wrongness is retained despite the voided request)"
             quality = "some moral good" if value > 0 else (
                 "some moral wrong" if value < 0 else "no net moral weight")
-            builder.infer(from_ids,
-                          f"{action_id} carries {quality} of magnitude "
-                          f"{abs(value)}{note}",
-                          contribution=value)
+            counted.append(builder.infer(from_ids,
+                                         f"{action_id} carries {quality} of magnitude "
+                                         f"{abs(value)}{note}",
+                                         contribution=value))
             score += value
 
     if score < 0:
@@ -265,7 +266,6 @@ def _consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
     else:
         verdict = MoralVerdict.PERMISSIBLE
         conclusion = f"{action_id} is permissible"
-    counted = [i.id for i in builder.inferences if i.contribution is not None]
     if counted:
         builder.infer(counted, f"{action_id} scores {score:+d}")
     trace = builder.done(conclusion)
@@ -340,33 +340,24 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
     if theory.consequentiality:
         evaluations = [_consequentialist(tables, a) for a in scenario.action_ids()]
         best = max(e.score for e in evaluations)
-        tied = [e for e in evaluations if e.score == best]
-
-        chosen: Optional[ActionEvaluation] = None
-        if len(tied) == 1:
-            chosen = tied[0]
-        elif best == 0:
-            # Supererogatory beats merely-permissible only when nothing
-            # scores positive (which is the case whenever best == 0).
-            sup = [e for e in tied if e.verdict is MoralVerdict.SUPEREROGATORY]
-            if len(sup) == 1:
-                chosen = sup[0]
-
-        if chosen is not None:
-            final = []
-            for e in evaluations:
-                if e.action == chosen.action:
-                    final.append(e._replace(verdict=MoralVerdict.OBLIGATORY_BEST))
-                elif e.verdict is MoralVerdict.OBLIGATORY_BEST:
-                    final.append(e._replace(verdict=MoralVerdict.PERMISSIBLE))
-                else:
-                    final.append(e)
-            return Decision(DecisionKind.DECIDED, (chosen.action,), tuple(final))
-
-        tied_ids = tuple(e.action for e in tied)
-        final = [e._replace(verdict=MoralVerdict.UNDECIDABLE)
-                 if e.action in tied_ids else e for e in evaluations]
-        return Decision(DecisionKind.CONFLICT, (), tuple(final), tied=tied_ids)
+        tied = tuple(e.action for e in evaluations if e.score == best)
+        # A zero tie falls to a lone supererogatory action: when nothing
+        # scores positive, every supererogatory action ties.
+        sup = tuple(e.action for e in evaluations
+                    if e.verdict is MoralVerdict.SUPEREROGATORY)
+        if best == 0 and len(sup) == 1:
+            tied = sup
+        decided = len(tied) == 1
+        # A lone pick is obligatory and the other good actions merely
+        # permissible; a tie is undecidable throughout.
+        pick = MoralVerdict.OBLIGATORY_BEST if decided else MoralVerdict.UNDECIDABLE
+        demoted = MoralVerdict.OBLIGATORY_BEST if decided else None
+        final = tuple(e._replace(verdict=pick) if e.action in tied
+                      else e._replace(verdict=MoralVerdict.PERMISSIBLE)
+                      if e.verdict is demoted else e for e in evaluations)
+        if decided:
+            return Decision(DecisionKind.DECIDED, tied, final)
+        return Decision(DecisionKind.CONFLICT, (), final, tied=tied)
 
     evaluations = [_deontological(tables, a) for a in scenario.action_ids()]
     permissible = tuple(e.action for e in evaluations
@@ -380,9 +371,15 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
                     tied=tuple(e.action for e in evaluations))
 
 
-def trace_to_dict(trace: ArgumentTrace) -> dict:
-    """Structured trace form with stable ids, suitable for golden diffs."""
-    return {
+def evaluation_to_dict(evaluation: ActionEvaluation) -> dict:
+    """Structured form, the trace with its stable ids, suitable for golden diffs."""
+    out: dict = {"action": evaluation.action, "verdict": evaluation.verdict.value}
+    if evaluation.score is not None:
+        out["score"] = evaluation.score
+    if evaluation.supererogation:
+        out["supererogation"] = list(evaluation.supererogation)
+    trace = evaluation.trace
+    out["trace"] = {
         "premises": [{"id": p.id, "kind": p.kind, "text": p.text,
                       "source": p.source} for p in trace.premises],
         "inferences": [
@@ -391,15 +388,6 @@ def trace_to_dict(trace: ArgumentTrace) -> dict:
             for i in trace.inferences],
         "conclusion": trace.conclusion,
     }
-
-
-def evaluation_to_dict(evaluation: ActionEvaluation) -> dict:
-    out: dict = {"action": evaluation.action, "verdict": evaluation.verdict.value}
-    if evaluation.score is not None:
-        out["score"] = evaluation.score
-    if evaluation.supererogation:
-        out["supererogation"] = list(evaluation.supererogation)
-    out["trace"] = trace_to_dict(evaluation.trace)
     return out
 
 
@@ -411,18 +399,6 @@ def decision_to_dict(decision: Decision) -> dict:
     return out
 
 
-def render_trace(trace: ArgumentTrace) -> str:
-    lines = ["premises:"]
-    for p in trace.premises:
-        lines.append(f"  {p.id} [{p.kind}] {p.text}  ({p.source})")
-    lines.append("inferences:")
-    for i in trace.inferences:
-        extra = f"  [contribution {i.contribution:+d}]" if i.contribution is not None else ""
-        lines.append(f"  {i.id} <- {', '.join(i.fromIds)}: {i.text}{extra}")
-    lines.append(f"conclusion: {trace.conclusion}")
-    return "\n".join(lines)
-
-
 def render_evaluation(evaluation: ActionEvaluation, explain: bool = False) -> str:
     head = f"{evaluation.action}: {evaluation.verdict.value}"
     if evaluation.score is not None:
@@ -431,7 +407,16 @@ def render_evaluation(evaluation: ActionEvaluation, explain: bool = False) -> st
         head += f" supererogation={list(evaluation.supererogation)}"
     if not explain:
         return head
-    return head + "\n" + render_trace(evaluation.trace)
+    trace = evaluation.trace
+    lines = [head, "premises:"]
+    for p in trace.premises:
+        lines.append(f"  {p.id} [{p.kind}] {p.text}  ({p.source})")
+    lines.append("inferences:")
+    for i in trace.inferences:
+        extra = f"  [contribution {i.contribution:+d}]" if i.contribution is not None else ""
+        lines.append(f"  {i.id} <- {', '.join(i.fromIds)}: {i.text}{extra}")
+    lines.append(f"conclusion: {trace.conclusion}")
+    return "\n".join(lines)
 
 
 def render_decision(decision: Decision, explain: bool = False) -> str:

@@ -54,15 +54,17 @@ DUPLICATE_PATIENT_KIND = "DUPLICATE_PATIENT_KIND"
 # NAMESPACE_MISMATCH and INVALID_INSTANCE.
 SCHEMA_VIOLATION = "SCHEMA_VIOLATION"
 
+# XML whitespace, the only whitespace the XSD strips or allows between elements.
+_SPACE = " \t\n\r"
 # An xs:integer: its sign and its digits without leading zeros.
 _INTEGER_RE = re.compile(r"([+-]?)0*([0-9]+)")
 _BOOLEANS = {"true": True, "1": True, "false": False, "0": False}
 
 
 def parse_boolean(text: str) -> Optional[bool]:
-    """Map the XSD boolean lexical space (surrounding whitespace allowed)
+    """Map the XSD boolean lexical space (surrounding XML whitespace allowed)
     to True or False; None for anything else."""
-    return _BOOLEANS.get(text.strip())
+    return _BOOLEANS.get(text.strip(_SPACE))
 
 
 def _local(tag: str) -> str:
@@ -117,13 +119,13 @@ def _check_attrs(attrib, path: str, row: _Element, allowed, out: list[Violation]
 
 
 def _check_text(elem, path: str, out: list[Violation]) -> None:
-    """Report character data other than whitespace, which ``str.isspace()`` accepts."""
+    """Report character data other than XML whitespace."""
     text = elem.text
     for sub in elem:
-        if text and not text.isspace():
+        if text and text.strip(_SPACE):
             break
         text = sub.tail
-    if text and not text.isspace():
+    if text and text.strip(_SPACE):
         out.append(Violation(UNEXPECTED_TEXT, path,
                              "element must not contain character data"))
 
@@ -146,7 +148,7 @@ def _read_enum(members: dict, raw, name: str, path: str, out: list[Violation]):
 def _read_percentage(elem, name: str, path: str, out: list[Violation]):
     if (raw := elem.get(name)) is None:
         return None
-    if (match := _INTEGER_RE.fullmatch(raw.strip())) is None:
+    if (match := _INTEGER_RE.fullmatch(raw.strip(_SPACE))) is None:
         out.append(Violation(BAD_INTEGER, f"{path}@{name}", f"not an integer: {raw!r}"))
         return None
     sign, digits = match[1].strip("+"), match[2]

@@ -44,6 +44,11 @@ def base(registry, name):
     return registry.get(name)
 
 
+def refusal(err) -> list[tuple[str, str, str]]:
+    """The (code, path, message) findings of a refused instantiation."""
+    return [(v.code, v.path, v.message) for v in err.value.report.violations]
+
+
 class TestBuiltinBases:
     def test_exactly_four(self):
         assert load_registry().names() == [
@@ -289,20 +294,27 @@ class TestInstantiate:
 
     def test_kantianism_rejects_any_edit(self, registry):
         kant = base(registry, "Kantianism")
-        for edit in (PrincipleEdit.add(MoralPrinciple(True, Subject.ALL, "foo")),
-                     PrincipleEdit.remove(
-                         MoralPrinciple(False, Subject.ALL, "mereMeans"))):
+        for edit, verb in (
+                (PrincipleEdit.add(MoralPrinciple(True, Subject.ALL, "foo")), "adding"),
+                (PrincipleEdit.remove(MoralPrinciple(False, Subject.ALL, "mereMeans")),
+                 "removing")):
             with pytest.raises(GenetError) as err:
                 instantiate(kant, agent=DOE, thresholds=THRESH, edits=[edit])
-            assert err.value.code == "MUTABILITY_VIOLATION"
+            assert refusal(err) == [
+                ("MUTABILITY_VIOLATION", "principles",
+                 f"Kantianism (mutability=none) forbids {verb} principles")]
 
     def test_utilitarianism_rejects_add(self, registry):
-        with pytest.raises(GenetError) as err:
-            instantiate(base(registry, "utilitarianism"), agent=DOE,
-                        thresholds=THRESH,
-                        edits=[PrincipleEdit.add(
-                            MoralPrinciple(True, Subject.ALL, "thrift"))])
-        assert err.value.code == "MUTABILITY_VIOLATION"
+        # Forbidden even for a principle already present: the mode is checked first.
+        for specification in ("thrift", "loveSatisfaction"):
+            with pytest.raises(GenetError) as err:
+                instantiate(base(registry, "utilitarianism"), agent=DOE,
+                            thresholds=THRESH,
+                            edits=[PrincipleEdit.add(
+                                MoralPrinciple(True, Subject.ALL, specification))])
+            assert refusal(err) == [
+                ("MUTABILITY_VIOLATION", "principles",
+                 "utilitarianism (mutability=remove) forbids adding principles")]
 
     def test_dct_rejects_remove_accepts_add(self, registry):
         dct = base(registry, "ChristianDivineCommandTheory")
@@ -314,7 +326,9 @@ class TestInstantiate:
             instantiate(dct, agent=DOE, thresholds=THRESH,
                         edits=[PrincipleEdit.remove(
                             MoralPrinciple(False, Subject.PATIENTS, "kill"))])
-        assert err.value.code == "MUTABILITY_VIOLATION"
+        assert refusal(err) == [
+            ("MUTABILITY_VIOLATION", "principles",
+             "ChristianDivineCommandTheory (mutability=add) forbids removing principles")]
 
     def test_removing_everything_is_rejected(self, registry):
         util = base(registry, "utilitarianism")
@@ -325,19 +339,37 @@ class TestInstantiate:
         assert err.value.code == "EMPTY_PRINCIPLES"
 
     def test_unknown_removal(self, registry):
-        with pytest.raises(GenetError) as err:
-            instantiate(base(registry, "utilitarianism"), agent=DOE,
-                        thresholds=THRESH,
-                        edits=[PrincipleEdit.remove(
-                            MoralPrinciple(True, Subject.ALL, "nosuch"))])
-        assert err.value.code == "UNKNOWN_REMOVAL"
+        # A principle never present, and one removed twice over.
+        for name, specifications, key in (
+                ("utilitarianism", ["nosuch"], "('nosuch', 'all')"),
+                ("egoism", ["loveSatisfaction"] * 2, "('loveSatisfaction', 'agent')")):
+            template = base(registry, name)
+            subject = template.defaultPrinciples[0].subject
+            with pytest.raises(GenetError) as err:
+                instantiate(template, agent=DOE, thresholds=THRESH,
+                            edits=[PrincipleEdit.remove(MoralPrinciple(True, subject, s))
+                                   for s in specifications])
+            assert refusal(err) == [
+                ("UNKNOWN_REMOVAL", "principles", f"no principle {key} to remove")]
 
     def test_fixed_patient_kinds_enforced(self, registry):
+        for kinds in ({PatientKind.NATURE}, {PatientKind.HUMAN, PatientKind.NATURE}):
+            with pytest.raises(GenetError) as err:
+                instantiate(base(registry, "utilitarianism"), agent=DOE,
+                            thresholds=THRESH, patientKinds=frozenset(kinds),
+                            edits=[PrincipleEdit.add(
+                                MoralPrinciple(True, Subject.ALL, "x"))])
+            # Found before the forbidden edit.
+            assert refusal(err) == [("FIXED_FIELD_VIOLATION", "patientKinds",
+                                     "utilitarianism fixes patientKinds to ['human']")]
+
+    def test_free_patient_kinds_must_be_supplied(self, registry):
+        free = base(registry, "egoism")._replace(fixedPatientKinds=None)
         with pytest.raises(GenetError) as err:
-            instantiate(base(registry, "utilitarianism"), agent=DOE,
-                        thresholds=THRESH,
-                        patientKinds=frozenset({PatientKind.NATURE}))
-        assert err.value.code == "FIXED_FIELD_VIOLATION"
+            instantiate(free, agent=DOE, thresholds=THRESH)
+        assert refusal(err) == [
+            ("FIXED_FIELD_VIOLATION", "patientKinds",
+             "egoism leaves patientKinds free; the instantiator must supply them")]
 
     def test_free_patient_kinds_are_taken_as_given(self, registry):
         free = base(registry, "egoism")._replace(fixedPatientKinds=None)
@@ -348,12 +380,14 @@ class TestInstantiate:
     def test_adding_a_present_principle_is_rejected(self, registry):
         dct = base(registry, "ChristianDivineCommandTheory")
         present = dct.defaultPrinciples[0]
-        with pytest.raises(GenetError) as err:
-            instantiate(dct, agent=DOE, thresholds=THRESH,
-                        edits=[PrincipleEdit.add(present)])
         key = (present.specification, present.subject.value)
-        assert [(v.code, v.path, v.message) for v in err.value.report.violations] == [
-            ("DUPLICATE_PRINCIPLE", "principles", f"principle {key} is already present")]
+        # The pair decides, whatever the morality.
+        for principle in (present, present._replace(morality=not present.morality)):
+            with pytest.raises(GenetError) as err:
+                instantiate(dct, agent=DOE, thresholds=THRESH,
+                            edits=[PrincipleEdit.add(principle)])
+            assert refusal(err) == [("DUPLICATE_PRINCIPLE", "principles",
+                                     f"principle {key} is already present")]
 
     def test_business_egoism_replacement(self, registry):
         # Egoism for a business: replace the personal-preference defaults

@@ -295,6 +295,11 @@ class TestBases:
         code, _, _ = run(capsys, "bases", "show")
         assert code == 3
 
+    def test_list_with_a_name_is_usage(self, capsys):
+        code, out, err = run(capsys, "bases", "list", "Kantianism")
+        assert (code, out) == (3, "")
+        assert "error: bases list takes no name" in err
+
 
 BUILTIN_BASES = PACKAGE_ROOT / "genet" / "data" / "bases"
 INSTANTIATE = ["instantiate", "--base", "egoism", "--agent", "A", "--external", "0",

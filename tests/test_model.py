@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from types import ModuleType
+
 import pytest
 from hypothesis import given
 
+import genet
+from genet import bases
 from genet.model import (
     EthicalTheoryInstance,
     InfluenceThresholds,
@@ -135,3 +139,32 @@ class TestSubjectCovers:
     def test_all_is_not_a_target_class(self):
         with pytest.raises(ValueError):
             Subject.AGENT.covers(Subject.ALL)
+
+
+# genet's public names: those bound on import, and those genet.bases
+# supplies on first use. A name leaves or joins the API only on purpose.
+EAGER_NAMES = [
+    "AGENT", "ActionEvaluation", "ActionOption", "ArgumentTrace", "Decision",
+    "DecisionKind", "DeonticAssertion", "EffectAssertion", "EthicalTheoryInstance",
+    "GenetError", "InfluenceThresholds", "MoralAgent", "MoralPrinciple", "MoralVerdict",
+    "PatientKind", "RequestContext", "Scenario", "StakeholderGroup", "Subject",
+    "ValidationReport", "Violation", "decide", "decision_to_dict", "emit_scenario",
+    "emit_theory", "evaluate", "influence_gate", "load_scenario", "parse_theory",
+    "render_decision", "render_evaluation", "schema_check", "validate_instance",
+    "validate_scenario_against_theory"]
+LAZY_NAMES = ["BaseTheoryTemplate", "Mutability", "PrincipleEdit", "Registry",
+              "check_conformance", "instantiate", "load_registry"]
+
+
+class TestPublicNames:
+    def test_names_bound_on_import(self):
+        assert sorted(name for name, value in vars(genet).items()
+                      if not name.startswith("_") and not isinstance(value, ModuleType)
+                      ) == EAGER_NAMES
+
+    def test_names_genet_bases_supplies(self):
+        for name in LAZY_NAMES:
+            assert getattr(genet, name) is getattr(bases, name)
+        others = [name for name in vars(bases) if not name.startswith("_")
+                  and name not in EAGER_NAMES + LAZY_NAMES]
+        assert others and not any(hasattr(genet, name) for name in others)

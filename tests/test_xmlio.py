@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import re
+import shutil
+import subprocess
 from pathlib import Path
 from xml.etree import ElementTree
 from xml.sax import saxutils
@@ -20,6 +22,7 @@ from genet.xmlio import (
 )
 from .conftest import VERBATIM_THEORIES, theory_bytes
 from .strategies import valid_instances
+from .test_golden import MUTATED_THEORIES, _mutants
 
 MINIMAL = b"""<?xml version="1.0" encoding="UTF-8"?>
 <ethicalTheory xmlns="http://genet.cs.uct.ac.za" baseTheory="egoism"
@@ -39,6 +42,23 @@ def mutate(pattern: str, replacement: str, doc: bytes = MINIMAL) -> bytes:
                           count=1, flags=re.S)
     assert count == 1, f"pattern {pattern!r} did not match"
     return text.encode("utf-8")
+
+
+# The XSD strips only XML whitespace (space, tab, CR, LF) around booleans and
+# integers, and allows only it between elements: (pattern, replacement, the
+# one code schema_check reports, or None for a clean document).
+WHITESPACE = {
+    "boolean-ascii": ('consequentiality="true"', 'consequentiality=" true&#9;&#10;"', None),
+    "boolean-nbsp": ('consequentiality="true"', 'consequentiality="true\u00a0"',
+                     "BAD_BOOLEAN"),
+    "boolean-nel": ('morality="true"', 'morality="\u0085true"', "BAD_BOOLEAN"),
+    "integer-ascii": ('external="50"', 'external="&#13; 50&#9;"', None),
+    "integer-nbsp": ('external="50"', 'external="\u00a050"', "BAD_INTEGER"),
+    "integer-ideographic": ('substance="30"', 'substance="30\u3000"', "BAD_INTEGER"),
+    "text-ascii": ("<principles>", "<principles>\t\r\n ", None),
+    "text-nbsp": ("<principles>", "<principles>\u00a0", "UNEXPECTED_TEXT"),
+    "text-ideographic": ("</principles>", "\u3000</principles>", "UNEXPECTED_TEXT"),
+}
 
 
 class TestParseTheory:
@@ -179,6 +199,14 @@ class TestSchemaCheck:
         doc = mutate('substance="30"', 'substance="lots"')
         assert "BAD_INTEGER" in schema_check(doc).codes()
 
+    @pytest.mark.parametrize("name", WHITESPACE)
+    def test_only_xml_whitespace_is_stripped(self, name):
+        pattern, replacement, code = WHITESPACE[name]
+        doc = mutate(pattern, replacement)
+        assert schema_check(doc).codes() == ([code] if code else [])
+        if code is None:
+            assert parse_theory(doc) == parse_theory(MINIMAL)
+
     def test_out_of_sequence_elements(self):
         swapped = mutate(
             r'<agent name="A"/>\s*<patientKinds><patientKind>human</patientKind></patientKinds>',
@@ -237,18 +265,42 @@ class TestEmitTheory:
         assert b'consequentiality="true"' in emit_theory(parse_theory(doc))
 
 
+XSD_PATH = Path(genet.__file__).parent / "data" / "schema" / "ethicalTheory.xsd"
+
+
 class TestAgainstShippedXsd:
     """Cross-checks the validator's element table against the XSD file.
 
-    No XSD engine is available here, so the test reads the schema
-    document itself and compares it with ``xmlio.ELEMENTS``.
+    Most tests read the schema document itself and compare it with
+    ``xmlio.ELEMENTS``; one also runs the XSD engine xmllint, when it is
+    installed, over the malformed-theory mutants.
     """
 
     @pytest.fixture()
     def xsd(self):
-        text = (Path(genet.__file__).parent / "data" / "schema"
-                / "ethicalTheory.xsd").read_text("utf-8")
-        return ElementTree.fromstring(text)
+        return ElementTree.fromstring(XSD_PATH.read_text("utf-8"))
+
+    @pytest.mark.skipif(shutil.which("xmllint") is None, reason="xmllint is not installed")
+    def test_schema_check_agrees_with_xmllint(self, tmp_path):
+        docs = {f"{theory} {name}": doc for theory in MUTATED_THEORIES
+                for name, doc in _mutants(theory_bytes(theory)).items()}
+        docs.update({f"whitespace {name}": mutate(pattern, replacement)
+                     for name, (pattern, replacement, _) in WHITESPACE.items()})
+        files = {}
+        for i, (name, doc) in enumerate(docs.items()):
+            files[name] = tmp_path / f"{i}.xml"
+            files[name].write_bytes(doc)
+        proc = subprocess.run(["xmllint", "--noout", "--schema", str(XSD_PATH),
+                               *map(str, files.values())],
+                              capture_output=True, text=True, check=False)
+        valid = {line.rsplit(" ", 1)[0] for line in proc.stderr.splitlines()
+                 if line.endswith(" validates")}
+        disagree = {name for name, path in files.items()
+                    if schema_check(docs[name]).ok != (str(path) in valid)}
+        # The XSD allows a repeated patientKind; genet rejects it on purpose,
+        # since the model's patient kinds are a set.
+        assert disagree == {name for name, doc in docs.items()
+                            if schema_check(doc).codes() == ["DUPLICATE_PATIENT_KIND"]}
 
     XS = "{http://www.w3.org/2001/XMLSchema}"
 
