@@ -1,64 +1,41 @@
 """Machine-readable normative ethical theories: model, serialize,
 instantiate, and reason with argument traces."""
 
-from .model import (
-    EthicalTheoryInstance,
-    GenetError,
-    InfluenceThresholds,
-    MoralAgent,
-    MoralPrinciple,
-    PatientKind,
-    Subject,
-    ValidationReport,
-    Violation,
-    validate_instance,
-)
-from .xmlio import (
-    emit_theory,
-    parse_theory,
-    schema_check,
-)
-from .scenario import (
-    AGENT,
-    ActionOption,
-    DeonticAssertion,
-    EffectAssertion,
-    RequestContext,
-    Scenario,
-    StakeholderGroup,
-    emit_scenario,
-    load_scenario,
-    validate_scenario_against_theory,
-)
-from .reasoner import (
-    ActionEvaluation,
-    ArgumentTrace,
-    Decision,
-    DecisionKind,
-    MoralVerdict,
-    decide,
-    decision_to_dict,
-    evaluate,
-    influence_gate,
-    render_decision,
-    render_evaluation,
-)
-
 __version__ = "0.1.0"
 
-# genet.bases and its names load on first use, so that `reason` and
-# `validate` never pay for them (PEP 562).
-_BASES_NAMES = frozenset({"BaseTheoryTemplate", "Mutability", "PrincipleEdit",
-                          "Registry", "check_conformance", "instantiate",
-                          "load_registry"})
+# Each layer loads on first use (PEP 562): naming a submodule or one of its
+# public names imports that submodule and binds its names here, so later
+# lookups skip __getattr__ and a command pays only for the layers it runs.
+_NAMES = {
+    "model": ("EthicalTheoryInstance", "GenetError", "InfluenceThresholds",
+              "MoralAgent", "MoralPrinciple", "PatientKind", "Subject",
+              "ValidationReport", "Violation", "validate_instance"),
+    "xmlio": ("emit_theory", "parse_theory", "schema_check"),
+    "scenario": ("AGENT", "ActionOption", "DeonticAssertion", "EffectAssertion",
+                 "RequestContext", "Scenario", "StakeholderGroup", "emit_scenario",
+                 "load_scenario", "validate_scenario_against_theory"),
+    "reasoner": ("ActionEvaluation", "ArgumentTrace", "Decision", "DecisionKind",
+                 "MoralVerdict", "decide", "decision_to_dict", "evaluate",
+                 "influence_gate", "render_decision", "render_evaluation"),
+    "bases": ("BaseTheoryTemplate", "Mutability", "PrincipleEdit", "Registry",
+              "check_conformance", "instantiate", "load_registry"),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name != "bases" and name not in _BASES_NAMES:
+    home = name if name in _NAMES else _HOME.get(name)
+    if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # import_module, not `from . import bases`: that would look the name up
+    # import_module, not `from . import …`: that would look the name up
     # here again before the submodule is bound, and recurse without end.
     from importlib import import_module
 
-    bases = import_module(".bases", __name__)
-    return bases if name == "bases" else getattr(bases, name)
+    module = import_module(f".{home}", __name__)
+    globals().update((public, getattr(module, public)) for public in _NAMES[home])
+    return module if name == home else globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,7 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import reasoner, scenario as scenario_mod, xmlio
+# Each command imports the layers it runs, so that `validate` and `bases`
+# never load the reasoner.
 from .model import (
     GenetError,
     InfluenceThresholds,
@@ -55,6 +56,8 @@ def _read_file(path: str) -> bytes:
 
 
 def cmd_validate(args) -> int:
+    from . import xmlio
+
     try:
         xmlio.parse_theory(_read_file(args.path))
     except GenetError as exc:
@@ -65,7 +68,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
-    from . import bases as bases_mod  # loaded here: `reason` never needs it
+    from . import bases as bases_mod, xmlio
 
     base = bases_mod.load_registry().get(args.base)
     edits: list[bases_mod.PrincipleEdit] = []
@@ -131,6 +134,8 @@ def cmd_bases(args) -> int:
 
 
 def cmd_reason(args) -> int:
+    from . import reasoner, scenario as scenario_mod, xmlio
+
     theory_doc = _read_file(args.theory)
     scenario_doc = _read_file(args.scenario)
     try:

@@ -146,8 +146,12 @@ def _non_xml(path: str, text: str) -> Violation:
 
 
 def _is_uri(text: str) -> bool:
-    # Syntactic check only: a scheme followed by some body.
-    parsed = urlparse(text)
+    # Syntactic check only: a scheme followed by some body. A text that
+    # urlparse cannot split, such as "http://[oops", is not a URI.
+    try:
+        parsed = urlparse(text)
+    except ValueError:
+        return False
     return bool(parsed.scheme) and bool(parsed.netloc or parsed.path)
 
 

@@ -56,6 +56,14 @@ class TestValidate:
         assert code == 1
         assert out == "EMPTY_AGENT_NAME\tagent.name\tagent name must be non-empty\n"
 
+    def test_reference_urlparse_cannot_split(self, capsys, tmp_path):
+        path = tmp_path / "bracket.xml"
+        path.write_bytes(theory_bytes("mia-egoism").replace(
+            b'"http://facebook.com/mia"', b'"http://[oops"'))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (1, "BAD_URI\tagent.reference\tnot syntactically "
+                                       "a URI: 'http://[oops'\n", "")
+
     def test_threshold_past_the_digit_limit(self, capsys, tmp_path):
         path = tmp_path / "huge.xml"
         path.write_bytes(theory_bytes("doe-utilitarianism").replace(
@@ -127,13 +135,15 @@ class TestInstantiate:
         (["--agent", ""], "EMPTY_AGENT_NAME\tagent.name\tagent name must be non-empty"),
         (["--agent-ref", "not a uri"],
          "BAD_URI\tagent.reference\tnot syntactically a URI: 'not a uri'"),
+        (["--agent-ref", "http://[x"],
+         "BAD_URI\tagent.reference\tnot syntactically a URI: 'http://[x'"),
         # An undecodable byte in a command-line argument arrives as a lone surrogate.
         (["--agent", "\udcff"], "NON_XML_CHARACTER\tagent.name\tagent.name holds a "
                                 "character that XML 1.0 cannot carry: '\\udcff'"),
         (["--agent", "a\x01b"], "NON_XML_CHARACTER\tagent.name\tagent.name holds a "
                                 "character that XML 1.0 cannot carry: 'a\\x01b'"),
-    ], ids=["external-150", "empty-agent", "bad-agent-ref", "surrogate-agent",
-            "control-agent"])
+    ], ids=["external-150", "empty-agent", "bad-agent-ref", "unsplittable-agent-ref",
+            "surrogate-agent", "control-agent"])
     def test_invalid_instance_prints_its_violations(self, capsys, tmp_path, options,
                                                     finding):
         out_path = tmp_path / "x.xml"
@@ -423,6 +433,41 @@ def test_import_stays_clear_of_the_network_and_email_stack():
     assert loaded.isdisjoint({"urllib.request", "http.client", "email", "ssl",
                               "socket", "xml.sax", "dataclasses", "inspect",
                               "genet.bases"})
+
+
+MODULES_PROBE = """
+import sys
+{code}
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "genet")))
+"""
+CLI_CODE = "from genet.cli import main; assert main(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize("code, argv, modules", [
+    ("import genet", [], {"genet"}),
+    ("import genet; genet.bases.load_registry()", [],
+     {"genet", "genet.model", "genet.bases"}),
+    (CLI_CODE, ["validate", str(theory_path("doe-utilitarianism"))],
+     {"genet", "genet.cli", "genet.model", "genet.xmlio"}),
+    (CLI_CODE, ["bases", "show", "egoism"],
+     {"genet", "genet.cli", "genet.model", "genet.bases"}),
+    (CLI_CODE, [*INSTANTIATE, "--out", "x.xml"],
+     {"genet", "genet.cli", "genet.model", "genet.bases", "genet.xmlio"}),
+    (CLI_CODE, ["reason", "--theory", str(theory_path("doe-utilitarianism")),
+                "--scenario", str(scenario_path("marijuana"))],
+     {"genet", "genet.cli", "genet.model", "genet.xmlio", "genet.scenario",
+      "genet.reasoner"}),
+], ids=["import", "load_registry", "validate", "bases-show", "instantiate", "reason"])
+def test_each_entry_point_loads_only_its_layers(tmp_path, code, argv, modules):
+    """Each layer loads on first use, so an entry point loads exactly the
+    genet modules it runs; an eager import added later shows up here. `-S`
+    keeps `.pth` hooks of site-packages out of the result."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", MODULES_PROBE.format(code=code), *argv],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT)))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert set(result.stdout.splitlines()[-1].split()) == modules
 
 
 LAZY_BASES_PROBE = """

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from types import ModuleType
+import importlib.util
 
 import pytest
 from hypothesis import given
@@ -85,6 +85,12 @@ class TestValidateInstance:
         broken = mia_egoism()._replace(agent=MoralAgent("Mia", "not a uri"))
         assert "BAD_URI" in validate_instance(broken).codes()
 
+    @pytest.mark.parametrize("reference", ["http://[oops", "http://]x", "//["])
+    def test_reference_urlparse_cannot_split(self, reference):
+        # urlparse raises ValueError on these; the check reports, not raises.
+        broken = mia_egoism()._replace(agent=MoralAgent("Mia", reference))
+        assert validate_instance(broken).codes() == ["BAD_URI"]
+
     def test_empty_instance_name_rejected_but_absent_ok(self):
         assert validate_instance(
             mia_egoism()._replace(instanceName=None)).ok
@@ -141,8 +147,9 @@ class TestSubjectCovers:
             Subject.AGENT.covers(Subject.ALL)
 
 
-# genet's public names: those bound on import, and those genet.bases
-# supplies on first use. A name leaves or joins the API only on purpose.
+# genet's public names: those of the model, XML, scenario and reasoner
+# layers, and those genet.bases supplies. Every one loads on first use. A
+# name leaves or joins the API only on purpose.
 EAGER_NAMES = [
     "AGENT", "ActionEvaluation", "ActionOption", "ArgumentTrace", "Decision",
     "DecisionKind", "DeonticAssertion", "EffectAssertion", "EthicalTheoryInstance",
@@ -158,9 +165,24 @@ LAZY_NAMES = ["BaseTheoryTemplate", "Mutability", "PrincipleEdit", "Registry",
 
 class TestPublicNames:
     def test_names_bound_on_import(self):
-        assert sorted(name for name, value in vars(genet).items()
-                      if not name.startswith("_") and not isinstance(value, ModuleType)
-                      ) == EAGER_NAMES
+        # A fresh run of genet/__init__.py, as `import genet` makes it.
+        spec = importlib.util.find_spec("genet")
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        assert [name for name in vars(fresh) if not name.startswith("_")] == []
+
+        names = EAGER_NAMES + LAZY_NAMES
+        layers = [importlib.import_module(f"genet.{layer}")
+                  for layer in ("model", "xmlio", "scenario", "reasoner", "bases")]
+        for name in names:
+            # The one object every layer that holds the name agrees on.
+            homes = {id(getattr(layer, name)) for layer in layers if hasattr(layer, name)}
+            assert homes == {id(getattr(genet, name))}, name
+        assert sorted(genet.__all__) == sorted(names)
+        assert set(names) <= set(dir(genet))
+        with pytest.raises(AttributeError,
+                           match="^module 'genet' has no attribute 'no_such_name'$"):
+            genet.no_such_name
 
     def test_names_genet_bases_supplies(self):
         for name in LAZY_NAMES:

@@ -17,6 +17,7 @@ from genet.reasoner import (
     DecisionKind,
     MoralVerdict,
     decide,
+    decision_to_dict,
     evaluate,
     influence_gate,
     render_decision,
@@ -354,6 +355,31 @@ class TestDecide:
         assert render_decision(decision) == ("conflict: -\ntied: a0 a1\n"
                                              "a0: undecidable score=+3\n"
                                              "a1: undecidable score=+3")
+
+    def test_actions_outside_a_tie_keep_their_verdict(self):
+        # A +2 and B +2 tie; C +1 is not best, yet only the tied actions
+        # become undecidable, as in benchmarks/oracle.py. Pinned on purpose:
+        # a change to this rule changes the oracle first.
+        theory = toy_theory(principles=(MoralPrinciple(True, Subject.AGENT, "good"),))
+        scenario = Scenario(
+            name="x", actingFor="Agent", groups=(),
+            actions=(ActionOption("A"), ActionOption("B"), ActionOption("C")),
+            effects=tuple(EffectAssertion(action, "good", "increase", AGENT)
+                          for action in ("A", "A", "B", "B", "C")),
+            deontics=())
+        decision = decide(theory, scenario)
+        assert render_decision(decision) == ("conflict: -\ntied: A B\n"
+                                             "A: undecidable score=+2\n"
+                                             "B: undecidable score=+2\n"
+                                             "C: obligatoryBest score=+1")
+        tree = decision_to_dict(decision)
+        assert (tree["kind"], tree["chosen"], tree["tied"]) == ("conflict", [], ["A", "B"])
+        assert [(e["action"], e["verdict"], e["score"]) for e in tree["evaluations"]] == [
+            ("A", "undecidable", 2), ("B", "undecidable", 2), ("C", "obligatoryBest", 1)]
+        expected = oracle.decide(oracle.decode_theory_xml(emit_theory(theory)),
+                                 json.loads(emit_scenario(scenario)))
+        assert expected.verdicts == {"A": ("undecidable", 2), "B": ("undecidable", 2),
+                                     "C": ("obligatoryBest", 1)}
 
     def test_all_wrong_deontological_is_a_conflict(self):
         theory = toy_theory(consequentiality=False,

@@ -127,6 +127,15 @@ class TestParseTheory:
             parse_theory(doc)
         assert err.value.code == "INVALID_INSTANCE"
 
+    def test_reference_urlparse_cannot_split(self):
+        doc = mutate('name="A"', 'name="A" reference="http://[oops"')
+        # xs:anyURI takes any string; BAD_URI is a model invariant.
+        assert schema_check(doc).ok
+        with pytest.raises(GenetError) as err:
+            parse_theory(doc)
+        assert (err.value.code, err.value.report.codes()) == ("INVALID_INSTANCE",
+                                                              ["BAD_URI"])
+
     @pytest.mark.parametrize("pattern, replacement, path", [
         (r'specification="x"/>', 'specification="x"><foo/></principle>',
          "/ethicalTheory/principles/principle[0]/foo"),
