@@ -110,13 +110,27 @@ def _names(values: list, where: str, key: str) -> tuple[str, ...]:
     return tuple(values)
 
 
+def _non_empty(value: str, where: str, key: str) -> str:
+    if not value:
+        raise ValueError(f"{where}.{key}: must be non-empty")
+    return value
+
+
+def _patient_kinds(values: list, where: str, key: str) -> frozenset[PatientKind]:
+    kinds = frozenset(map(PatientKind, values))
+    if not kinds or len(kinds) < len(values):
+        raise ValueError(f"{where}.{key}: must be a non-empty list of distinct "
+                         f"patient kinds")
+    return kinds
+
+
 # A template document, its keys in the order they are checked, all of them
 # before any default principle is read.
 _TEMPLATE = {"defaultPrinciples": Field(list),
-             "fixedPatientKinds": Field(list, default=None),
+             "fixedPatientKinds": Field(list, _patient_kinds, default=None),
              "freeFields": Field(list, _names,
                                  default=BaseTheoryTemplate._field_defaults["freeFields"]),
-             "name": Field(str), "consequentiality": Field(bool),
+             "name": Field(str, _non_empty), "consequentiality": Field(bool),
              "mutability": Field(str, lambda value, *_: Mutability(value))}
 
 
@@ -126,7 +140,6 @@ def _decode_template(path: Path) -> BaseTheoryTemplate:
     try:
         raws, fixed, free, name, consequential, mutability = read_object(
             load_json(path.read_bytes()), _TEMPLATE, "document")
-        fixed = None if fixed is None else frozenset(map(PatientKind, fixed))
         return BaseTheoryTemplate(name, consequential, _principles(raws), mutability,
                                   fixed, free)
     except (OSError, ValueError, RecursionError) as exc:
@@ -255,15 +268,11 @@ def reachable(template: BaseTheoryTemplate,
     if len(have) != len(principles):
         return False
     defaults = {_key(p): p for p in template.defaultPrinciples}
-    added = [k for k in have if k not in defaults]
-    removed = [k for k in defaults if k not in have]
-    # A retained default with flipped morality counts as remove + add.
-    for key in set(have) & set(defaults):
-        if have[key] != defaults[key]:
-            added.append(key)
-            removed.append(key)
     may_add, may_remove = _EDITS[template.mutability]
-    return (may_add or not added) and (may_remove or not removed)
+    # A default kept with flipped morality is an item of neither view, so it
+    # counts as a remove and an add.
+    return ((may_add or have.items() <= defaults.items())
+            and (may_remove or defaults.items() <= have.items()))
 
 
 def check_conformance(instance: EthicalTheoryInstance,

@@ -108,40 +108,20 @@ def _threshold(theory: EthicalTheoryInstance, request: RequestContext) -> int:
     return t.substance if request.influenceKind == "substance" else t.external
 
 
-_PremiseKey = tuple[str, str, str]  # (kind, text, source), as _TraceBuilder.premise
-
-
-class _Tables:
-    """Lookup tables for evaluating the actions of one scenario under one
-    theory, built in one pass over each document."""
-
-    def __init__(self, theory: EthicalTheoryInstance, scenario: Scenario):
-        self.theory = theory
-        self.request = scenario.request
-        # One premise key per principle, in document order, each naming the
-        # position of the principle's first occurrence. The text determines
-        # the principle, and a string caches its hash where a tuple does not.
-        first: dict[str, _PremiseKey] = {}
-        self.premises: list[_PremiseKey] = []
-        self.by_spec: dict[str, list[tuple[MoralPrinciple, _PremiseKey]]] = {}
-        for index, principle in enumerate(theory.principles):
-            quality = "good" if principle.morality else "bad"
-            text = (f"{principle.specification} of {principle.subject.value} "
-                    f"is morally {quality}")
-            key = first.get(text)
-            if key is None:
-                key = first[text] = ("theoryPrinciple", text,
-                                     f"theory:principles[{index}]")
-            self.premises.append(key)
-            self.by_spec.setdefault(principle.specification, []).append((principle, key))
-        self.groups = {g.id: g for g in scenario.groups}
-        self.effects: dict[str, list[tuple[int, EffectAssertion]]] = {}
-        for index, effect in enumerate(scenario.effects):
-            self.effects.setdefault(effect.action, []).append((index, effect))
-        self.deontics: dict[tuple[str, str], list[tuple[int, DeonticAssertion]]] = {}
-        for index, assertion in enumerate(scenario.deontics):
-            self.deontics.setdefault((assertion.action, assertion.specification),
-                                     []).append((index, assertion))
+def _principle_premises(theory: EthicalTheoryInstance
+                        ) -> list[tuple[MoralPrinciple, tuple[str, str, str]]]:
+    """Each principle in document order with its premise key (kind, text,
+    source), the source naming the position of the principle's first
+    occurrence. The text determines the principle, and a string caches its
+    hash where a tuple does not."""
+    first: dict[str, tuple[str, str, str]] = {}
+    out = []
+    for index, principle in enumerate(theory.principles):
+        quality = "good" if principle.morality else "bad"
+        text = f"{principle.specification} of {principle.subject.value} is morally {quality}"
+        out.append((principle, first.setdefault(
+            text, ("theoryPrinciple", text, f"theory:principles[{index}]"))))
+    return out
 
 
 def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
@@ -156,7 +136,7 @@ def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
         f"{request.requester} is {request.influenceLevel}% under "
         f"{request.influenceKind} influence",
         "scenario:request")
-    voided = influence_gate(theory, request)
+    voided = request.influenceLevel > threshold  # as influence_gate
     if voided:
         text = (f"the request for {request.requestedAction} carries no weight "
                 f"({request.influenceLevel} > {threshold})")
@@ -172,11 +152,12 @@ def evaluate(theory: EthicalTheoryInstance, scenario: Scenario,
     under a consequentialist theory, checked against each principle under
     a deontological one."""
     evaluator = _consequentialist if theory.consequentiality else _deontological
-    return evaluator(_Tables(theory, scenario), action_id)
+    return evaluator(theory, scenario, [action_id])[0]
 
 
-def _consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
-    """Score one action by its asserted effects.
+def _consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
+                      action_ids: list[str]) -> list[ActionEvaluation]:
+    """Score each action by its asserted effects.
 
     Each effect contributes direction (+1 increase / -1 decrease) times
     principle morality (+1 good / -1 bad) times target weight (group
@@ -184,147 +165,153 @@ def _consequentialist(tables: _Tables, action_id: str) -> ActionEvaluation:
     are recorded at weight 0; positive contributions of a voided request
     are diverted to the supererogation ledger instead of the score.
     """
-    theory, request = tables.theory, tables.request
-    effects = tables.effects.get(action_id, ())
-    builder = _TraceBuilder()
-    gate_voided = False
-    gate_id: Optional[str] = None
-    if request is not None and any(e.requestDerived for _, e in effects):
-        gate_voided, gate_id = _gate_subconclusion(builder, theory, request)
+    by_spec: dict[str, list[tuple[MoralPrinciple, tuple[str, str, str]]]] = {}
+    for principle, key in _principle_premises(theory):
+        by_spec.setdefault(principle.specification, []).append((principle, key))
+    groups = {g.id: g for g in scenario.groups}
+    by_action: dict[str, list[tuple[int, EffectAssertion]]] = {}
+    for index, effect in enumerate(scenario.effects):
+        by_action.setdefault(effect.action, []).append((index, effect))
+    request = scenario.request
+    evaluations = []
+    for action_id in action_ids:
+        effects = by_action.get(action_id, ())
+        builder = _TraceBuilder()
+        gate_voided, gate_id = False, None
+        if request is not None and any(e.requestDerived for _, e in effects):
+            gate_voided, gate_id = _gate_subconclusion(builder, theory, request)
 
-    score = 0
-    ledger: list[int] = []
-    counted: list[str] = []  # the inferences that carry a contribution
-    for index, effect in effects:
-        if effect.target == AGENT:
-            target_class = Subject.AGENT
-            target_text = "the agent"
-            weight, excluded = 1, False
+        score = 0
+        ledger: list[int] = []
+        counted: list[str] = []  # the inferences that carry a contribution
+        for index, effect in effects:
+            if effect.target == AGENT:
+                target_class, target_text = Subject.AGENT, "the agent"
+                weight, excluded = 1, False
+            else:
+                target_class = Subject.PATIENTS
+                group = groups[effect.target]
+                target_text = f"{group.id} ({group.cardinality} {group.patientKind.value})"
+                excluded = group.patientKind not in theory.patientKinds
+                weight = 0 if excluded else group.cardinality
+            verb = "increases" if effect.direction == "increase" else "decreases"
+            fact = builder.premise(
+                "situationalFact",
+                f"{action_id} {verb} {effect.specification} for {target_text}",
+                f"scenario:effects[{index}]")
+
+            principles = [(p, key) for p, key in by_spec.get(effect.specification, ())
+                          if p.subject.covers(target_class)]
+            if not principles:
+                builder.infer([fact],
+                              f"no principle covers {effect.specification} for "
+                              f"{target_class.value}; the effect is morally inert")
+                continue
+
+            direction = 1 if effect.direction == "increase" else -1
+            gated = effect.requestDerived and gate_id is not None
+            for principle, key in principles:
+                p_id = builder.premise(*key)
+                value = direction * (1 if principle.morality else -1) * weight
+                if excluded:
+                    counted.append(builder.infer(
+                        [fact, p_id],
+                        f"{target_text} is of an excluded patient kind; "
+                        f"the effect carries weight 0",
+                        contribution=0))
+                    continue
+                if gated and gate_voided and value > 0:
+                    ledger.append(value)
+                    builder.infer(
+                        [fact, p_id, gate_id],
+                        f"the good of {effect.specification} (+{value}) stems from a "
+                        f"voided request; diverted to the supererogation ledger")
+                    continue
+                from_ids = [fact, p_id, gate_id] if gated else [fact, p_id]
+                note = (" (wrongness is retained despite the voided request)"
+                        if gated and gate_voided else "")
+                quality = "some moral good" if value > 0 else (
+                    "some moral wrong" if value < 0 else "no net moral weight")
+                counted.append(builder.infer(from_ids,
+                                             f"{action_id} carries {quality} of magnitude "
+                                             f"{abs(value)}{note}",
+                                             contribution=value))
+                score += value
+
+        if score < 0:
+            verdict = MoralVerdict.WRONG
+            conclusion = f"{action_id} should not be done"
+        elif score > 0:
+            verdict = MoralVerdict.OBLIGATORY_BEST
+            conclusion = f"{action_id} is a good action"
+        elif ledger:
+            verdict = MoralVerdict.SUPEREROGATORY
+            conclusion = f"{action_id} is supererogatory (good, but not obligatory)"
         else:
-            target_class = Subject.PATIENTS
-            group = tables.groups[effect.target]
-            target_text = f"{group.id} ({group.cardinality} {group.patientKind.value})"
-            excluded = group.patientKind not in theory.patientKinds
-            weight = 0 if excluded else group.cardinality
-        verb = "increases" if effect.direction == "increase" else "decreases"
-        fact = builder.premise(
-            "situationalFact",
-            f"{action_id} {verb} {effect.specification} for {target_text}",
-            f"scenario:effects[{index}]")
-
-        principles = [(p, key) for p, key in tables.by_spec.get(effect.specification, ())
-                      if p.subject.covers(target_class)]
-        if not principles:
-            builder.infer([fact],
-                          f"no principle covers {effect.specification} for "
-                          f"{target_class.value}; the effect is morally inert")
-            continue
-
-        direction = 1 if effect.direction == "increase" else -1
-
-        for principle, key in principles:
-            p_id = builder.premise(*key)
-            morality = 1 if principle.morality else -1
-            value = direction * morality * weight
-            if excluded:
-                counted.append(builder.infer(
-                    [fact, p_id],
-                    f"{target_text} is of an excluded patient kind; "
-                    f"the effect carries weight 0",
-                    contribution=0))
-                continue
-            if effect.requestDerived and gate_id is not None and gate_voided and value > 0:
-                ledger.append(value)
-                builder.infer(
-                    [fact, p_id, gate_id],
-                    f"the good of {effect.specification} (+{value}) stems from a "
-                    f"voided request; diverted to the supererogation ledger")
-                continue
-            from_ids = [fact, p_id]
-            note = ""
-            if effect.requestDerived and gate_id is not None:
-                from_ids.append(gate_id)
-                if gate_voided:
-                    note = " (wrongness is retained despite the voided request)"
-            quality = "some moral good" if value > 0 else (
-                "some moral wrong" if value < 0 else "no net moral weight")
-            counted.append(builder.infer(from_ids,
-                                         f"{action_id} carries {quality} of magnitude "
-                                         f"{abs(value)}{note}",
-                                         contribution=value))
-            score += value
-
-    if score < 0:
-        verdict = MoralVerdict.WRONG
-        conclusion = f"{action_id} should not be done"
-    elif score > 0:
-        verdict = MoralVerdict.OBLIGATORY_BEST
-        conclusion = f"{action_id} is a good action"
-    elif ledger:
-        verdict = MoralVerdict.SUPEREROGATORY
-        conclusion = f"{action_id} is supererogatory (good, but not obligatory)"
-    else:
-        verdict = MoralVerdict.PERMISSIBLE
-        conclusion = f"{action_id} is permissible"
-    if counted:
-        builder.infer(counted, f"{action_id} scores {score:+d}")
-    trace = builder.done(conclusion)
-    return ActionEvaluation(action=action_id, verdict=verdict, trace=trace,
-                            score=score, supererogation=tuple(ledger))
+            verdict = MoralVerdict.PERMISSIBLE
+            conclusion = f"{action_id} is permissible"
+        if counted:
+            builder.infer(counted, f"{action_id} scores {score:+d}")
+        evaluations.append(ActionEvaluation(action_id, verdict, builder.done(conclusion),
+                                            score, tuple(ledger)))
+    return evaluations
 
 
-def _deontological(tables: _Tables, action_id: str) -> ActionEvaluation:
-    """Check one action against every principle, requirement-fulfilment
+def _deontological(theory: EthicalTheoryInstance, scenario: Scenario,
+                   action_ids: list[str]) -> list[ActionEvaluation]:
+    """Check each action against every principle, requirement-fulfilment
     style: prohibitions are violated by an asserted occurrence, and
     requirements by an asserted non-occurrence. A missing assertion for
     a requirement passes with a recorded warning. Group sizes never
     affect the verdict.
     """
-    builder = _TraceBuilder()
-    violated = False
-    for principle, key in zip(tables.theory.principles, tables.premises):
-        p_id = builder.premise(*key)
-        matches = [(index, assertion) for index, assertion
-                   in tables.deontics.get((action_id, principle.specification), ())
-                   if principle.subject.covers(Subject.AGENT if assertion.target == AGENT
-                                               else Subject.PATIENTS)]
+    principles = _principle_premises(theory)
+    deontics: dict[tuple[str, str], list[tuple[int, DeonticAssertion]]] = {}
+    for index, assertion in enumerate(scenario.deontics):
+        deontics.setdefault((assertion.action, assertion.specification),
+                            []).append((index, assertion))
+    evaluations = []
+    for action_id in action_ids:
+        builder = _TraceBuilder()
+        violated = False
+        for principle, key in principles:
+            p_id = builder.premise(*key)
+            matches = [(index, assertion) for index, assertion
+                       in deontics.get((action_id, principle.specification), ())
+                       if principle.subject.covers(Subject.AGENT if assertion.target == AGENT
+                                                   else Subject.PATIENTS)]
 
-        if not matches:
-            if principle.morality:
-                builder.infer(
-                    [p_id],
-                    f"no assertion addresses {principle.specification} for "
-                    f"{action_id}; the requirement passes with a warning")
-            continue
+            if not matches:
+                if principle.morality:
+                    builder.infer(
+                        [p_id],
+                        f"no assertion addresses {principle.specification} for "
+                        f"{action_id}; the requirement passes with a warning")
+                continue
 
-        for index, assertion in matches:
-            target_text = ("the agent" if assertion.target == AGENT
-                           else assertion.target)
-            state = "holds" if assertion.holds else "does not hold"
-            fact = builder.premise(
-                "situationalFact",
-                f"{assertion.specification} {state} for {action_id} "
-                f"toward {target_text}",
-                f"scenario:deontics[{index}]")
-            if principle.morality != assertion.holds:
-                violated = True
-                kind = "requirement" if principle.morality else "prohibition"
-                builder.infer([p_id, fact],
-                              f"{action_id} violates the "
-                              f"{principle.specification} {kind}")
-            else:
-                builder.infer([p_id, fact],
-                              f"{action_id} satisfies the "
-                              f"{principle.specification} principle")
+            for index, assertion in matches:
+                target_text = "the agent" if assertion.target == AGENT else assertion.target
+                state = "holds" if assertion.holds else "does not hold"
+                fact = builder.premise(
+                    "situationalFact",
+                    f"{assertion.specification} {state} for {action_id} "
+                    f"toward {target_text}",
+                    f"scenario:deontics[{index}]")
+                if principle.morality != assertion.holds:
+                    violated = True
+                    kind = "requirement" if principle.morality else "prohibition"
+                    builder.infer([p_id, fact],
+                                  f"{action_id} violates the "
+                                  f"{principle.specification} {kind}")
+                else:
+                    builder.infer([p_id, fact],
+                                  f"{action_id} satisfies the "
+                                  f"{principle.specification} principle")
 
-    if violated:
-        verdict = MoralVerdict.WRONG
-        conclusion = f"{action_id} is wrong"
-    else:
-        verdict = MoralVerdict.PERMISSIBLE
-        conclusion = f"{action_id} is permissible"
-    return ActionEvaluation(action=action_id, verdict=verdict,
-                            trace=builder.done(conclusion), score=None)
+        verdict = MoralVerdict.WRONG if violated else MoralVerdict.PERMISSIBLE
+        evaluations.append(ActionEvaluation(
+            action_id, verdict, builder.done(f"{action_id} is {verdict.value}")))
+    return evaluations
 
 
 def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
@@ -336,9 +323,8 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
     arbitrarily. Deontological: the permissible actions are the answer,
     one, several, or none.
     """
-    tables = _Tables(theory, scenario)
     if theory.consequentiality:
-        evaluations = [_consequentialist(tables, a) for a in scenario.action_ids()]
+        evaluations = _consequentialist(theory, scenario, scenario.action_ids())
         best = max(e.score for e in evaluations)
         tied = tuple(e.action for e in evaluations if e.score == best)
         # A zero tie falls to a lone supererogatory action: when nothing
@@ -359,16 +345,15 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
             return Decision(DecisionKind.DECIDED, tied, final)
         return Decision(DecisionKind.CONFLICT, (), final, tied=tied)
 
-    evaluations = [_deontological(tables, a) for a in scenario.action_ids()]
+    evaluations = tuple(_deontological(theory, scenario, scenario.action_ids()))
     permissible = tuple(e.action for e in evaluations
                         if e.verdict is MoralVerdict.PERMISSIBLE)
-    if len(permissible) == 1:
-        return Decision(DecisionKind.DECIDED, permissible, tuple(evaluations))
-    if len(permissible) > 1:
-        return Decision(DecisionKind.MULTIPLE_PERMISSIBLE, permissible,
-                        tuple(evaluations))
-    return Decision(DecisionKind.CONFLICT, (), tuple(evaluations),
-                    tied=tuple(e.action for e in evaluations))
+    if not permissible:
+        return Decision(DecisionKind.CONFLICT, (), evaluations,
+                        tied=tuple(e.action for e in evaluations))
+    kind = (DecisionKind.DECIDED if len(permissible) == 1
+            else DecisionKind.MULTIPLE_PERMISSIBLE)
+    return Decision(kind, permissible, evaluations)
 
 
 def evaluation_to_dict(evaluation: ActionEvaluation) -> dict:

@@ -162,13 +162,46 @@ def _read_percentage(elem, name: str, path: str, out: list[Violation]):
 
 def _walk(elem, path: str, name: str, out: list[Violation]):
     """Check an element against its row, then its children, depth first in document
-    order. Returns a collection's list of child values, else its value or None."""
+    order. Returns the root's instance, built only when the document is schema-clean,
+    else a collection's list of child values, else its value or None."""
     row, need, allowed, qchild = _ROWS[name]
     attrib = elem.attrib
     if not need <= attrib.keys() <= allowed:
         _check_attrs(attrib, path, row, allowed, out)
+    if row.sequence:  # the root: its boolean is checked before its text
+        consequentiality = _read_boolean(attrib, "consequentiality", path, out)
     if not row.text:
         _check_text(elem, path, out)
+    if row.sequence:
+        # The schema demands this exact child sequence.
+        found: dict[str, ElementTree.Element] = {}
+        cursor = 0
+        for sub in elem:
+            if (index := _SEQUENCE.get(sub.tag)) is None:
+                child, problem = _local(sub.tag), "is not defined by the schema"
+            elif (child := row.sequence[index]) in found:
+                problem = "occurs more than once"
+            elif index < cursor:
+                problem = "is out of sequence"
+            else:
+                found[child] = sub
+                cursor = index
+                continue
+            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{child}",
+                                 f"element {child!r} {problem}"))
+        for child in row.sequence:
+            if child not in found:
+                out.append(Violation(MISSING_ELEMENT, f"{path}/{child}",
+                                     f"required element {child!r} is missing"))
+        # Walked in document order, which found keeps.
+        values = {child: _walk(sub, f"{path}/{child}", child, out)
+                  for child, sub in found.items()}
+        if out:
+            return None
+        return EthicalTheoryInstance(
+            attrib.get("baseTheory", ""), consequentiality, values["agent"],
+            frozenset(values["patientKinds"]), values["influenceThresholds"],
+            tuple(values["principles"]), attrib.get("instanceName"))
     if qchild is not None:
         child = row.child
         if not len(elem):
@@ -213,7 +246,6 @@ def _walk(elem, path: str, name: str, out: list[Violation]):
 def _decode(doc: bytes):
     """The walk schema_check and parse_theory share: (schema violations, the
     decoded instance, built only when the document is schema-clean, or None)."""
-    out: list[Violation] = []
     try:
         root = ElementTree.fromstring(doc)
     except ElementTree.ParseError as exc:
@@ -225,45 +257,8 @@ def _decode(doc: bytes):
                               f"root element is not in namespace {GENET_NS}")], None
         return [Violation(UNEXPECTED_ELEMENT, f"/{_local(root.tag)}",
                           "root element must be ethicalTheory")], None
-
-    path = "/ethicalTheory"
-    row, need, allowed, _ = _ROWS["ethicalTheory"]
-    attrib = root.attrib
-    if not need <= attrib.keys() <= allowed:
-        _check_attrs(attrib, path, row, allowed, out)
-    consequentiality = _read_boolean(attrib, "consequentiality", path, out)
-    _check_text(root, path, out)
-
-    # The schema demands this exact child sequence.
-    found: dict[str, ElementTree.Element] = {}
-    cursor = 0
-    for child in root:
-        if (index := _SEQUENCE.get(child.tag)) is None:
-            name, problem = _local(child.tag), "is not defined by the schema"
-        elif (name := row.sequence[index]) in found:
-            problem = "occurs more than once"
-        elif index < cursor:
-            problem = "is out of sequence"
-        else:
-            found[name] = child
-            cursor = index
-            continue
-        out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{name}",
-                             f"element {name!r} {problem}"))
-    for name in row.sequence:
-        if name not in found:
-            out.append(Violation(MISSING_ELEMENT, f"{path}/{name}",
-                                 f"required element {name!r} is missing"))
-    # Walked in document order, which found keeps.
-    values = {name: _walk(elem, f"{path}/{name}", name, out)
-              for name, elem in found.items()}
-
-    if out:
-        return out, None
-    return [], EthicalTheoryInstance(
-        attrib.get("baseTheory", ""), consequentiality, values["agent"],
-        frozenset(values["patientKinds"]), values["influenceThresholds"],
-        tuple(values["principles"]), attrib.get("instanceName"))
+    out: list[Violation] = []
+    return out, _walk(root, "/ethicalTheory", "ethicalTheory", out)
 
 
 def schema_check(doc: bytes) -> ValidationReport:

@@ -264,6 +264,24 @@ class TestLoadRegistry:
                                   f"{tmp_path / 'egoism.json'}: {problem}")
         assert err.value.code == TEMPLATE_ERROR
 
+    @pytest.mark.parametrize("key, value, problem", [
+        ("name", "", "must be non-empty"),
+        ("fixedPatientKinds", [], "must be a non-empty list of distinct patient kinds"),
+        ("fixedPatientKinds", ["human", "human"],
+         "must be a non-empty list of distinct patient kinds"),
+    ], ids=["empty-name", "no-patient-kinds", "repeated-patient-kind"])
+    def test_top_level_values_admit_an_instance(self, tmp_path, key, value, problem):
+        # No instance could be made from an empty name or kind list, and a
+        # repeated kind, as in theory XML, would be lost to the set.
+        data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
+        data[key] = value
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        with pytest.raises(GenetError) as err:
+            load_registry(base_dir=tmp_path)
+        assert str(err.value) == (f"malformed base-theory template "
+                                  f"{tmp_path / 'egoism.json'}: document.{key}: {problem}")
+        assert err.value.code == TEMPLATE_ERROR
+
     def test_top_level_faults_come_before_principle_faults(self, tmp_path):
         data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
         data["defaultPrinciples"][0]["weight"] = 1

@@ -314,18 +314,24 @@ class TestBases:
 BUILTIN_BASES = PACKAGE_ROOT / "genet" / "data" / "bases"
 INSTANTIATE = ["instantiate", "--base", "egoism", "--agent", "A", "--external", "0",
                "--substance", "0", "--name", "x"]
+# Top-level template values that type-check but admit no instance.
+TEMPLATE_FAULTS = {"empty-name": {"name": ""},
+                   "no-patient-kinds": {"fixedPatientKinds": []},
+                   "repeated-patient-kind": {"fixedPatientKinds": ["human", "human"]}}
 
 
 @pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
                                      INSTANTIATE], ids=["list", "show", "instantiate"])
 @pytest.mark.parametrize("broken", ["invalid-json", "specification-5", "deep-nesting",
-                                    "lone-surrogate"])
+                                    "lone-surrogate", *TEMPLATE_FAULTS])
 def test_malformed_template_is_usage(capsys, tmp_path, monkeypatch, command, broken):
     text = (BUILTIN_BASES / "egoism.json").read_text("utf-8")
     if broken == "invalid-json":
         text = text[:len(text) // 2]
     elif broken == "deep-nesting":
         text = "[" * 100_000
+    elif broken in TEMPLATE_FAULTS:
+        text = json.dumps({**json.loads(text), **TEMPLATE_FAULTS[broken]})
     else:
         data = json.loads(text)
         data["defaultPrinciples"][0]["specification"] = (

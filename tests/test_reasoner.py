@@ -403,9 +403,9 @@ class TestDecide:
     @settings(deadline=None, max_examples=200)
     @given(theory_scenarios())
     def test_agrees_with_evaluating_each_action(self, pair):
-        # decide evaluates every action from one set of lookup tables; each
-        # evaluate call builds its own. Both must give the same trace,
-        # score and ledger (decide may rewrite the verdict).
+        # decide runs the theory's mode over every action and evaluate over
+        # one, each indexing the documents for its own call. Both must give
+        # the same trace, score and ledger (decide may rewrite the verdict).
         theory, scenario = pair
         decided = {e.action: e for e in decide(theory, scenario).evaluations}
         assert list(decided) == scenario.action_ids()
@@ -414,6 +414,19 @@ class TestDecide:
             assert (alone.trace, alone.score, alone.supererogation) == (
                 decided[action].trace, decided[action].score,
                 decided[action].supererogation)
+
+    @settings(deadline=None, max_examples=200)
+    @given(theory_scenarios())
+    def test_each_mode_reads_only_its_own_assertions(self, pair):
+        # A consequentialist theory reads effects, groups and the request;
+        # a deontological one reads deontic assertions. Each mode indexes
+        # only its own, so emptying the other's must not change the decision.
+        theory, scenario = pair
+        if theory.consequentiality:
+            other = scenario._replace(deontics=())
+        else:
+            other = scenario._replace(effects=(), groups=(), request=None)
+        assert decide(theory, other) == decide(theory, scenario)
 
     @settings(deadline=None, max_examples=150)
     @given(group_scenarios())
