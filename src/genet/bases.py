@@ -68,7 +68,6 @@ class BaseTheoryTemplate(NamedTuple):
     defaultPrinciples: tuple[MoralPrinciple, ...]
     mutability: Mutability
     fixedPatientKinds: Optional[frozenset[PatientKind]] = None
-    freeFields: tuple[str, ...] = ("agent", "influenceThresholds", "instanceName")
 
 
 class PrincipleEdit(NamedTuple):
@@ -104,12 +103,6 @@ def _principles(raws: list) -> tuple[MoralPrinciple, ...]:
     return tuple(principles.values())
 
 
-def _names(values: list, where: str, key: str) -> tuple[str, ...]:
-    if not all(type(value) is str for value in values):
-        raise ValueError(f"{where}: key {key!r} must list only str")
-    return tuple(values)
-
-
 def _non_empty(value: str, where: str, key: str) -> str:
     if not value:
         raise ValueError(f"{where}.{key}: must be non-empty")
@@ -128,8 +121,6 @@ def _patient_kinds(values: list, where: str, key: str) -> frozenset[PatientKind]
 # before any default principle is read.
 _TEMPLATE = {"defaultPrinciples": Field(list),
              "fixedPatientKinds": Field(list, _patient_kinds, default=None),
-             "freeFields": Field(list, _names,
-                                 default=BaseTheoryTemplate._field_defaults["freeFields"]),
              "name": Field(str, _non_empty), "consequentiality": Field(bool),
              "mutability": Field(str, lambda value, *_: Mutability(value))}
 
@@ -138,10 +129,10 @@ def _decode_template(path: Path) -> BaseTheoryTemplate:
     """Read and decode one template file. Repeated and unknown keys and
     mistyped values are rejected, as in scenario documents."""
     try:
-        raws, fixed, free, name, consequential, mutability = read_object(
+        raws, fixed, name, consequential, mutability = read_object(
             load_json(path.read_bytes()), _TEMPLATE, "document")
         return BaseTheoryTemplate(name, consequential, _principles(raws), mutability,
-                                  fixed, free)
+                                  fixed)
     except (OSError, ValueError, RecursionError) as exc:
         # An unreadable entry (such as a directory named *.json), or bad JSON.
         problem = "cannot read" if isinstance(exc, OSError) else "malformed"

@@ -25,7 +25,7 @@ from .model import (
     MoralAgent,
     MoralPrinciple,
     Subject,
-    ValidationReport,
+    Violation,
 )
 
 EXIT_OK = 0
@@ -42,9 +42,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _print_report(report: ValidationReport) -> None:
-    for v in report.violations:
-        print(f"{v.code}\t{v.path}\t{v.message}")
+def _print_report(violations, file=None) -> None:
+    for v in violations:
+        print(f"{v.code}\t{v.path}\t{v.message}", file=file)
 
 
 def _read_file(path: str) -> bytes:
@@ -62,7 +62,7 @@ def cmd_validate(args) -> int:
         xmlio.parse_theory(_read_file(args.path))
     except GenetError as exc:
         # Schema findings, or the model invariants of a schema-clean document.
-        _print_report(exc.report)
+        _print_report(exc.report.violations)
         return EXIT_VIOLATION
     return EXIT_OK
 
@@ -75,8 +75,7 @@ def cmd_instantiate(args) -> int:
     try:
         for spec in args.add:
             specification, subject, morality = spec.split(",")
-            value = xmlio.parse_boolean(morality)
-            if value is None:
+            if (value := xmlio.parse_boolean(morality)) is None:
                 raise ValueError(f"not a boolean: {morality!r}")
             edits.append(bases_mod.PrincipleEdit.add(MoralPrinciple(
                 morality=value, subject=Subject(subject),
@@ -92,14 +91,11 @@ def cmd_instantiate(args) -> int:
 
     try:
         instance = bases_mod.instantiate(
-            base,
-            agent=MoralAgent(name=args.agent, reference=args.agent_ref),
-            thresholds=InfluenceThresholds(external=args.external,
-                                           substance=args.substance),
-            instanceName=args.name,
-            edits=edits)
+            base, MoralAgent(args.agent, args.agent_ref),
+            InfluenceThresholds(args.external, args.substance),
+            instanceName=args.name, edits=edits)
     except GenetError as exc:
-        _print_report(exc.report)
+        _print_report(exc.report.violations)
         return EXIT_VIOLATION
 
     try:
@@ -122,14 +118,14 @@ def cmd_bases(args) -> int:
     print(f"name: {base.name}")
     print(f"consequentiality: {str(base.consequentiality).lower()}")
     if base.fixedPatientKinds is not None:
-        kinds = sorted(k.value for k in base.fixedPatientKinds)
-        print(f"fixedPatientKinds: {' '.join(kinds)}")
+        print("fixedPatientKinds:", *sorted(k.value for k in base.fixedPatientKinds))
     print(f"mutability: {base.mutability.value}")
     print("defaultPrinciples:")
     for p in base.defaultPrinciples:
         print(f"  morality={str(p.morality).lower()} subject={p.subject.value} "
               f"specification={p.specification}")
-    print(f"freeFields: {' '.join(base.freeFields)}")
+    print("freeFields: agent influenceThresholds instanceName"
+          + (" patientKinds" if base.fixedPatientKinds is None else ""))
     return EXIT_OK
 
 
@@ -138,22 +134,19 @@ def cmd_reason(args) -> int:
 
     theory_doc = _read_file(args.theory)
     scenario_doc = _read_file(args.scenario)
+    path = args.theory  # the file a decoding finding names
     try:
         theory = xmlio.parse_theory(theory_doc)
-    except GenetError as exc:
-        print(f"{exc.code}\t{args.theory}\t{exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    try:
+        path = args.scenario
         scn = scenario_mod.load_scenario(scenario_doc)
     except GenetError as exc:
-        print(f"{exc.code}\t{args.scenario}\t{exc}", file=sys.stderr)
+        _print_report([Violation(exc.code, path, str(exc))], sys.stderr)
         return EXIT_VIOLATION
 
-    cross = scenario_mod.validate_scenario_against_theory(scn, theory)
-    errors = [v for v in cross.violations if v.code == scenario_mod.AGENT_MISMATCH]
-    for v in cross.violations:
-        stream = sys.stdout if v in errors else sys.stderr
-        print(f"{v.code}\t{v.path}\t{v.message}", file=stream)
+    cross = scenario_mod.validate_scenario_against_theory(scn, theory).violations
+    errors = [v for v in cross if v.code == scenario_mod.AGENT_MISMATCH]
+    _print_report(errors)
+    _print_report(cross[len(errors):], sys.stderr)  # warnings; the error comes first
     if errors:
         return EXIT_VIOLATION
 
@@ -177,6 +170,14 @@ def cmd_reason(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def integer(text: str) -> int:
+        # The xs:integer of <influenceThresholds>; int() also takes "1_0" and non-ASCII
+        # digits. argparse turns the ValueError into a usage error.
+        from . import xmlio
+        if (digits := xmlio.parse_integer(text)) is None:
+            raise ValueError(text)
+        return int(digits)  # also a ValueError past 4,300 digits
+
     parser = _Parser(prog="genet",
                      description="Model, validate, and reason with machine-"
                                  "readable normative ethical theories.")
@@ -191,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--agent", required=True)
     p.add_argument("--agent-ref", default=None)
-    p.add_argument("--external", type=int, required=True)
-    p.add_argument("--substance", type=int, required=True)
+    p.add_argument("--external", type=integer, required=True)
+    p.add_argument("--substance", type=integer, required=True)
     p.add_argument("--name", required=True)
     p.add_argument("--add", action="append", default=[],
                    metavar="SPEC,SUBJ,MORALITY")

@@ -99,7 +99,8 @@ class Scenario(NamedTuple):
 def _one_of(*allowed: str):
     def check(value: str, where: str, key: str) -> str:
         if value not in allowed:
-            raise GenetError(PARSE_ERROR, f"{where}: {value!r} not one of {allowed}", where)
+            raise GenetError(PARSE_ERROR, f"{where}: {value!r} not one of {allowed}",
+                             f"{where}.{key}")
         return value
     return check
 

@@ -67,6 +67,13 @@ def parse_boolean(text: str) -> Optional[bool]:
     return _BOOLEANS.get(text.strip(_SPACE))
 
 
+def parse_integer(text: str) -> Optional[str]:
+    """An xs:integer (surrounding XML whitespace allowed) as int() reads it: a minus
+    if negative, then the digits without leading zeros. None for anything else."""
+    match = _INTEGER_RE.fullmatch(text.strip(_SPACE))
+    return match[1].strip("+") + match[2] if match else None
+
+
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -148,14 +155,13 @@ def _read_enum(members: dict, raw, name: str, path: str, out: list[Violation]):
 def _read_percentage(elem, name: str, path: str, out: list[Violation]):
     if (raw := elem.get(name)) is None:
         return None
-    if (match := _INTEGER_RE.fullmatch(raw.strip(_SPACE))) is None:
+    if (digits := parse_integer(raw)) is None:
         out.append(Violation(BAD_INTEGER, f"{path}@{name}", f"not an integer: {raw!r}"))
         return None
-    sign, digits = match[1].strip("+"), match[2]
     # Longer numbers are out of range, and int() refuses over 4,300 digits.
-    if len(digits) > 3 or not 0 <= (value := int(sign + digits)) <= 100:
+    if len(digits) > 3 or not 0 <= (value := int(digits)) <= 100:
         out.append(Violation(PERCENT_OUT_OF_RANGE, f"{path}@{name}",
-                             f"percentage {sign}{digits} outside [0, 100]"))
+                             f"percentage {digits} outside [0, 100]"))
         return None
     return value
 

@@ -20,6 +20,7 @@ from genet.bases import (
     load_registry,
     reachable,
 )
+from genet.cli import main
 from genet.model import (
     GenetError,
     InfluenceThresholds,
@@ -94,11 +95,14 @@ class TestBuiltinBases:
             ("universallyWillable", True, Subject.ALL),
             ("mereMeans", False, Subject.ALL)]
 
-    def test_free_fields(self, registry):
+    def test_free_fields(self, capsys):
+        # Derived, not declared: each shipped template fixes its patient kinds.
+        assert "freeFields" not in BaseTheoryTemplate._fields
         for name in ("utilitarianism", "egoism", "Kantianism",
                      "ChristianDivineCommandTheory"):
-            assert set(base(registry, name).freeFields) >= {
-                "agent", "influenceThresholds", "instanceName"}
+            assert main(["bases", "show", name]) == 0
+            assert capsys.readouterr().out.endswith(
+                "\nfreeFields: agent influenceThresholds instanceName\n")
 
 
 class TestLoadRegistry:
@@ -188,13 +192,15 @@ class TestLoadRegistry:
                                   f"[Errno 13] Permission denied: '{path}'")
         assert err.value.code == TEMPLATE_ERROR
 
-    def test_omitted_free_fields_take_the_default(self, tmp_path):
+    def test_free_patient_kinds_are_a_free_field(self, tmp_path, monkeypatch, capsys):
         data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))
-        del data["freeFields"], data["fixedPatientKinds"]
+        del data["fixedPatientKinds"]
         (tmp_path / "egoism.json").write_text(json.dumps(data))
-        egoism = load_registry(base_dir=tmp_path).get("egoism")
-        assert egoism.freeFields == ("agent", "influenceThresholds", "instanceName")
-        assert egoism.fixedPatientKinds is None
+        assert load_registry(base_dir=tmp_path).get("egoism").fixedPatientKinds is None
+        monkeypatch.setenv(BASE_DIR_ENV, str(tmp_path))
+        assert main(["bases", "show", "egoism"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "\nfreeFields: agent influenceThresholds instanceName patientKinds\n")
 
     def test_repeated_key_is_rejected(self, tmp_path):
         # json.loads alone would keep the last value, true.

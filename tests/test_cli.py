@@ -132,6 +132,8 @@ class TestInstantiate:
     @pytest.mark.parametrize("options, finding", [
         (["--external", "150"], "PERCENT_OUT_OF_RANGE\tinfluenceThresholds.external\t"
                                 "external threshold 150 outside [0, 100]"),
+        (["--substance", "-1"], "PERCENT_OUT_OF_RANGE\tinfluenceThresholds.substance\t"
+                                "substance threshold -1 outside [0, 100]"),
         (["--agent", ""], "EMPTY_AGENT_NAME\tagent.name\tagent name must be non-empty"),
         (["--agent-ref", "not a uri"],
          "BAD_URI\tagent.reference\tnot syntactically a URI: 'not a uri'"),
@@ -142,7 +144,7 @@ class TestInstantiate:
                                 "character that XML 1.0 cannot carry: '\\udcff'"),
         (["--agent", "a\x01b"], "NON_XML_CHARACTER\tagent.name\tagent.name holds a "
                                 "character that XML 1.0 cannot carry: 'a\\x01b'"),
-    ], ids=["external-150", "empty-agent", "bad-agent-ref", "unsplittable-agent-ref",
+    ], ids=["external-150", "substance-minus-1", "empty-agent", "bad-agent-ref", "unsplittable-agent-ref",
             "surrogate-agent", "control-agent"])
     def test_invalid_instance_prints_its_violations(self, capsys, tmp_path, options,
                                                     finding):
@@ -176,6 +178,22 @@ class TestInstantiate:
                            "--out", str(tmp_path / "x.xml"))
         assert code == 3
         assert "bad --add/--remove" in err
+
+    # int() reads the first four as 10, but an xs:integer has ASCII digits only;
+    # the last is past the 4,300 digits int() converts.
+    @pytest.mark.parametrize("value", ["1_0", "\u0661\u0660", "\uff11\u0660",
+                                       "\uff11\uff10", "1" * 5000],
+                             ids=["underscore", "arabic-indic", "mixed", "fullwidth",
+                                  "5000-digits"])
+    @pytest.mark.parametrize("option", ["--external", "--substance"])
+    def test_threshold_outside_the_xsd_integer_grammar_is_usage(self, capsys, tmp_path,
+                                                                option, value):
+        out_path = tmp_path / "x.xml"
+        code, out, err = run(capsys, *INSTANTIATE, option, value, "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert err.endswith(f"error: argument {option}: invalid integer value: "
+                            f"{value!r}\n")
+        assert not out_path.exists()
 
     def test_non_boolean_morality_is_usage(self, capsys, tmp_path):
         out_path = tmp_path / "x.xml"
@@ -314,10 +332,13 @@ class TestBases:
 BUILTIN_BASES = PACKAGE_ROOT / "genet" / "data" / "bases"
 INSTANTIATE = ["instantiate", "--base", "egoism", "--agent", "A", "--external", "0",
                "--substance", "0", "--name", "x"]
-# Top-level template values that type-check but admit no instance.
+# Top-level template values that type-check but admit no instance, and the
+# freeFields key, which the format no longer has: bases show derives that line.
 TEMPLATE_FAULTS = {"empty-name": {"name": ""},
                    "no-patient-kinds": {"fixedPatientKinds": []},
-                   "repeated-patient-kind": {"fixedPatientKinds": ["human", "human"]}}
+                   "repeated-patient-kind": {"fixedPatientKinds": ["human", "human"]},
+                   "free-fields": {"freeFields": ["agent", "influenceThresholds",
+                                                  "instanceName"]}}
 
 
 @pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],

@@ -3,10 +3,14 @@ points and error codes cannot go stale."""
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+import genet
+from genet.bases import load_registry
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text("utf-8"),
@@ -20,3 +24,15 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("block", BLOCKS, ids=lambda block: block.splitlines()[0])
 def test_python_block_runs(block):
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_template_example_is_the_shipped_kantianism(tmp_path):
+    """The documented template format cannot drift from the loader."""
+    section = README.read_text("utf-8").split("\n## Base template JSON format\n")[1]
+    example = re.search(r"^```json\n(.*?)^```$", section.split("\n## ")[0],
+                        flags=re.MULTILINE | re.DOTALL)[1]
+    shipped = Path(genet.__file__).parent / "data" / "bases" / "Kantianism.json"
+    assert json.loads(example) == json.loads(shipped.read_text("utf-8"))
+    (tmp_path / "Kantianism.json").write_text(example, "utf-8")
+    assert (load_registry(tmp_path).get("Kantianism")
+            == load_registry(shipped.parent).get("Kantianism"))

@@ -313,6 +313,20 @@ class TestLoadScenario:
         with pytest.raises(GenetError) as err:
             load_scenario(broken)
         assert err.value.code == PARSE_ERROR
+        assert err.value.report.violations[0].path == "effects[0].direction"
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"groups": [{"id": "crowd", "kind": "bystanders", "patientKind": "human",
+                      "cardinality": 3}]}, "groups[0].kind"),
+        ({"request": {"requester": "Bob", "influenceKind": "bribe",
+                      "influenceLevel": 10, "requestedAction": "A1"}},
+         "request.influenceKind"),
+    ], ids=["group-kind", "influence-kind"])
+    def test_value_outside_its_set_is_reported_at_the_value(self, overrides, path):
+        with pytest.raises(GenetError) as err:
+            load_scenario(doc(**overrides))
+        assert [(v.code, v.path) for v in err.value.report.violations] == [
+            (PARSE_ERROR, path)]
 
 
 class TestEmitScenario:
