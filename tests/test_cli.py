@@ -144,8 +144,8 @@ class TestInstantiate:
                                 "character that XML 1.0 cannot carry: '\\udcff'"),
         (["--agent", "a\x01b"], "NON_XML_CHARACTER\tagent.name\tagent.name holds a "
                                 "character that XML 1.0 cannot carry: 'a\\x01b'"),
-    ], ids=["external-150", "substance-minus-1", "empty-agent", "bad-agent-ref", "unsplittable-agent-ref",
-            "surrogate-agent", "control-agent"])
+    ], ids=["external-150", "substance-minus-1", "empty-agent", "bad-agent-ref",
+            "unsplittable-agent-ref", "surrogate-agent", "control-agent"])
     def test_invalid_instance_prints_its_violations(self, capsys, tmp_path, options,
                                                     finding):
         out_path = tmp_path / "x.xml"
