@@ -3,10 +3,11 @@
 Exit codes: 0 success/decided, 1 validation or conformance failure,
 2 conflict or multiple-permissible outcome, 3 usage error (including an
 unreadable input, an unwritable output file, a closed stdout, a stdout
-whose encoding cannot carry the output, an unknown base theory, a
-base-template file or directory that cannot be read or is malformed, or
-two template files that give one name). Reports go to stdout, diagnostics
-to stderr. GENET_BASE_DIR overrides the packaged base-template directory.
+whose encoding cannot carry the output, an unknown base theory named
+on the command line, a base-template file or directory that cannot be
+read or is malformed, or two template files that give one name). Reports
+go to stdout, diagnostics to stderr. GENET_BASE_DIR overrides the packaged
+base-template directory.
 """
 
 from __future__ import annotations
@@ -56,15 +57,23 @@ def _read_file(path: str) -> bytes:
 
 
 def cmd_validate(args) -> int:
-    from . import xmlio
+    from . import bases as bases_mod, xmlio
 
     try:
-        xmlio.parse_theory(_read_file(args.path))
+        theory = xmlio.parse_theory(_read_file(args.path))
     except GenetError as exc:
         # Schema findings, or the model invariants of a schema-clean document.
         _print_report(exc.report.violations)
         return EXIT_VIOLATION
-    return EXIT_OK
+    registry = bases_mod.load_registry()
+    try:
+        report = bases_mod.check_conformance(theory, registry)
+    except GenetError as exc:
+        # An unregistered base is no fault of the document: a note, not a finding.
+        _print_report(exc.report.violations, sys.stderr)
+        return EXIT_OK
+    _print_report(report.violations)
+    return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
 def cmd_instantiate(args) -> int:
@@ -183,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "readable normative ethical theories.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="schema-check and validate a theory file")
+    p = sub.add_parser("validate", help="schema-check and validate a theory file "
+                                        "and check it against its base template")
     p.add_argument("path")
     p.set_defaults(func=cmd_validate)
 

@@ -8,7 +8,10 @@ agent, patientKinds, influenceThresholds, principles, in that order.
 Validation reads ``ELEMENTS``, one row per schema element and the schema's
 one statement in code, so diagnostics are identical across platforms. The
 authoritative XSD ships in ``genet/data/schema/ethicalTheory.xsd``, and the
-test suite checks the table against it.
+test suite checks the table against it. A document with nothing to report
+decodes on a straight path, ``_clean``, with the table's attribute sets and
+lookups; only a document it hands back is walked through the table, which
+reports the findings.
 """
 
 from __future__ import annotations
@@ -170,10 +173,9 @@ def _walk(elem, path: str, name: str, out: list[Violation]):
     """Check an element against its row, then its children, depth first in document
     order. Returns the root's instance, built only when the document is schema-clean,
     else a collection's list of child values, else its value or None."""
-    row, need, allowed, qchild = _ROWS[name]
+    row, _, allowed, qchild = _ROWS[name]
     attrib = elem.attrib
-    if not need <= attrib.keys() <= allowed:
-        _check_attrs(attrib, path, row, allowed, out)
+    _check_attrs(attrib, path, row, allowed, out)
     if row.sequence:  # the root: its boolean is checked before its text
         consequentiality = _read_boolean(attrib, "consequentiality", path, out)
     if not row.text:
@@ -249,8 +251,70 @@ def _walk(elem, path: str, name: str, out: list[Violation]):
     return InfluenceThresholds(external, substance)
 
 
+_TAGS = list(_SEQUENCE)
+_KIND, _PRINCIPLE = _ROWS["patientKinds"][3], _ROWS["principles"][3]
+_TERMS = _ROWS["principle"][1]  # a principle's attributes, all required
+
+
+def _fits(elem, name: str) -> bool:
+    """Whether an element has the attributes its row allows, ``xsi:*`` tolerated."""
+    _, need, allowed, _ = _ROWS[name]
+    keys = elem.attrib.keys()
+    return need <= keys <= allowed or need <= keys and all(
+        key in allowed or key.startswith(_XSI) for key in keys)
+
+
+def _clean(root) -> Optional[EthicalTheoryInstance]:
+    """Decode a document with nothing to report in one straight pass, with the
+    walk's attribute sets and lookups: the instance ``_walk`` would build, or
+    None at the first thing not expected. It may hand back a clean document,
+    which the walk then decodes, but must never accept one the walk rejects."""
+    if [sub.tag for sub in root] != _TAGS:
+        return None
+    agent, kinds, limits, principles = root
+    elems = list(root.iter())
+    # Only the root and the two collections have child elements, and only a
+    # patientKind holds character data other than XML whitespace.
+    if len(elems) != 5 + len(kinds) + len(principles) or "".join(
+            [elem.tail or "" for elem in elems]
+            + [elem.text or "" for elem in elems if elem.tag != _KIND]).strip(_SPACE):
+        return None
+    if not (_fits(root, "ethicalTheory") and _fits(agent, "agent")
+            and _fits(kinds, "patientKinds") and _fits(limits, "influenceThresholds")
+            and _fits(principles, "principles")):
+        return None
+    found: set[PatientKind] = set()
+    for sub in kinds:
+        kind = PATIENT_KINDS.get(sub.text)
+        if (sub.tag != _KIND or kind is None or kind in found
+                or sub.attrib and not _fits(sub, "patientKind")):
+            return None
+        found.add(kind)
+    values = []
+    for sub in principles:
+        attrib = sub.attrib
+        if sub.tag != _PRINCIPLE or attrib.keys() != _TERMS and not _fits(sub, "principle"):
+            return None
+        morality = parse_boolean(attrib["morality"])
+        if morality is None or (subject := _SUBJECTS.get(attrib["subject"])) is None:
+            return None
+        values.append(MoralPrinciple(morality, subject, attrib["specification"]))
+    attrib = root.attrib
+    consequentiality = parse_boolean(attrib["consequentiality"])
+    unused: list[Violation] = []  # the walk reports what is wrong
+    external = _read_percentage(limits.attrib, "external", "", unused)
+    substance = _read_percentage(limits.attrib, "substance", "", unused)
+    if None in (consequentiality, external, substance) or not found or not values:
+        return None
+    return EthicalTheoryInstance(
+        attrib["baseTheory"], consequentiality,
+        MoralAgent(agent.get("name"), agent.get("reference")), frozenset(found),
+        InfluenceThresholds(external, substance), tuple(values),
+        attrib.get("instanceName"))
+
+
 def _decode(doc: bytes):
-    """The walk schema_check and parse_theory share: (schema violations, the
+    """The decode schema_check and parse_theory share: (schema violations, the
     decoded instance, built only when the document is schema-clean, or None)."""
     try:
         root = ElementTree.fromstring(doc)
@@ -263,6 +327,8 @@ def _decode(doc: bytes):
                               f"root element is not in namespace {GENET_NS}")], None
         return [Violation(UNEXPECTED_ELEMENT, f"/{_local(root.tag)}",
                           "root element must be ethicalTheory")], None
+    if (instance := _clean(root)) is not None:
+        return [], instance
     out: list[Violation] = []
     return out, _walk(root, "/ethicalTheory", "ethicalTheory", out)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -72,6 +73,33 @@ class TestValidate:
         assert code == 1
         assert out.startswith("PERCENT_OUT_OF_RANGE\t/ethicalTheory/influenceThresholds"
                               "@external\tpercentage 1111")
+
+    @pytest.mark.parametrize("theory, old, new, finding", [
+        ("mia-egoism", b'consequentiality="true"', b'consequentiality="false"',
+         "CONSEQUENTIALITY_MISMATCH\tconsequentiality\tegoism fixes "
+         "consequentiality=true"),
+        ("doe-kantianism", b"</patientKinds>",
+         b"<patientKind>nature</patientKind></patientKinds>",
+         "FIXED_FIELD_VIOLATION\tpatientKinds\tKantianism fixes patientKinds to "
+         "['human']"),
+        ("doe-kantianism", b"</principles>",
+         b'<principle morality="true" subject="agent" specification="charity"/>'
+         b"</principles>",
+         "NOT_REACHABLE\tprinciples\tprinciple list is not reachable from "
+         "Kantianism defaults under mutability=none"),
+    ], ids=["consequentiality", "fixed-field", "not-reachable"])
+    def test_base_template_findings(self, capsys, tmp_path, theory, old, new, finding):
+        """A schema-clean, valid document that its base template does not admit."""
+        path = tmp_path / "nonconforming.xml"
+        path.write_bytes(theory_bytes(theory).replace(old, new))
+        assert run(capsys, "validate", str(path)) == (1, finding + "\n", "")
+
+    def test_unregistered_base_is_a_note(self, capsys, tmp_path):
+        path = tmp_path / "stoic.xml"
+        path.write_bytes(theory_bytes("mia-egoism").replace(b'"egoism"', b'"stoicism"'))
+        assert run(capsys, "validate", str(path)) == (
+            0, "", "UNKNOWN_BASE_THEORY\tbaseTheory\tno base theory named 'stoicism' "
+                   "is registered\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/theory.xml")
@@ -332,6 +360,11 @@ class TestBases:
 BUILTIN_BASES = PACKAGE_ROOT / "genet" / "data" / "bases"
 INSTANTIATE = ["instantiate", "--base", "egoism", "--agent", "A", "--external", "0",
                "--substance", "0", "--name", "x"]
+# The commands that load the base-template registry.
+TEMPLATE_COMMANDS = pytest.mark.parametrize(
+    "command", [["bases", "list"], ["bases", "show", "egoism"], INSTANTIATE,
+                ["validate", str(theory_path("mia-egoism"))]],
+    ids=["list", "show", "instantiate", "validate"])
 # Top-level template values that type-check but admit no instance, and the
 # freeFields key, which the format no longer has: bases show derives that line.
 TEMPLATE_FAULTS = {"empty-name": {"name": ""},
@@ -341,8 +374,7 @@ TEMPLATE_FAULTS = {"empty-name": {"name": ""},
                                                   "instanceName"]}}
 
 
-@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
-                                     INSTANTIATE], ids=["list", "show", "instantiate"])
+@TEMPLATE_COMMANDS
 @pytest.mark.parametrize("broken", ["invalid-json", "specification-5", "deep-nesting",
                                     "lone-surrogate", *TEMPLATE_FAULTS])
 def test_malformed_template_is_usage(capsys, tmp_path, monkeypatch, command, broken):
@@ -370,8 +402,7 @@ def test_malformed_template_is_usage(capsys, tmp_path, monkeypatch, command, bro
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
-                                     INSTANTIATE], ids=["list", "show", "instantiate"])
+@TEMPLATE_COMMANDS
 def test_directory_entry_in_base_dir_is_usage(capsys, tmp_path, monkeypatch, command):
     (tmp_path / "bases").mkdir()
     shutil.copy(BUILTIN_BASES / "egoism.json", tmp_path / "bases")
@@ -386,8 +417,7 @@ def test_directory_entry_in_base_dir_is_usage(capsys, tmp_path, monkeypatch, com
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
-                                     INSTANTIATE], ids=["list", "show", "instantiate"])
+@TEMPLATE_COMMANDS
 def test_repeated_template_name_is_usage(capsys, tmp_path, monkeypatch, command):
     base_dir = tmp_path / "bases"
     base_dir.mkdir()
@@ -403,8 +433,7 @@ def test_repeated_template_name_is_usage(capsys, tmp_path, monkeypatch, command)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["bases", "list"], ["bases", "show", "egoism"],
-                                     INSTANTIATE], ids=["list", "show", "instantiate"])
+@TEMPLATE_COMMANDS
 def test_missing_base_dir_is_usage(capsys, tmp_path, monkeypatch, command):
     # A misspelt GENET_BASE_DIR must not read as an empty registry.
     base_dir = tmp_path / "nonexistent"
@@ -475,7 +504,7 @@ CLI_CODE = "from genet.cli import main; assert main(sys.argv[1:]) == 0"
     ("import genet; genet.bases.load_registry()", [],
      {"genet", "genet.model", "genet.bases"}),
     (CLI_CODE, ["validate", str(theory_path("doe-utilitarianism"))],
-     {"genet", "genet.cli", "genet.model", "genet.xmlio"}),
+     {"genet", "genet.cli", "genet.model", "genet.xmlio", "genet.bases"}),
     (CLI_CODE, ["bases", "show", "egoism"],
      {"genet", "genet.cli", "genet.model", "genet.bases"}),
     (CLI_CODE, [*INSTANTIATE, "--out", "x.xml"],
@@ -637,3 +666,14 @@ def test_installed_script(tmp_path):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "Kantianism" in result.stdout.split()
+
+
+def test_version_matches_pyproject():
+    """`genet.__version__` and the `version` in pyproject.toml state one fact."""
+    text = (REPO_ROOT / "pyproject.toml").read_text("utf-8")
+    if sys.version_info >= (3, 11):
+        import tomllib
+        version = tomllib.loads(text)["project"]["version"]
+    else:
+        version = re.search(r'^version = "([^"]*)"$', text, flags=re.MULTILINE)[1]
+    assert genet.__version__ == version

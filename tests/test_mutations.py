@@ -34,6 +34,7 @@ from genet.bases import (
     UNKNOWN_BASE_THEORY,
     UNKNOWN_REMOVAL,
     PrincipleEdit,
+    check_conformance,
     instantiate,
     load_registry,
 )
@@ -280,17 +281,32 @@ def test_template_commands_exit_with_a_documented_code(data):
 
 
 @pytest.mark.parametrize("theory", MUTATED_THEORIES)
-def test_validate_reports_every_malformed_theory(tmp_path, theory):
+def test_validate_reports_every_malformed_theory(tmp_path, registry, theory):
     """Each mutant pinned in the malformed-theory golden file ends `genet
     validate` with exit 0 or 1, and prints its schema findings when it has
-    any."""
+    any. A mutant that parses is checked against its base template: its
+    conformance findings and exit 1, none and exit 0, or, for a base that is
+    not registered, exit 0 with that one note on stderr."""
     golden = _load(MALFORMED_GOLDEN)[theory]
     path = tmp_path / "mutant.xml"
     for name, doc in _mutants(theory_bytes(theory)).items():
         path.write_bytes(doc)
         result = _run(["validate", str(path)])
         expected = golden[name]
-        assert result["exit"] == (0 if expected["parse_theory"] == "ok" else 1), name
-        if expected["schema_check"]:
-            assert result["stdout"] == "".join(
-                "\t".join(finding) + "\n" for finding in expected["schema_check"]), name
+        if expected["parse_theory"] != "ok":
+            assert result["exit"] == 1, name
+            if expected["schema_check"]:
+                assert result["stdout"] == _lines(expected["schema_check"]), name
+            continue
+        try:
+            findings = check_conformance(parse_theory(doc), registry).violations
+        except GenetError as exc:
+            findings = ()
+            assert result["stderr"] == _lines(exc.report.violations), name
+        assert (result["exit"], result["stdout"]) == (1 if findings else 0,
+                                                      _lines(findings)), name
+
+
+def _lines(findings) -> str:
+    """Findings as the CLI prints them, one ``code\tpath\tmessage`` line each."""
+    return "".join("\t".join(finding) + "\n" for finding in findings)
