@@ -4,6 +4,8 @@ A theory instance names its base theory, fixes whether consequences or
 actions are judged, identifies the moral agent, declares which kinds of
 moral patients count, sets influence thresholds for requests made under
 the influence, and carries an ordered list of moral principles.
+``validate_instance`` accepts a valid instance on a straight path of
+whole-collection checks; only an invalid one goes through the loop that reports.
 """
 
 from __future__ import annotations
@@ -155,12 +157,28 @@ def _is_uri(text: str) -> bool:
     return bool(parsed.scheme) and bool(parsed.netloc or parsed.path)
 
 
+def _valid(theory: EthicalTheoryInstance) -> bool:
+    """Whether validate_instance's loop finds nothing, by whole-collection checks."""
+    agent, limits = theory.agent, theory.influenceThresholds
+    specs = [p.specification for p in theory.principles]
+    return bool(
+        theory.baseTheory and theory.instanceName != "" and agent.name
+        and theory.patientKinds and specs and " ".join(specs).split() == specs
+        and 0 <= limits.external <= 100 and 0 <= limits.substance <= 100
+        and len({(p.specification, p.subject) for p in theory.principles}) == len(specs)
+        and not _NON_XML.search("".join([theory.baseTheory, theory.instanceName or "",
+                                         agent.name, agent.reference or "", *specs]))
+        and (agent.reference is None or _is_uri(agent.reference)))
+
+
 def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
     """Check every structural invariant of a theory instance.
 
     Total and deterministic; violations are data, not failures. An empty
     report means the instance is valid.
     """
+    if _valid(theory):
+        return ValidationReport()
     out: list[Violation] = []
 
     if not theory.baseTheory:
@@ -228,11 +246,15 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
+# One decoder: json.loads would build one per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_json(doc: bytes):
     """``json.loads``, but a key repeated in an object, or a string holding a
     character that XML 1.0 cannot carry, such as a lone surrogate, is a
     ValueError."""
-    data = json.loads(doc, object_pairs_hook=_unique_keys)
+    data = _DECODER.decode(doc.decode(json.detect_encoding(doc), "surrogatepass"))
     # Strict JSON admits such a character only by a \u escape or verbatim,
     # as non-ASCII bytes in every encoding json reads, so only documents
     # with a backslash or a non-ASCII byte can hold one.

@@ -10,7 +10,8 @@ from each action.
 File format: UTF-8 JSON with top-level keys ``scenario``, ``actingFor``,
 ``groups``, ``actions``, ``effects``, ``deontics``, and optional
 ``request``; extension ``.scenario.json``. See the README for the full
-key schema.
+key schema. A clean document is read on a straight path, ``_clean``; the
+rows read only what it hands back, and report the finding.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ EXCLUDED_PATIENT_KIND = "EXCLUDED_PATIENT_KIND"
 # Far above any real population, far below CPython's 4,300-digit limit on
 # int/str conversion, which a score summed from cardinalities must stay under.
 MAX_CARDINALITY = 10**12
+# The closed sets that the rows check with _one_of and _clean checks directly.
+_GROUP_KINDS, _DIRECTIONS = ("agentGroup", "patientGroup"), ("increase", "decrease")
+_INFLUENCE_KINDS = ("substance", "external")
 
 
 class StakeholderGroup(NamedTuple):
@@ -134,16 +138,75 @@ _DOCUMENT = {"scenario": Field(str), "actingFor": Field(str), "groups": Field(li
              "request": Field(dict, default=None), "comment": Field(object, default=None)}
 _GROUP = {"cardinality": Field(int, _cardinality),
           "patientKind": Field(str, _patient_kind), "id": Field(str, token),
-          "kind": Field(str, _one_of("agentGroup", "patientGroup"))}
+          "kind": Field(str, _one_of(*_GROUP_KINDS))}
 _ACTION = {"id": Field(str, token), "description": Field(str, default=None)}
 _EFFECT = {"action": Field(str), "specification": Field(str, token),
-           "direction": Field(str, _one_of("increase", "decrease")), "target": Field(str),
+           "direction": Field(str, _one_of(*_DIRECTIONS)), "target": Field(str),
            "requestDerived": Field(bool, default=False)}
 _DEONTIC = {"action": Field(str), "specification": Field(str, token),
             "holds": Field(bool), "target": Field(str)}
 _REQUEST = {"influenceLevel": Field(int, _percentage), "requester": Field(str),
-            "influenceKind": Field(str, _one_of("substance", "external")),
+            "influenceKind": Field(str, _one_of(*_INFLUENCE_KINDS)),
             "requestedAction": Field(str)}
+
+
+def _token(value) -> bool:
+    return type(value) is str and value.split() == [value]
+
+
+def _clean(data) -> Optional[Scenario]:
+    """Read a document with nothing to report in one straight pass, with the rows'
+    exact types and checks: the Scenario they would build, or None at the first
+    thing not expected. It may hand back a clean document, which the rows then
+    read, but must never accept one they reject."""
+    if type(data) is not dict or not data.keys() <= _DOCUMENT.keys():
+        return None
+    (name, acting_for, raw_groups, raw_actions, raw_effects, raw_deontics,
+     raw_request, _) = values = [data.get(key) for key in _DOCUMENT]
+    if [type(value) for value in values[:6]] != [str, str, list, list, list, list]:
+        return None
+    # An object with the keys of its record builds it; the values are checked after.
+    if not (all(type(raw) is dict and raw.keys() == _GROUP.keys()
+                and type(raw["patientKind"]) is str for raw in raw_groups)
+            and all(type(raw) is dict and raw.keys() <= _EFFECT.keys() for raw in raw_effects)
+            and all(type(raw) is dict and raw.keys() == _DEONTIC.keys()
+                    for raw in raw_deontics)):
+        return None
+    groups = [StakeholderGroup(**{**raw, "patientKind": PATIENT_KINDS.get(raw["patientKind"])})
+              for raw in raw_groups]
+    actions = [ActionOption(**raw) if type(raw) is dict and "id" in raw
+               and raw.keys() <= _ACTION.keys() and type(raw.get("description", "")) is str
+               else ActionOption(raw) for raw in raw_actions]
+    if not (all(_token(g.id) and g.kind in _GROUP_KINDS and g.patientKind is not None
+                and type(g.cardinality) is int and 1 <= g.cardinality <= MAX_CARDINALITY
+                for g in groups) and all(_token(a.id) for a in actions)):
+        return None
+    group_ids, action_ids = {g.id for g in groups}, {a.id for a in actions}
+    if (len(actions) < 2 or len(action_ids) < len(actions) or len(group_ids) < len(groups)
+            or AGENT in group_ids):
+        return None
+    targets = group_ids | {AGENT}
+    effects = [EffectAssertion(raw.get("action"), raw.get("specification"),
+                               raw.get("direction"), raw.get("target"),
+                               raw.get("requestDerived", False)) for raw in raw_effects]
+    deontics = [DeonticAssertion(**raw) for raw in raw_deontics]
+    if not (all(e.direction in _DIRECTIONS and type(e.requestDerived) is bool
+                for e in effects) and all(type(d.holds) is bool for d in deontics)
+            and all(type(item.action) is str and item.action in action_ids
+                    and type(item.target) is str and item.target in targets
+                    and _token(item.specification) for item in effects + deontics)):
+        return None
+    request = None
+    if "request" in data:
+        if type(raw_request) is not dict or raw_request.keys() != _REQUEST.keys():
+            return None
+        requester, kind, level, action = request = RequestContext(**raw_request)
+        if not (type(requester) is str and requester in targets
+                and kind in _INFLUENCE_KINDS and type(level) is int and 0 <= level <= 100
+                and type(action) is str and action in action_ids):
+            return None
+    return Scenario(name, acting_for, tuple(groups), tuple(actions), tuple(effects),
+                    tuple(deontics), request)
 
 
 def load_scenario(doc: bytes) -> Scenario:
@@ -156,6 +219,8 @@ def load_scenario(doc: bytes) -> Scenario:
         data = load_json(doc)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and huge integers
         raise GenetError(PARSE_ERROR, f"not valid JSON: {exc}", "document") from exc
+    if (scenario := _clean(data)) is not None:
+        return scenario
     # Every top-level key is checked before any object it holds is read.
     (name, acting_for, raw_groups, raw_actions, raw_effects, raw_deontics,
      raw_request, _) = read_object(data, _DOCUMENT, "document")

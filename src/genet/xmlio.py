@@ -371,11 +371,14 @@ _KIND_ORDER = {kind: i for i, kind in enumerate(PatientKind)}
 
 _ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
                                "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+_ATTR_SPECIAL = frozenset('&<>"\n\r\t')  # what makes quoteattr do more than quote
 
 
 def quoteattr(value: str) -> str:
     """Escape and quote an attribute value, with the same result as
     ``xml.sax.saxutils.quoteattr``, whose import pulls in urllib and http."""
+    if _ATTR_SPECIAL.isdisjoint(value):
+        return f'"{value}"'
     value = value.translate(_ATTR_ESCAPES)
     if '"' not in value:
         return f'"{value}"'

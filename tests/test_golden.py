@@ -4,7 +4,9 @@ For each of the 12 matching theory × scenario pairs, `reason`,
 `reason --explain` and `reason --format json` are run, and `validate` is
 run on each of the 12 theories. Exit code, stdout and stderr must equal
 the checked-in `golden/fixture_outputs.json`. Fixture paths are recorded
-by name only, so the file does not depend on where the tree lives.
+by name only, so the file does not depend on where the tree lives. When
+`python3.10`, the declared minimum, is on PATH, the `--explain` and
+`--format json` runs are repeated under it, in fresh processes.
 
 `golden/action_outputs.json` pins `reason --action <id> --explain` and
 `reason --action <id> --format json` for every action of the same 12
@@ -29,6 +31,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import shutil
+import subprocess
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -260,6 +265,30 @@ def test_malformed_theory_diagnostics_match_golden(malformed_golden, theory):
     actual, expected = _malformed(theory), malformed_golden[theory]
     assert sorted(actual) == sorted(expected)
     assert [name for name in expected if actual[name] != expected[name]] == []
+
+
+def _python_3_10() -> str:
+    """python3.10 from PATH; the test is skipped when it is missing or does not start."""
+    path = shutil.which("python3.10")
+    if path is None or subprocess.run([path, "-c", ""], capture_output=True).returncode:
+        pytest.skip("python3.10 is not on PATH or does not start")
+    return path
+
+
+def test_fixture_outputs_under_the_declared_minimum_python(golden):
+    """pyproject.toml declares Python 3.10 the minimum. Under it, `reason
+    --explain` and `reason --format json`, each a fresh process, print for
+    the 12 fixture pairs what the golden file pins, with its exit code."""
+    python = _python_3_10()
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    keys = [key for key in sorted(COMMANDS) if key.endswith((" explain", " json"))]
+    assert len(keys) == 24
+    for key in keys:
+        proc = subprocess.run([python, "-m", "genet.cli", *COMMANDS[key]],
+                              capture_output=True, env=env)
+        assert (proc.returncode, proc.stdout.decode("utf-8")) == (
+            golden[key]["exit"], golden[key]["stdout"]), key
 
 
 def _write(path: Path, outputs: dict) -> None:

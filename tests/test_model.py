@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import importlib.util
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 import genet
+import genet.model
 from genet import bases
 from genet.model import (
     EthicalTheoryInstance,
@@ -19,6 +21,7 @@ from genet.model import (
     validate_instance,
 )
 from .strategies import valid_instances
+from .test_mutations import BREAKS
 
 
 def mia_egoism() -> EthicalTheoryInstance:
@@ -106,6 +109,47 @@ class TestValidateInstance:
         assert validate_instance(theory).ok
         pairs = [(p.specification, p.subject) for p in theory.principles]
         assert len(pairs) == len(set(pairs))
+
+
+def _with_principle(theory, principle):
+    return theory._replace(principles=theory.principles + (principle,))
+
+
+# The changes emit_theory is refused for, and more: each field holding a
+# character XML cannot carry, empty and space-led specifications, a principle
+# that repeats another but for its morality, and valid values at the edges.
+STRAIGHT_PATH_BREAKS = {
+    **BREAKS,
+    **{f"non-xml-{field}": (lambda t, field=field: t._replace(**{field: "a\x01"}))
+       for field in ("baseTheory", "instanceName")},
+    "non-xml-agent-name": lambda t: t._replace(agent=t.agent._replace(name="\ud800")),
+    "non-xml-reference": lambda t: t._replace(agent=MoralAgent("A", "http://a/\ufffe")),
+    "non-xml-specification": lambda t: _with_principle(
+        t, MoralPrinciple(True, Subject.ALL, "a\x1fb")),
+    "empty-specification": lambda t: _with_principle(t, MoralPrinciple(True, Subject.ALL, "")),
+    "space-led-specification": lambda t: _with_principle(
+        t, MoralPrinciple(True, Subject.ALL, "\u3000a")),
+    "flipped-morality": lambda t: t._replace(principles=t.principles + tuple(
+        p._replace(morality=not p.morality) for p in t.principles[:1])),
+    "reference-unsplittable": lambda t: t._replace(agent=MoralAgent("A", "http://[x")),
+    "no-instance-name": lambda t: t._replace(instanceName=None),
+    "no-reference": lambda t: t._replace(agent=MoralAgent(t.agent.name)),
+    "thresholds-at-bounds": lambda t: t._replace(
+        influenceThresholds=InfluenceThresholds(0, 100)),
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(valid_instances, st.lists(st.sampled_from(sorted(STRAIGHT_PATH_BREAKS)), max_size=3))
+def test_straight_path_accepts_exactly_what_the_loop_finds_nothing_in(theory, breaks):
+    """validate_instance's whole-collection checks give the report of its
+    field-by-field loop: empty exactly when the loop finds nothing."""
+    for name in breaks:
+        theory = STRAIGHT_PATH_BREAKS[name](theory)
+    with mock.patch.object(genet.model, "_valid", lambda theory: False):
+        loop = validate_instance(theory)
+    assert validate_instance(theory) == loop
+    assert genet.model._valid(theory) is loop.ok
 
 
 @pytest.mark.parametrize("doc, holds", [

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from genet.model import GenetError, PatientKind
+import genet.scenario
+from genet.model import GenetError, PatientKind, load_json
 from genet.scenario import (
     AGENT,
     AGENT_MISMATCH,
@@ -21,7 +23,9 @@ from genet.scenario import (
     validate_scenario_against_theory,
 )
 from .conftest import CASE_THEORIES, SCENARIO_NAMES, scenario_bytes
-from .strategies import group_scenarios
+from .strategies import group_scenarios, theory_scenarios
+from .test_mutations import mutants
+from .test_xmlio import _load_synth
 
 MISSING = object()  # a key left out of the document
 
@@ -380,3 +384,159 @@ class TestValidateAgainstTheory:
             report = validate_scenario_against_theory(scenarios[case],
                                                       theories[theory_name])
             assert AGENT_MISMATCH not in report.codes(), (case, theory_name)
+
+
+def _outcome(doc: bytes):
+    """What load_scenario gives: the Scenario, or the code and findings of the
+    GenetError it raises. As a repr, which tells True from 1."""
+    try:
+        return repr(load_scenario(doc))
+    except GenetError as exc:
+        return repr((exc.code, str(exc), exc.report))
+
+
+def _straight_path(doc: bytes) -> bool:
+    """Whether ``_clean`` reads a document. Checks its one rule on the way:
+    load_scenario's outcome is that of the rows alone, and ``_clean`` gives up
+    or gives exactly the Scenario the rows build."""
+    with mock.patch.object(genet.scenario, "_clean", lambda data: None):
+        rows = _outcome(doc)
+    assert _outcome(doc) == rows, doc
+    try:
+        data = load_json(doc)
+    except (ValueError, RecursionError):
+        return False
+    if (clean := genet.scenario._clean(data)) is None:
+        return False
+    assert repr(clean) == rows, doc
+    return True
+
+
+def _group(**overrides) -> dict:
+    return {"id": "crowd", "kind": "patientGroup", "patientKind": "human",
+            "cardinality": 3, **overrides}
+
+
+def _effect(**overrides) -> dict:
+    return {"action": "A1", "specification": "safetySatisfaction",
+            "direction": "increase", "target": "crowd", **overrides}
+
+
+def _deontic(**overrides) -> dict:
+    return {"action": "A2", "specification": "lie", "holds": True, "target": AGENT,
+            **overrides}
+
+
+def _request(**overrides) -> dict:
+    return {"requester": AGENT, "influenceKind": "substance", "influenceLevel": 10,
+            "requestedAction": "A1", **overrides}
+
+
+# Each a document that the rows accept or reject, by name: a value of the
+# wrong type or outside its set, a null where a key may only be left out, a
+# duplicate, reserved or dangling id, and values that cannot be hashed.
+HAND_CASES = {
+    "valid": {},
+    "request-null": {"request": None},
+    "request-valid": {"request": _request()},
+    "description-null": {"actions": [{"id": "A1", "description": None}, "A2"]},
+    "description": {"actions": [{"id": "A1", "description": "go"}, {"id": "A2"}]},
+    "action-no-id": {"actions": [{"description": "go"}, "A2"]},
+    "action-extra-key": {"actions": [{"id": "A1", "extra": 1}, "A2"]},
+    "action-int": {"actions": [1, "A2"]},
+    "one-action": {"actions": ["A1"], "effects": [], "deontics": []},
+    "cardinality-true": {"groups": [_group(cardinality=True)]},
+    "cardinality-false": {"groups": [_group(cardinality=False)]},
+    "cardinality-zero": {"groups": [_group(cardinality=0)]},
+    "cardinality-ceiling": {"groups": [_group(cardinality=MAX_CARDINALITY)]},
+    "cardinality-over": {"groups": [_group(cardinality=MAX_CARDINALITY + 1)]},
+    "cardinality-float": {"groups": [_group(cardinality=3.0)]},
+    "patient-kind-robot": {"groups": [_group(patientKind="robot")]},
+    "patient-kind-list": {"groups": [_group(patientKind=["human"])]},
+    "group-kind": {"groups": [_group(kind="bystanders")]},
+    "group-kind-list": {"groups": [_group(kind=[])]},
+    "duplicate-group": {"groups": [_group(), _group()]},
+    "duplicate-action": {"actions": ["A1", "A1"], "effects": [], "deontics": []},
+    "duplicate-action-object": {"actions": ["A1", {"id": "A1"}, "A2"]},
+    "reserved-group": {"groups": [_group(id=AGENT)], "effects": []},
+    "group-id-space": {"groups": [_group(id="a crowd")], "effects": []},
+    "action-id-empty": {"actions": ["", "A2"], "effects": []},
+    "action-id-tab": {"actions": [{"id": "A1\t"}, "A2"], "effects": []},
+    "effect-spec-space": {"effects": [_effect(specification="two words")]},
+    "deontic-spec-empty": {"deontics": [_deontic(specification="")]},
+    "effect-target-unknown": {"effects": [_effect(target="ghost")]},
+    "effect-target-agent": {"effects": [_effect(target=AGENT)]},
+    "effect-target-list": {"effects": [_effect(target=["crowd"])]},
+    "effect-action-unknown": {"effects": [_effect(action="A9")]},
+    "effect-action-dict": {"effects": [_effect(action={})]},
+    "effect-direction": {"effects": [_effect(direction="sideways")]},
+    "effect-derived": {"effects": [_effect(requestDerived=True)]},
+    "effect-derived-null": {"effects": [_effect(requestDerived=None)]},
+    "effect-derived-string": {"effects": [_effect(requestDerived="false")]},
+    "effect-missing-target": {"effects": [{"action": "A1", "specification": "s",
+                                           "direction": "increase"}]},
+    "effect-extra-key": {"effects": [_effect(extra=1)]},
+    "deontic-holds-int": {"deontics": [_deontic(holds=1)]},
+    "deontic-target-unknown": {"deontics": [_deontic(target="ghost")]},
+    "deontic-action-unknown": {"deontics": [_deontic(action="A9")]},
+    "deontic-missing-holds": {"deontics": [{"action": "A2", "specification": "lie",
+                                            "target": AGENT}]},
+    "deontic-list": {"deontics": [["A2"]]},
+    "request-requester-group": {"request": _request(requester="crowd")},
+    "request-requester-unknown": {"request": _request(requester="ghost")},
+    "request-requester-list": {"request": _request(requester=[])},
+    "request-action-unknown": {"request": _request(requestedAction="A9")},
+    "request-kind": {"request": _request(influenceKind="bribe")},
+    "request-level-true": {"request": _request(influenceLevel=True)},
+    "request-level-over": {"request": _request(influenceLevel=101)},
+    "request-level-under": {"request": _request(influenceLevel=-1)},
+    "request-missing-key": {"request": {"requester": AGENT, "influenceKind": "substance",
+                                        "influenceLevel": 10}},
+    "name-int": {"scenario": 5},
+    "acting-for-null": {"actingFor": None},
+    "groups-dict": {"groups": {}},
+    "unknown-key": {"extra": 1},
+    **{f"comment-{json.dumps(value)}": {"comment": value}
+       for value in ("note", 5, 1.5, True, None, [1], {"a": 1})},
+}
+
+
+class TestStraightPath:
+    """``_clean`` reads scenario documents with nothing to report; the rows are
+    the reference it must never contradict."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_paper_documents(self, name):
+        assert _straight_path(scenario_bytes(name))
+        assert _straight_path(emit_scenario(load_scenario(scenario_bytes(name))))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(SCENARIO_NAMES).flatmap(
+        lambda name: mutants(scenario_bytes(name))))
+    def test_mutants(self, doc):
+        _straight_path(doc)
+
+    @settings(deadline=None, derandomize=True)
+    @given(theory_scenarios())
+    def test_generated_documents(self, pair):
+        assert _straight_path(emit_scenario(pair[1]))
+
+    @pytest.mark.parametrize("name", HAND_CASES)
+    def test_hand_cases(self, name):
+        # On these, the straight path takes every document the rows accept.
+        text = doc(**HAND_CASES[name])
+        try:
+            load_scenario(text)
+        except GenetError:
+            assert not _straight_path(text)
+        else:
+            assert _straight_path(text)
+
+    def test_top_level_must_be_an_object(self):
+        for text in (b"[]", b"null", b"5", b'"x"'):
+            assert not _straight_path(text)
+
+    @pytest.mark.parametrize("mode", ["conseq", "deon"])
+    def test_synthetic_benchmark_documents(self, mode):
+        requests = _load_synth().make_requests(mode, 1, 20)
+        assert [r.name for r in requests if not _straight_path(r.scenario_doc)] == []
