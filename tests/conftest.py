@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from genet.bases import load_registry
@@ -46,3 +50,12 @@ def theories():
 @pytest.fixture(scope="session")
 def scenarios():
     return {name: load_scenario(scenario_bytes(name)) for name in SCENARIO_NAMES}
+
+
+def load_synth():
+    """The benchmark's generator of synthetic theory and scenario documents."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "synth.py"
+    spec = importlib.util.spec_from_file_location("genet_bench_synth", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up in sys.modules
+    return module

@@ -14,6 +14,12 @@ pairs, the route through the public `evaluate` function.
 `golden/decisions.json` pins `decision_to_dict(decide(theory, scenario))`
 for all 36 theory × scenario pairs, including the 24 that the CLI refuses
 with `AGENT_MISMATCH` before it decides.
+`golden/synth_traces.json` pins, by sha256, the `decision_to_dict` JSON
+(`indent=2`) and the `render_decision(..., explain=True)` text of the
+first 20 synthetic benchmark requests of each mode (seed 1), and the same
+two forms of `evaluate` for every action of the first 3. These traces
+are far larger than the fixtures' and reach request gating, excluded
+patient kinds, shared specifications and inert effects at size.
 `golden/malformed_theories.json` pins the `schema_check` findings and the
 `parse_theory` outcome of every mutant that `_mutants` derives from
 `mia-egoism` and `trainco-dct`: each attribute dropped, set to bad values
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -42,17 +49,19 @@ import pytest
 from genet.cli import main
 from genet.fixtures import scenario_path, theory_path
 from genet.model import GenetError
-from genet.reasoner import decide, decision_to_dict
+from genet.reasoner import (decide, decision_to_dict, evaluate, evaluation_to_dict,
+                            render_decision, render_evaluation)
 from genet.scenario import load_scenario
 from genet.xmlio import GENET_NS, parse_theory, schema_check
-from .conftest import (CASE_THEORIES, SCENARIO_NAMES, THEORY_NAMES, scenario_bytes,
-                       theory_bytes)
+from .conftest import (CASE_THEORIES, SCENARIO_NAMES, THEORY_NAMES, load_synth,
+                       scenario_bytes, theory_bytes)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "fixture_outputs.json"
 ACTION_GOLDEN = GOLDEN_DIR / "action_outputs.json"
 DECISION_GOLDEN = GOLDEN_DIR / "decisions.json"
 MALFORMED_GOLDEN = GOLDEN_DIR / "malformed_theories.json"
+SYNTH_GOLDEN = GOLDEN_DIR / "synth_traces.json"
 
 REASON_VARIANTS = {"text": (), "explain": ("--explain",),
                    "json": ("--format", "json")}
@@ -105,6 +114,31 @@ def _decision(pair: str) -> dict:
     theory, scenario = pair.split()
     return decision_to_dict(decide(parse_theory(theory_bytes(theory)),
                                    load_scenario(scenario_bytes(scenario))))
+
+
+SYNTH_MODES = ["conseq", "deon"]
+
+
+def _digests(as_dict: dict, text: str) -> dict:
+    return {"json": hashlib.sha256(json.dumps(as_dict, indent=2).encode("utf-8")).hexdigest(),
+            "explain": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def _synth_traces(mode: str) -> dict:
+    """Digests of each synthetic request's decision, keyed by request name,
+    and of each action's evaluation for the first 3, keyed by name and action."""
+    out = {}
+    for n, request in enumerate(load_synth().make_requests(mode, 1, 20)):
+        theory = parse_theory(request.theory_doc)
+        scenario = load_scenario(request.scenario_doc)
+        decision = decide(theory, scenario)
+        out[request.name] = _digests(decision_to_dict(decision),
+                                     render_decision(decision, explain=True))
+        for action in scenario.action_ids() if n < 3 else ():
+            evaluation = evaluate(theory, scenario, action)
+            out[f"{request.name} {action}"] = _digests(
+                evaluation_to_dict(evaluation), render_evaluation(evaluation, explain=True))
+    return out
 
 
 MUTATED_THEORIES = ["mia-egoism", "trainco-dct"]
@@ -251,6 +285,13 @@ def test_decision_matches_golden(decision_golden, pair):
     assert _decision(pair) == decision_golden[pair]
 
 
+@pytest.mark.parametrize("mode", SYNTH_MODES)
+def test_synthetic_traces_match_golden(mode):
+    actual, expected = _synth_traces(mode), _load(SYNTH_GOLDEN)[mode]
+    assert sorted(actual) == sorted(expected)
+    assert [name for name in expected if actual[name] != expected[name]] == []
+
+
 @pytest.fixture(scope="module")
 def malformed_golden() -> dict:
     return _load(MALFORMED_GOLDEN)
@@ -303,3 +344,4 @@ if __name__ == "__main__":
     _write(ACTION_GOLDEN, {key: _run(argv) for key, argv in ACTION_COMMANDS.items()})
     _write(DECISION_GOLDEN, {pair: _decision(pair) for pair in PAIRS})
     _write(MALFORMED_GOLDEN, {theory: _malformed(theory) for theory in MUTATED_THEORIES})
+    _write(SYNTH_GOLDEN, {mode: _synth_traces(mode) for mode in SYNTH_MODES})

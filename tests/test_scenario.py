@@ -22,10 +22,9 @@ from genet.scenario import (
     load_scenario,
     validate_scenario_against_theory,
 )
-from .conftest import CASE_THEORIES, SCENARIO_NAMES, scenario_bytes
+from .conftest import CASE_THEORIES, SCENARIO_NAMES, load_synth, scenario_bytes
 from .strategies import group_scenarios, theory_scenarios
 from .test_mutations import mutants
-from .test_xmlio import _load_synth
 
 MISSING = object()  # a key left out of the document
 
@@ -538,5 +537,5 @@ class TestStraightPath:
 
     @pytest.mark.parametrize("mode", ["conseq", "deon"])
     def test_synthetic_benchmark_documents(self, mode):
-        requests = _load_synth().make_requests(mode, 1, 20)
+        requests = load_synth().make_requests(mode, 1, 20)
         assert [r.name for r in requests if not _straight_path(r.scenario_doc)] == []

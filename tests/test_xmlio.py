@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import importlib.util
 import re
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 from xml.etree import ElementTree
 from xml.sax import saxutils
@@ -25,7 +23,7 @@ from genet.xmlio import (
     quoteattr,
     schema_check,
 )
-from .conftest import THEORY_NAMES, VERBATIM_THEORIES, theory_bytes
+from .conftest import THEORY_NAMES, VERBATIM_THEORIES, load_synth, theory_bytes
 from .strategies import valid_instances
 from .test_golden import MUTATED_THEORIES, _mutants
 
@@ -263,15 +261,6 @@ def _straight_path(doc: bytes):
 SECOND_ORDER_THEORIES = ["doe-kantianism", "mia-kantianism"]
 
 
-def _load_synth():
-    """The benchmark's generator of synthetic theory documents."""
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "synth.py"
-    spec = importlib.util.spec_from_file_location("genet_bench_synth", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # its dataclass looks itself up in sys.modules
-    return module
-
-
 class TestStraightPath:
     """``_clean`` decodes documents with nothing to report; ``_walk`` is the
     reference it must never contradict."""
@@ -307,7 +296,7 @@ class TestStraightPath:
 
     @pytest.mark.parametrize("mode", ["conseq", "deon"])
     def test_synthetic_benchmark_documents(self, mode):
-        requests = _load_synth().make_requests(mode, 1, 20)
+        requests = load_synth().make_requests(mode, 1, 20)
         assert [r.name for r in requests if not _straight_path(r.theory_doc)] == []
 
     @pytest.mark.parametrize("name", ELEMENTS)
