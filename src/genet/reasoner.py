@@ -68,25 +68,27 @@ class Decision(NamedTuple):
     tied: tuple[str, ...] = ()  # the tied set, when kind is conflict
 
 
+_record = tuple.__new__  # builds a trace record without NamedTuple.__new__'s Python frame
+
+
 class _TraceBuilder:
     def __init__(self):
         self.premises: list[TracePremise] = []
         self.inferences: list[TraceInference] = []
         self._known: dict[tuple[str, str, str], str] = {}
 
-    def premise(self, kind: str, text: str, source: str) -> str:
-        key = (kind, text, source)
-        if key in self._known:
-            return self._known[key]
-        pid = f"P{len(self.premises) + 1}"
-        self.premises.append(TracePremise(pid, kind, text, source))
-        self._known[key] = pid
+    def premise(self, key: tuple[str, str, str]) -> str:
+        """The id of the premise (kind, text, source), added on first use."""
+        pid = self._known.get(key)
+        if pid is None:
+            pid = self._known[key] = f"P{len(self.premises) + 1}"
+            self.premises.append(_record(TracePremise, (pid, *key)))
         return pid
 
-    def infer(self, from_ids: list[str], text: str,
+    def infer(self, from_ids: tuple[str, ...], text: str,
               contribution: Optional[int] = None) -> str:
         iid = f"I{len(self.inferences) + 1}"
-        self.inferences.append(TraceInference(iid, tuple(from_ids), text, contribution))
+        self.inferences.append(_record(TraceInference, (iid, from_ids, text, contribution)))
         return iid
 
     def done(self, conclusion: str) -> ArgumentTrace:
@@ -127,15 +129,15 @@ def _principle_premises(theory: EthicalTheoryInstance
 def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
                         request: RequestContext) -> tuple[bool, str]:
     threshold = _threshold(theory, request)
-    p_threshold = builder.premise(
+    p_threshold = builder.premise((
         "thresholdFact",
         f"the {request.influenceKind} influence threshold is {threshold}%",
-        "theory:influenceThresholds")
-    p_level = builder.premise(
+        "theory:influenceThresholds"))
+    p_level = builder.premise((
         "thresholdFact",
         f"{request.requester} is {request.influenceLevel}% under "
         f"{request.influenceKind} influence",
-        "scenario:request")
+        "scenario:request"))
     voided = request.influenceLevel > threshold  # as influence_gate
     if voided:
         text = (f"the request for {request.requestedAction} carries no weight "
@@ -143,7 +145,7 @@ def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
     else:
         text = (f"the request for {request.requestedAction} keeps its moral weight "
                 f"({request.influenceLevel} <= {threshold})")
-    return voided, builder.infer([p_threshold, p_level], text)
+    return voided, builder.infer((p_threshold, p_level), text)
 
 
 def evaluate(theory: EthicalTheoryInstance, scenario: Scenario,
@@ -165,10 +167,23 @@ def _consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
     are recorded at weight 0; positive contributions of a voided request
     are diverted to the supererogation ledger instead of the score.
     """
-    by_spec: dict[str, list[tuple[MoralPrinciple, tuple[str, str, str]]]] = {}
+    # The principles covering each (specification, target class), with the
+    # premise key and sign of each; the target class, text, weight and
+    # exclusion of each target id, the agent's row last so that it wins.
+    covering: dict[tuple[str, str], list[tuple[tuple[str, str, str], int]]] = {}
     for principle, key in _principle_premises(theory):
-        by_spec.setdefault(principle.specification, []).append((principle, key))
-    groups = {g.id: g for g in scenario.groups}
+        for target_class in (Subject.AGENT, Subject.PATIENTS):
+            if principle.subject.covers(target_class):
+                covering.setdefault((principle.specification, target_class.value), []).append(
+                    (key, 1 if principle.morality else -1))
+    targets = {}
+    for group in scenario.groups:
+        excluded = group.patientKind not in theory.patientKinds
+        targets[group.id] = (
+            Subject.PATIENTS.value,
+            f"{group.id} ({group.cardinality} {group.patientKind.value})",
+            0 if excluded else group.cardinality, excluded)
+    targets[AGENT] = (Subject.AGENT.value, "the agent", 1, False)
     by_action: dict[str, list[tuple[int, EffectAssertion]]] = {}
     for index, effect in enumerate(scenario.effects):
         by_action.setdefault(effect.action, []).append((index, effect))
@@ -185,37 +200,28 @@ def _consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
         ledger: list[int] = []
         counted: list[str] = []  # the inferences that carry a contribution
         for index, effect in effects:
-            if effect.target == AGENT:
-                target_class, target_text = Subject.AGENT, "the agent"
-                weight, excluded = 1, False
-            else:
-                target_class = Subject.PATIENTS
-                group = groups[effect.target]
-                target_text = f"{group.id} ({group.cardinality} {group.patientKind.value})"
-                excluded = group.patientKind not in theory.patientKinds
-                weight = 0 if excluded else group.cardinality
-            verb = "increases" if effect.direction == "increase" else "decreases"
-            fact = builder.premise(
+            target_class, target_text, weight, excluded = targets[effect.target]
+            spec = effect.specification
+            increase = effect.direction == "increase"
+            fact = builder.premise((
                 "situationalFact",
-                f"{action_id} {verb} {effect.specification} for {target_text}",
-                f"scenario:effects[{index}]")
-
-            principles = [(p, key) for p, key in by_spec.get(effect.specification, ())
-                          if p.subject.covers(target_class)]
-            if not principles:
-                builder.infer([fact],
-                              f"no principle covers {effect.specification} for "
-                              f"{target_class.value}; the effect is morally inert")
+                f"{action_id} {'increases' if increase else 'decreases'} {spec} "
+                f"for {target_text}",
+                f"scenario:effects[{index}]"))
+            principles = covering.get((spec, target_class))
+            if principles is None:
+                builder.infer((fact,), f"no principle covers {spec} for "
+                                       f"{target_class}; the effect is morally inert")
                 continue
 
-            direction = 1 if effect.direction == "increase" else -1
+            direction = 1 if increase else -1
             gated = effect.requestDerived and gate_id is not None
-            for principle, key in principles:
-                p_id = builder.premise(*key)
-                value = direction * (1 if principle.morality else -1) * weight
+            for key, sign in principles:
+                p_id = builder.premise(key)
+                value = direction * sign * weight
                 if excluded:
                     counted.append(builder.infer(
-                        [fact, p_id],
+                        (fact, p_id),
                         f"{target_text} is of an excluded patient kind; "
                         f"the effect carries weight 0",
                         contribution=0))
@@ -223,11 +229,11 @@ def _consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
                 if gated and gate_voided and value > 0:
                     ledger.append(value)
                     builder.infer(
-                        [fact, p_id, gate_id],
-                        f"the good of {effect.specification} (+{value}) stems from a "
+                        (fact, p_id, gate_id),
+                        f"the good of {spec} (+{value}) stems from a "
                         f"voided request; diverted to the supererogation ledger")
                     continue
-                from_ids = [fact, p_id, gate_id] if gated else [fact, p_id]
+                from_ids = (fact, p_id, gate_id) if gated else (fact, p_id)
                 note = (" (wrongness is retained despite the voided request)"
                         if gated and gate_voided else "")
                 quality = "some moral good" if value > 0 else (
@@ -251,7 +257,7 @@ def _consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
             verdict = MoralVerdict.PERMISSIBLE
             conclusion = f"{action_id} is permissible"
         if counted:
-            builder.infer(counted, f"{action_id} scores {score:+d}")
+            builder.infer(tuple(counted), f"{action_id} scores {score:+d}")
         evaluations.append(ActionEvaluation(action_id, verdict, builder.done(conclusion),
                                             score, tuple(ledger)))
     return evaluations
@@ -265,48 +271,41 @@ def _deontological(theory: EthicalTheoryInstance, scenario: Scenario,
     a requirement passes with a recorded warning. Group sizes never
     affect the verdict.
     """
-    principles = _principle_premises(theory)
-    deontics: dict[tuple[str, str], list[tuple[int, DeonticAssertion]]] = {}
+    # Each principle as a row, and the deontic assertions by action, then
+    # specification, each with whether it targets the agent.
+    rows = [(key, p.specification, p.morality, p.subject.covers(Subject.AGENT),
+             p.subject.covers(Subject.PATIENTS)) for p, key in _principle_premises(theory)]
+    deontics: dict[str, dict[str, list[tuple[int, DeonticAssertion, bool]]]] = {}
     for index, assertion in enumerate(scenario.deontics):
-        deontics.setdefault((assertion.action, assertion.specification),
-                            []).append((index, assertion))
+        deontics.setdefault(assertion.action, {}).setdefault(
+            assertion.specification, []).append((index, assertion, assertion.target == AGENT))
     evaluations = []
     for action_id in action_ids:
+        asserted = deontics.get(action_id, {})
         builder = _TraceBuilder()
         violated = False
-        for principle, key in principles:
-            p_id = builder.premise(*key)
-            matches = [(index, assertion) for index, assertion
-                       in deontics.get((action_id, principle.specification), ())
-                       if principle.subject.covers(Subject.AGENT if assertion.target == AGENT
-                                                   else Subject.PATIENTS)]
-
-            if not matches:
-                if principle.morality:
-                    builder.infer(
-                        [p_id],
-                        f"no assertion addresses {principle.specification} for "
-                        f"{action_id}; the requirement passes with a warning")
-                continue
-
-            for index, assertion in matches:
-                target_text = "the agent" if assertion.target == AGENT else assertion.target
-                state = "holds" if assertion.holds else "does not hold"
-                fact = builder.premise(
+        for key, spec, morality, covers_agent, covers_patients in rows:
+            p_id = builder.premise(key)
+            matched = False
+            for index, assertion, to_agent in asserted.get(spec, ()):
+                if not (covers_agent if to_agent else covers_patients):
+                    continue
+                matched = True
+                fact = builder.premise((
                     "situationalFact",
-                    f"{assertion.specification} {state} for {action_id} "
-                    f"toward {target_text}",
-                    f"scenario:deontics[{index}]")
-                if principle.morality != assertion.holds:
+                    f"{spec} {'holds' if assertion.holds else 'does not hold'} for "
+                    f"{action_id} toward {'the agent' if to_agent else assertion.target}",
+                    f"scenario:deontics[{index}]"))
+                if morality != assertion.holds:
                     violated = True
-                    kind = "requirement" if principle.morality else "prohibition"
-                    builder.infer([p_id, fact],
-                                  f"{action_id} violates the "
-                                  f"{principle.specification} {kind}")
+                    builder.infer((p_id, fact), f"{action_id} violates the {spec} "
+                                  f"{'requirement' if morality else 'prohibition'}")
                 else:
-                    builder.infer([p_id, fact],
-                                  f"{action_id} satisfies the "
-                                  f"{principle.specification} principle")
+                    builder.infer((p_id, fact),
+                                  f"{action_id} satisfies the {spec} principle")
+            if not matched and morality:
+                builder.infer((p_id,), f"no assertion addresses {spec} for {action_id}; "
+                                       f"the requirement passes with a warning")
 
         verdict = MoralVerdict.WRONG if violated else MoralVerdict.PERMISSIBLE
         evaluations.append(ActionEvaluation(
@@ -358,20 +357,19 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
 
 def evaluation_to_dict(evaluation: ActionEvaluation) -> dict:
     """Structured form, the trace with its stable ids, suitable for golden diffs."""
-    out: dict = {"action": evaluation.action, "verdict": evaluation.verdict.value}
-    if evaluation.score is not None:
-        out["score"] = evaluation.score
-    if evaluation.supererogation:
-        out["supererogation"] = list(evaluation.supererogation)
-    trace = evaluation.trace
+    action, verdict, (premises, inferences, conclusion), score, ledger = evaluation
+    out: dict = {"action": action, "verdict": verdict.value}
+    if score is not None:
+        out["score"] = score
+    if ledger:
+        out["supererogation"] = list(ledger)
     out["trace"] = {
-        "premises": [{"id": p.id, "kind": p.kind, "text": p.text,
-                      "source": p.source} for p in trace.premises],
-        "inferences": [
-            {"id": i.id, "from": list(i.fromIds), "text": i.text,
-             **({"contribution": i.contribution} if i.contribution is not None else {})}
-            for i in trace.inferences],
-        "conclusion": trace.conclusion,
+        "premises": [{"id": i, "kind": k, "text": t, "source": s}
+                     for i, k, t, s in premises],
+        "inferences": [{"id": i, "from": list(f), "text": t} if c is None else
+                       {"id": i, "from": list(f), "text": t, "contribution": c}
+                       for i, f, t, c in inferences],
+        "conclusion": conclusion,
     }
     return out
 
@@ -392,15 +390,14 @@ def render_evaluation(evaluation: ActionEvaluation, explain: bool = False) -> st
         head += f" supererogation={list(evaluation.supererogation)}"
     if not explain:
         return head
-    trace = evaluation.trace
+    premises, inferences, conclusion = evaluation.trace
     lines = [head, "premises:"]
-    for p in trace.premises:
-        lines.append(f"  {p.id} [{p.kind}] {p.text}  ({p.source})")
+    lines += [f"  {i} [{k}] {t}  ({s})" for i, k, t, s in premises]
     lines.append("inferences:")
-    for i in trace.inferences:
-        extra = f"  [contribution {i.contribution:+d}]" if i.contribution is not None else ""
-        lines.append(f"  {i.id} <- {', '.join(i.fromIds)}: {i.text}{extra}")
-    lines.append(f"conclusion: {trace.conclusion}")
+    lines += [f"  {i} <- {', '.join(f)}: {t}" if c is None else
+              f"  {i} <- {', '.join(f)}: {t}  [contribution {c:+d}]"
+              for i, f, t, c in inferences]
+    lines.append(f"conclusion: {conclusion}")
     return "\n".join(lines)
 
 

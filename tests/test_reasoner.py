@@ -16,6 +16,8 @@ from genet.model import (
 from genet.reasoner import (
     DecisionKind,
     MoralVerdict,
+    TraceInference,
+    TracePremise,
     decide,
     decision_to_dict,
     evaluate,
@@ -166,6 +168,19 @@ class TestEvaluateConsequentialist:
             "a0 carries some moral wrong of magnitude 1 "
             "(wrongness is retained despite the voided request)"]
 
+    def test_agent_is_not_a_group_named_agent(self):
+        # load_scenario refuses a group with the reserved id AGENT, but a
+        # hand-built scenario can carry one; AGENT still names the agent.
+        scenario = Scenario(
+            name="x", actingFor="Agent",
+            groups=(StakeholderGroup(AGENT, "patientGroup", PatientKind.HUMAN, 5),),
+            actions=(ActionOption("a0"), ActionOption("a1")),
+            effects=(EffectAssertion("a0", "good", "increase", AGENT),),
+            deontics=())
+        evaluation = evaluate(toy_theory(), scenario, "a0")
+        assert evaluation.score == 1
+        assert evaluation.trace.premises[0].text == "a0 increases good for the agent"
+
     def test_follows_the_theory_mode(self, theories, scenarios):
         # mia-egoism is consequentialist, so evaluate scores the action.
         assert isinstance(evaluate(theories["mia-egoism"], scenarios["mia"],
@@ -294,6 +309,21 @@ class TestEvaluateDeontological:
         violations = [i for i in trace.inferences if "violates" in i.text]
         assert len(violations) == 2
         assert violations[0].fromIds == violations[1].fromIds
+
+    def test_agent_is_not_a_group_named_agent(self):
+        # As under a consequentialist theory: the agent-only prohibition
+        # covers an assertion toward AGENT although a group bears that id.
+        theory = toy_theory(consequentiality=False,
+                            principles=(MoralPrinciple(False, Subject.AGENT, "lie"),))
+        scenario = Scenario(
+            name="x", actingFor="Agent",
+            groups=(StakeholderGroup(AGENT, "patientGroup", PatientKind.HUMAN, 5),),
+            actions=(ActionOption("a0"), ActionOption("a1")),
+            effects=(),
+            deontics=(DeonticAssertion("a0", "lie", True, AGENT),))
+        evaluation = evaluate(theory, scenario, "a0")
+        assert evaluation.verdict is MoralVerdict.WRONG
+        assert evaluation.trace.premises[1].text == "lie holds for a0 toward the agent"
 
     @given(cardinality=st.integers(1, 10 ** 6))
     def test_group_size_never_matters(self, theories, scenarios, cardinality):
@@ -460,3 +490,41 @@ class TestDecide:
         codes = validate_scenario_against_theory(scenario, theory).codes()
         assert codes.count(INERT_SPECIFICATION) == expected.inert_effects
         assert codes.count(EXCLUDED_PATIENT_KIND) == expected.excluded_groups
+
+
+def _assert_record_shapes(evaluation) -> None:
+    """The trace records are built without the NamedTuple constructor, which
+    would check their arity and fill in the default contribution."""
+    premises, inferences, _ = evaluation.trace
+    for premise in premises:
+        assert type(premise) is TracePremise and len(premise) == 4
+        assert all(type(field) is str for field in premise)
+    contributions = []
+    for inference in inferences:
+        assert type(inference) is TraceInference and len(inference) == 4
+        _, from_ids, _, contribution = inference
+        assert type(from_ids) is tuple and from_ids
+        assert all(type(i) is str for i in from_ids)
+        if contribution is not None:
+            contributions.append(contribution)
+    assert evaluation.trace.counted_contributions() == contributions
+    if evaluation.score is not None:
+        assert sum(contributions) == evaluation.score
+
+
+class TestTraceRecords:
+    def _check(self, theory, scenario):
+        for evaluation in decide(theory, scenario).evaluations:
+            _assert_record_shapes(evaluation)
+        for action in scenario.action_ids():
+            _assert_record_shapes(evaluate(theory, scenario, action))
+
+    def test_fixtures(self, theories, scenarios):
+        for theory in theories.values():
+            for scenario in scenarios.values():
+                self._check(theory, scenario)
+
+    @settings(deadline=None, max_examples=200)
+    @given(theory_scenarios())
+    def test_generated(self, pair):
+        self._check(*pair)
