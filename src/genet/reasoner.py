@@ -176,7 +176,7 @@ def _consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
             if principle.subject.covers(target_class):
                 covering.setdefault((principle.specification, target_class.value), []).append(
                     (key, 1 if principle.morality else -1))
-    targets = {}
+    targets: dict[str, tuple[str, str, int, bool]] = {}
     for group in scenario.groups:
         excluded = group.patientKind not in theory.patientKinds
         targets[group.id] = (
