@@ -26,6 +26,11 @@ patient kinds, shared specifications and inert effects at size.
 or joined by an unknown one, stray text and unknown children added, each
 child deleted, duplicated and moved, elements renamed or moved to another
 namespace, and the bytes truncated.
+`golden/multi_fault_theories.json` pins the same findings and outcome for
+documents with two faults: by sha256, one digest per first-order mutant,
+over the mutants `_mutants` derives from it. The first-order mutants are
+every 10th well-formed one of `mia-kantianism`, in sorted name order, so
+the order in which findings are reported is pinned where there are several.
 
 Regenerate (only when an output change is intended) with
 `PYTHONPATH=src python -m tests.test_golden`.
@@ -62,6 +67,7 @@ ACTION_GOLDEN = GOLDEN_DIR / "action_outputs.json"
 DECISION_GOLDEN = GOLDEN_DIR / "decisions.json"
 MALFORMED_GOLDEN = GOLDEN_DIR / "malformed_theories.json"
 SYNTH_GOLDEN = GOLDEN_DIR / "synth_traces.json"
+MULTI_FAULT_GOLDEN = GOLDEN_DIR / "multi_fault_theories.json"
 
 REASON_VARIANTS = {"text": (), "explain": ("--explain",),
                    "json": ("--format", "json")}
@@ -239,6 +245,25 @@ def _malformed(theory: str) -> dict:
             for name, doc in _mutants(theory_bytes(theory)).items()}
 
 
+def _multi_fault() -> dict:
+    """The digest of the diagnoses of the mutants of every 10th well-formed
+    first-order mutant of mia-kantianism, keyed by the first mutant's name."""
+    firsts = _mutants(theory_bytes("mia-kantianism"))
+    well_formed = []
+    for name in sorted(firsts):
+        try:
+            ElementTree.fromstring(firsts[name])
+        except ElementTree.ParseError:
+            continue
+        well_formed.append(name)
+    out = {}
+    for name in well_formed[::10]:
+        diagnoses = {second: _diagnose(doc) for second, doc in _mutants(firsts[name]).items()}
+        out[name] = hashlib.sha256(json.dumps(diagnoses, sort_keys=True).encode("utf-8")
+                                   ).hexdigest()
+    return out
+
+
 def _load(path: Path) -> dict:
     return json.loads(path.read_text("utf-8"))
 
@@ -308,6 +333,12 @@ def test_malformed_theory_diagnostics_match_golden(malformed_golden, theory):
     assert [name for name in expected if actual[name] != expected[name]] == []
 
 
+def test_multi_fault_diagnostics_match_golden():
+    actual, expected = _multi_fault(), _load(MULTI_FAULT_GOLDEN)
+    assert sorted(actual) == sorted(expected)
+    assert [name for name in expected if actual[name] != expected[name]] == []
+
+
 def _python_3_10() -> str:
     """python3.10 from PATH; the test is skipped when it is missing or does not start."""
     path = shutil.which("python3.10")
@@ -345,3 +376,4 @@ if __name__ == "__main__":
     _write(DECISION_GOLDEN, {pair: _decision(pair) for pair in PAIRS})
     _write(MALFORMED_GOLDEN, {theory: _malformed(theory) for theory in MUTATED_THEORIES})
     _write(SYNTH_GOLDEN, {mode: _synth_traces(mode) for mode in SYNTH_MODES})
+    _write(MULTI_FAULT_GOLDEN, _multi_fault())
