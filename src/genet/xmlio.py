@@ -8,10 +8,9 @@ agent, patientKinds, influenceThresholds, principles, in that order.
 Validation reads ``ELEMENTS``, one row per schema element and the schema's
 one statement in code, so diagnostics are identical across platforms. The
 authoritative XSD ships in ``genet/data/schema/ethicalTheory.xsd``, and the
-test suite checks the table against it. A document with nothing to report
-decodes on a straight path, ``_clean``, with the table's attribute sets and
-lookups; only a document it hands back is walked through the table, which
-reports the findings.
+test suite checks the table against it. One reader, ``_read``, checks a
+document against the table and decodes it in the same pass; its reporting
+code runs only for an element that fails a test of the whole element.
 """
 
 from __future__ import annotations
@@ -105,15 +104,22 @@ ELEMENTS = {
     "principle": _Element(("morality", "subject", "specification")),
 }
 
-# Per element: its row, required and allowed attributes, qualified child tag.
+# Per element: its row, required and allowed attributes, qualified child tag,
+# and its path, which the schema fixes but for a collection item's index.
+_PATHS = {"ethicalTheory": "/ethicalTheory"}
+for _name, _row in ELEMENTS.items():  # each parent before its children
+    _PATHS.update((child, f"{_PATHS[_name]}/{child}")
+                  for child in (*_row.sequence, _row.child) if child)
 _ROWS = {name: (row, frozenset(row.required), frozenset(row.required + row.optional),
-                row.child and f"{{{GENET_NS}}}{row.child}")
+                row.child and f"{{{GENET_NS}}}{row.child}", _PATHS[name])
          for name, row in ELEMENTS.items()}
 _ROOT = f"{{{GENET_NS}}}ethicalTheory"
 _SEQUENCE = {f"{{{GENET_NS}}}{name}": i
              for i, name in enumerate(ELEMENTS["ethicalTheory"].sequence)}
+_TEXT = {f"{{{GENET_NS}}}{name}" for name, row in ELEMENTS.items() if row.text}
 _XSI = f"{{{XSI_NS}}}"
 _SUBJECTS = {subject.value: subject for subject in Subject}
+_record = tuple.__new__  # builds a record without NamedTuple.__new__'s Python frame
 
 
 def _check_attrs(attrib, path: str, row: _Element, allowed, out: list[Violation]) -> None:
@@ -169,148 +175,105 @@ def _read_percentage(elem, name: str, path: str, out: list[Violation]):
     return value
 
 
-def _walk(elem, path: str, name: str, out: list[Violation]):
-    """Check an element against its row, then its children, depth first in document
-    order. Returns the root's instance, built only when the document is schema-clean,
-    else a collection's list of child values, else its value or None."""
-    row, _, allowed, qchild = _ROWS[name]
+def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
+    """Check an element against its row, then its children, depth first in
+    document order, and decode it: the root's instance, built only when the
+    document is schema-clean, else a collection's list of child values, else
+    its value or None. The element is reported on only when it fails the
+    whole-element test: its child tags, its attribute names, its enum or
+    boolean value, and no ``stray`` text in the document. ``i`` is its index
+    in a collection, else None: its path is built only for a finding."""
+    row, need, allowed, qchild, at = _ROWS[name]
     attrib = elem.attrib
-    _check_attrs(attrib, path, row, allowed, out)
-    if row.sequence:  # the root: its boolean is checked before its text
-        consequentiality = _read_boolean(attrib, "consequentiality", path, out)
-    if not row.text:
-        _check_text(elem, path, out)
+    fits = not stray and need <= attrib.keys() <= allowed
     if row.sequence:
-        # The schema demands this exact child sequence.
-        found: dict[str, ElementTree.Element] = {}
-        cursor = 0
-        for sub in elem:
-            if (index := _SEQUENCE.get(sub.tag)) is None:
-                child, problem = _local(sub.tag), "is not defined by the schema"
-            elif (child := row.sequence[index]) in found:
-                problem = "occurs more than once"
-            elif index < cursor:
-                problem = "is out of sequence"
-            else:
-                found[child] = sub
-                cursor = index
-                continue
-            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{child}",
-                                 f"element {child!r} {problem}"))
-        for child in row.sequence:
-            if child not in found:
-                out.append(Violation(MISSING_ELEMENT, f"{path}/{child}",
-                                     f"required element {child!r} is missing"))
-        # Walked in document order, which found keeps.
-        values = {child: _walk(sub, f"{path}/{child}", child, out)
-                  for child, sub in found.items()}
+        consequentiality = parse_boolean(attrib.get("consequentiality", ""))
+        if fits and consequentiality is not None and [sub.tag for sub in elem] == [*_SEQUENCE]:
+            found = dict(zip(row.sequence, elem))
+        else:  # the root's boolean is reported before its text
+            _check_attrs(attrib, at, row, allowed, out)
+            _read_boolean(attrib, "consequentiality", at, out)
+            _check_text(elem, at, out)
+            # The schema demands this exact child sequence.
+            found = {}
+            cursor = 0
+            for sub in elem:
+                if (index := _SEQUENCE.get(sub.tag)) is None:
+                    child, problem = _local(sub.tag), "is not defined by the schema"
+                elif (child := row.sequence[index]) in found:
+                    problem = "occurs more than once"
+                elif index < cursor:
+                    problem = "is out of sequence"
+                else:
+                    found[child] = sub
+                    cursor = index
+                    continue
+                out.append(Violation(UNEXPECTED_ELEMENT, f"{at}/{child}",
+                                     f"element {child!r} {problem}"))
+            for child in row.sequence:
+                if child not in found:
+                    out.append(Violation(MISSING_ELEMENT, f"{at}/{child}",
+                                         f"required element {child!r} is missing"))
+        # Read in document order, which found keeps.
+        values = {child: _read(sub, child, None, stray, out) for child, sub in found.items()}
         if out:
             return None
-        return EthicalTheoryInstance(
-            attrib.get("baseTheory", ""), consequentiality, values["agent"],
+        return _record(EthicalTheoryInstance, (
+            attrib["baseTheory"], consequentiality, values["agent"],
             frozenset(values["patientKinds"]), values["influenceThresholds"],
-            tuple(values["principles"]), attrib.get("instanceName"))
+            tuple(values["principles"]), attrib.get("instanceName")))
     if qchild is not None:
         child = row.child
+        if not fits:
+            _check_attrs(attrib, at, row, allowed, out)
+            _check_text(elem, at, out)
         if not len(elem):
-            out.append(Violation(MIN_OCCURS, f"{path}/{child}",
+            out.append(Violation(MIN_OCCURS, f"{at}/{child}",
                                  f"at least one {child} is required"))
         values = []
-        for i, sub in enumerate(elem):
-            cpath = f"{path}/{child}[{i}]"
+        for j, sub in enumerate(elem):
             if sub.tag != qchild:
-                out.append(Violation(UNEXPECTED_ELEMENT, cpath,
+                out.append(Violation(UNEXPECTED_ELEMENT, f"{at}/{child}[{j}]",
                                      f"unexpected element {_local(sub.tag)!r}"))
-            elif (value := _walk(sub, cpath, child, out)) is not None:
+            elif (value := _read(sub, child, j, stray, out)) is not None:
                 values.append(value)
         # The XSD tolerates repeated patientKind values; the model is a
         # set, so decoding them would be lossy. Reject instead.
         if child == "patientKind" and len(set(values)) < len(values):
-            out.append(Violation(DUPLICATE_PATIENT_KIND, path,
+            out.append(Violation(DUPLICATE_PATIENT_KIND, at,
                                  "patientKind values must be distinct"))
         return values
-    for sub in elem:
-        out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{_local(sub.tag)}",
-                             f"{name} has no child elements"))
+    value = True  # agent and influenceThresholds hold no enum or boolean
     if name == "patientKind":
-        return _read_enum(PATIENT_KINDS, elem.text or "", name, path, out)
-    if name == "principle":
-        morality = _read_boolean(attrib, "morality", path, out)
-        subject = _read_enum(_SUBJECTS, attrib.get("subject"), "subject",
-                             f"{path}@subject", out)
+        value = PATIENT_KINDS.get(elem.text or "")
+    elif name == "principle":
+        morality = parse_boolean(attrib.get("morality", ""))
+        subject = _SUBJECTS.get(attrib.get("subject"))
         specification = attrib.get("specification")
-        if None in (morality, subject, specification):
-            return None
-        return MoralPrinciple(morality, subject, specification)
+        value = (None if None in (morality, subject, specification)
+                 else _record(MoralPrinciple, (morality, subject, specification)))
+    if not fits or len(elem) or value is None:
+        path = at if i is None else f"{at}[{i}]"
+        _check_attrs(attrib, path, row, allowed, out)
+        if not row.text:
+            _check_text(elem, path, out)
+        for sub in elem:
+            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{_local(sub.tag)}",
+                                 f"{name} has no child elements"))
+        if name == "patientKind":
+            _read_enum(PATIENT_KINDS, elem.text or "", name, path, out)
+        elif name == "principle":
+            _read_boolean(attrib, "morality", path, out)
+            _read_enum(_SUBJECTS, attrib.get("subject"), "subject", f"{path}@subject", out)
     if name == "agent":
-        return MoralAgent(attrib.get("name", ""), attrib.get("reference"))
-    external = _read_percentage(attrib, "external", path, out)
-    substance = _read_percentage(attrib, "substance", path, out)
-    if None in (external, substance):
-        return None
-    return InfluenceThresholds(external, substance)
-
-
-_TAGS = list(_SEQUENCE)
-_KIND, _PRINCIPLE = _ROWS["patientKinds"][3], _ROWS["principles"][3]
-_TERMS = _ROWS["principle"][1]  # a principle's attributes, all required
-
-
-def _fits(elem, name: str) -> bool:
-    """Whether an element has the attributes its row allows, ``xsi:*`` tolerated."""
-    _, need, allowed, _ = _ROWS[name]
-    keys = elem.attrib.keys()
-    return need <= keys <= allowed or need <= keys and all(
-        key in allowed or key.startswith(_XSI) for key in keys)
-
-
-def _clean(root) -> Optional[EthicalTheoryInstance]:
-    """Decode a document with nothing to report in one straight pass, with the
-    walk's attribute sets and lookups: the instance ``_walk`` would build, or
-    None at the first thing not expected. It may hand back a clean document,
-    which the walk then decodes, but must never accept one the walk rejects."""
-    if [sub.tag for sub in root] != _TAGS:
-        return None
-    agent, kinds, limits, principles = root
-    elems = list(root.iter())
-    # Only the root and the two collections have child elements, and only a
-    # patientKind holds character data other than XML whitespace.
-    if len(elems) != 5 + len(kinds) + len(principles) or "".join(
-            [elem.tail or "" for elem in elems]
-            + [elem.text or "" for elem in elems if elem.tag != _KIND]).strip(_SPACE):
-        return None
-    if not (_fits(root, "ethicalTheory") and _fits(agent, "agent")
-            and _fits(kinds, "patientKinds") and _fits(limits, "influenceThresholds")
-            and _fits(principles, "principles")):
-        return None
-    found: set[PatientKind] = set()
-    for sub in kinds:
-        kind = PATIENT_KINDS.get(sub.text)
-        if (sub.tag != _KIND or kind is None or kind in found
-                or sub.attrib and not _fits(sub, "patientKind")):
+        return _record(MoralAgent, (attrib.get("name", ""), attrib.get("reference")))
+    if name == "influenceThresholds":
+        external = _read_percentage(attrib, "external", at, out)
+        substance = _read_percentage(attrib, "substance", at, out)
+        if None in (external, substance):
             return None
-        found.add(kind)
-    values = []
-    for sub in principles:
-        attrib = sub.attrib
-        if sub.tag != _PRINCIPLE or attrib.keys() != _TERMS and not _fits(sub, "principle"):
-            return None
-        morality = parse_boolean(attrib["morality"])
-        if morality is None or (subject := _SUBJECTS.get(attrib["subject"])) is None:
-            return None
-        values.append(MoralPrinciple(morality, subject, attrib["specification"]))
-    attrib = root.attrib
-    consequentiality = parse_boolean(attrib["consequentiality"])
-    unused: list[Violation] = []  # the walk reports what is wrong
-    external = _read_percentage(limits.attrib, "external", "", unused)
-    substance = _read_percentage(limits.attrib, "substance", "", unused)
-    if None in (consequentiality, external, substance) or not found or not values:
-        return None
-    return EthicalTheoryInstance(
-        attrib["baseTheory"], consequentiality,
-        MoralAgent(agent.get("name"), agent.get("reference")), frozenset(found),
-        InfluenceThresholds(external, substance), tuple(values),
-        attrib.get("instanceName"))
+        return _record(InfluenceThresholds, (external, substance))
+    return value
 
 
 def _decode(doc: bytes):
@@ -327,10 +290,14 @@ def _decode(doc: bytes):
                               f"root element is not in namespace {GENET_NS}")], None
         return [Violation(UNEXPECTED_ELEMENT, f"/{_local(root.tag)}",
                           "root element must be ethicalTheory")], None
-    if (instance := _clean(root)) is not None:
-        return [], instance
+    # Character data other than XML whitespace, where a row allows none, has
+    # every element reported on; the test runs once, over the whole document.
+    elems = list(root.iter())
+    stray = bool("".join([elem.tail or "" for elem in elems]
+                         + [elem.text or "" for elem in elems if elem.tag not in _TEXT]
+                         ).strip(_SPACE))
     out: list[Violation] = []
-    return out, _walk(root, "/ethicalTheory", "ethicalTheory", out)
+    return out, _read(root, "ethicalTheory", None, stray, out)
 
 
 def schema_check(doc: bytes) -> ValidationReport:

@@ -11,19 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genet
-from genet.model import GenetError, PatientKind, Subject, validate_instance
+from genet.model import GenetError, PatientKind, Subject
 from genet.xmlio import (
     ELEMENTS,
     GENET_NS,
     XSI_NS,
-    _clean,
-    _walk,
     emit_theory,
     parse_theory,
     quoteattr,
     schema_check,
 )
-from .conftest import THEORY_NAMES, VERBATIM_THEORIES, load_synth, theory_bytes
+from .conftest import VERBATIM_THEORIES, theory_bytes
 from .strategies import valid_instances
 from .test_golden import MUTATED_THEORIES, _mutants
 
@@ -236,69 +234,6 @@ class TestSchemaCheck:
                 with pytest.raises(GenetError):
                     parse_theory(doc)
 
-
-def _straight_path(doc: bytes):
-    """Whether ``_clean`` decodes a document, or None when neither decode path
-    sees it, being malformed or rooted elsewhere. Checks the straight path's
-    one rule on the way: it gives up, or it gives exactly the instance that
-    ``_walk`` builds, and ``_walk`` finds nothing."""
-    try:
-        root = ElementTree.fromstring(doc)
-    except ElementTree.ParseError:
-        return None
-    if root.tag != f"{{{GENET_NS}}}ethicalTheory":
-        return None
-    out: list = []
-    clean, walked = _clean(root), _walk(root, "/ethicalTheory", "ethicalTheory", out)
-    if clean is None:
-        return False
-    # repr tells True from 1, which compare equal.
-    assert (clean, repr(clean), out) == (walked, repr(walked), []), doc
-    return True
-
-
-# Two fixtures with few elements, one with xsi:schemaLocation on the root.
-SECOND_ORDER_THEORIES = ["doe-kantianism", "mia-kantianism"]
-
-
-class TestStraightPath:
-    """``_clean`` decodes documents with nothing to report; ``_walk`` is the
-    reference it must never contradict."""
-
-    @pytest.mark.parametrize("theory", THEORY_NAMES)
-    def test_first_order_mutants(self, theory):
-        taken = {name: _straight_path(doc)
-                 for name, doc in _mutants(theory_bytes(theory)).items()}
-        assert taken["original"]
-
-    @pytest.mark.parametrize("theory", SECOND_ORDER_THEORIES)
-    def test_second_order_mutants(self, theory):
-        # Each fault on top of each first-order mutant that the straight path
-        # takes and that changes the document's shape, not only a value: a
-        # principle deleted, duplicated or moved.
-        firsts = [doc for name, doc in _mutants(theory_bytes(theory)).items()
-                  if "@" not in name and _straight_path(doc)]
-        assert len(firsts) == 7
-        for doc in firsts:
-            for mutant in _mutants(doc).values():
-                _straight_path(mutant)
-
-    @settings(deadline=None)
-    @given(valid_instances)
-    def test_emitted_instances(self, theory):
-        assert _straight_path(emit_theory(theory))
-
-    @pytest.mark.parametrize("theory", THEORY_NAMES)
-    def test_paper_documents(self, theory):
-        doc = theory_bytes(theory)
-        assert _straight_path(doc)
-        assert _straight_path(emit_theory(parse_theory(doc)))
-
-    @pytest.mark.parametrize("mode", ["conseq", "deon"])
-    def test_synthetic_benchmark_documents(self, mode):
-        requests = load_synth().make_requests(mode, 1, 20)
-        assert [r.name for r in requests if not _straight_path(r.theory_doc)] == []
-
     @pytest.mark.parametrize("name", ELEMENTS)
     def test_xsi_attributes_are_tolerated(self, name):
         """An ``xsi:*`` attribute, as ``xsi:schemaLocation`` or ``xsi:type``, is
@@ -312,7 +247,6 @@ class TestStraightPath:
             elem.set(f"{{{XSI_NS}}}schemaLocation", f"{GENET_NS} ethicalTheory.xsd")
         tagged = ElementTree.tostring(root)
         assert schema_check(tagged).ok
-        assert _straight_path(tagged)
         assert parse_theory(tagged) == parse_theory(doc)
 
 
