@@ -178,8 +178,8 @@ def _read_percentage(elem, name: str, path: str, out: list[Violation]):
 def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
     """Check an element against its row, then its children, depth first in
     document order, and decode it: the root's instance, built only when the
-    document is schema-clean, else a collection's list of child values, else
-    its value or None. The element is reported on only when it fails the
+    document is schema-clean, else a collection's child values (a frozenset of
+    patient kinds, a tuple of principles), else its value or None. The element is reported on only when it fails the
     whole-element test: its child tags, its attribute names, its enum or
     boolean value, and no ``stray`` text in the document. ``i`` is its index
     in a collection, else None: its path is built only for a finding."""
@@ -220,8 +220,8 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
             return None
         return _record(EthicalTheoryInstance, (
             attrib["baseTheory"], consequentiality, values["agent"],
-            frozenset(values["patientKinds"]), values["influenceThresholds"],
-            tuple(values["principles"]), attrib.get("instanceName")))
+            values["patientKinds"], values["influenceThresholds"],
+            values["principles"], attrib.get("instanceName")))
     if qchild is not None:
         child = row.child
         if not fits:
@@ -237,21 +237,23 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
                                      f"unexpected element {_local(sub.tag)!r}"))
             elif (value := _read(sub, child, j, stray, out)) is not None:
                 values.append(value)
+        if child != "patientKind":
+            return tuple(values)
         # The XSD tolerates repeated patientKind values; the model is a
         # set, so decoding them would be lossy. Reject instead.
-        if child == "patientKind" and len(set(values)) < len(values):
+        if len(kinds := frozenset(values)) < len(values):
             out.append(Violation(DUPLICATE_PATIENT_KIND, at,
                                  "patientKind values must be distinct"))
-        return values
+        return kinds
     value = True  # agent and influenceThresholds hold no enum or boolean
-    if name == "patientKind":
-        value = PATIENT_KINDS.get(elem.text or "")
-    elif name == "principle":
+    if name == "principle":
         morality = parse_boolean(attrib.get("morality", ""))
         subject = _SUBJECTS.get(attrib.get("subject"))
         specification = attrib.get("specification")
-        value = (None if None in (morality, subject, specification)
+        value = (None if morality is None or subject is None or specification is None
                  else _record(MoralPrinciple, (morality, subject, specification)))
+    elif name == "patientKind":
+        value = PATIENT_KINDS.get(elem.text or "")
     if not fits or len(elem) or value is None:
         path = at if i is None else f"{at}[{i}]"
         _check_attrs(attrib, path, row, allowed, out)
