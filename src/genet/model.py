@@ -164,7 +164,6 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
     report means the instance is valid.
     """
     out: list[Violation] = []
-    agent = theory.agent
 
     if not theory.baseTheory:
         out.append(Violation(EMPTY_BASE_THEORY, "baseTheory",
@@ -172,16 +171,16 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
     if theory.instanceName == "":
         out.append(Violation(EMPTY_INSTANCE_NAME, "instanceName",
                              "instanceName, when present, must be non-empty"))
-    if not agent.name:
+    if not theory.agent.name:
         out.append(Violation(EMPTY_AGENT_NAME, "agent.name",
                              "agent name must be non-empty"))
-    if agent.reference is not None and not _is_uri(agent.reference):
+    if theory.agent.reference is not None and not _is_uri(theory.agent.reference):
         out.append(Violation(BAD_URI, "agent.reference",
-                             f"not syntactically a URI: {agent.reference!r}"))
+                             f"not syntactically a URI: {theory.agent.reference!r}"))
     for path, text in (("baseTheory", theory.baseTheory),
                        ("instanceName", theory.instanceName),
-                       ("agent.name", agent.name),
-                       ("agent.reference", agent.reference)):
+                       ("agent.name", theory.agent.name),
+                       ("agent.reference", theory.agent.reference)):
         if text and _NON_XML.search(text):
             out.append(_non_xml(path, text))
 

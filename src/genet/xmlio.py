@@ -146,19 +146,15 @@ def _check_text(elem, path: str, out: list[Violation]) -> None:
                              "element must not contain character data"))
 
 
-def _read_boolean(elem, name: str, path: str, out: list[Violation]):
-    if (raw := elem.get(name)) is None:
-        return None
-    if (value := parse_boolean(raw)) is None:
+def _check_boolean(elem, name: str, path: str, out: list[Violation]) -> None:
+    if (raw := elem.get(name)) is not None and parse_boolean(raw) is None:
         out.append(Violation(BAD_BOOLEAN, f"{path}@{name}", f"not a boolean: {raw!r}"))
-    return value
 
 
-def _read_enum(members: dict, raw, name: str, path: str, out: list[Violation]):
-    if (member := members.get(raw)) is None and raw is not None:
+def _check_enum(members: dict, raw, name: str, path: str, out: list[Violation]) -> None:
+    if raw is not None and raw not in members:
         out.append(Violation(ENUM_VIOLATION, path, f"{name} {raw!r} outside "
                              f"enumeration {list(members)}"))
-    return member
 
 
 def _read_percentage(elem, name: str, path: str, out: list[Violation]):
@@ -192,7 +188,7 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
             found = dict(zip(row.sequence, elem))
         else:  # the root's boolean is reported before its text
             _check_attrs(attrib, at, row, allowed, out)
-            _read_boolean(attrib, "consequentiality", at, out)
+            _check_boolean(attrib, "consequentiality", at, out)
             _check_text(elem, at, out)
             # The schema demands this exact child sequence.
             found = {}
@@ -263,10 +259,10 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
             out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{_local(sub.tag)}",
                                  f"{name} has no child elements"))
         if name == "patientKind":
-            _read_enum(PATIENT_KINDS, elem.text or "", name, path, out)
+            _check_enum(PATIENT_KINDS, elem.text or "", name, path, out)
         elif name == "principle":
-            _read_boolean(attrib, "morality", path, out)
-            _read_enum(_SUBJECTS, attrib.get("subject"), "subject", f"{path}@subject", out)
+            _check_boolean(attrib, "morality", path, out)
+            _check_enum(_SUBJECTS, attrib.get("subject"), "subject", f"{path}@subject", out)
     if name == "agent":
         return _record(MoralAgent, (attrib.get("name", ""), attrib.get("reference")))
     if name == "influenceThresholds":
