@@ -175,10 +175,11 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
     """Check an element against its row, then its children, depth first in
     document order, and decode it: the root's instance, built only when the
     document is schema-clean, else a collection's child values (a frozenset of
-    patient kinds, a tuple of principles), else its value or None. The element is reported on only when it fails the
-    whole-element test: its child tags, its attribute names, its enum or
-    boolean value, and no ``stray`` text in the document. ``i`` is its index
-    in a collection, else None: its path is built only for a finding."""
+    patient kinds, a tuple of principles), else its value or None. The element
+    is reported on only when it fails the whole-element test: its child tags,
+    its attribute names, its enum or boolean value, and no ``stray`` text in
+    the document. ``i`` is its index in a collection, else None: its path is
+    built only for a finding."""
     row, need, allowed, qchild, at = _ROWS[name]
     attrib = elem.attrib
     fits = not stray and need <= attrib.keys() <= allowed
