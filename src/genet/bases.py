@@ -10,8 +10,6 @@ second-layer theories can be added without code changes. The builtin
 four live in ``genet/data/bases/``; see the README for the key schema.
 """
 
-from __future__ import annotations
-
 import os
 from enum import Enum
 from pathlib import Path

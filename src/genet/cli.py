@@ -10,8 +10,6 @@ go to stdout, diagnostics to stderr. GENET_BASE_DIR overrides the packaged
 base-template directory.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -25,6 +23,7 @@ from .model import (
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
+    PatientKind,
     Subject,
     Violation,
 )
@@ -83,14 +82,15 @@ def cmd_instantiate(args) -> int:
     edits: list[bases_mod.PrincipleEdit] = []
     try:
         for spec in args.add:
-            specification, subject, morality = spec.split(",")
+            # Subject and morality never hold a comma; a specification may.
+            specification, subject, morality = spec.rsplit(",", 2)
             if (value := xmlio.parse_boolean(morality)) is None:
                 raise ValueError(f"not a boolean: {morality!r}")
             edits.append(bases_mod.PrincipleEdit.add(MoralPrinciple(
                 morality=value, subject=Subject(subject),
                 specification=specification)))
         for spec in args.remove:
-            specification, subject = spec.split(",")
+            specification, subject = spec.rsplit(",", 1)
             edits.append(bases_mod.PrincipleEdit.remove(MoralPrinciple(
                 morality=True, subject=Subject(subject),
                 specification=specification)))
@@ -102,7 +102,8 @@ def cmd_instantiate(args) -> int:
         instance = bases_mod.instantiate(
             base, MoralAgent(args.agent, args.agent_ref),
             InfluenceThresholds(args.external, args.substance),
-            instanceName=args.name, edits=edits)
+            instanceName=args.name, edits=edits, patientKinds=args.patient_kind
+            and frozenset(map(PatientKind, args.patient_kind)))
     except GenetError as exc:
         _print_report(exc.report.violations)
         return EXIT_VIOLATION
@@ -205,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--external", type=integer, required=True)
     p.add_argument("--substance", type=integer, required=True)
     p.add_argument("--name", required=True)
+    p.add_argument("--patient-kind", action="append",
+                   choices=[kind.value for kind in PatientKind])
     p.add_argument("--add", action="append", default=[],
                    metavar="SPEC,SUBJ,MORALITY")
     p.add_argument("--remove", action="append", default=[], metavar="SPEC,SUBJ")

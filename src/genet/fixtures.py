@@ -1,7 +1,5 @@
 """Locate the packaged use-case fixtures (theory XMLs and scenarios)."""
 
-from __future__ import annotations
-
 from pathlib import Path
 
 _ROOT = Path(__file__).parent / "data" / "fixtures"

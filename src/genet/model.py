@@ -8,8 +8,6 @@ the influence, and carries an ordered list of moral principles.
 principle only when the whole collection fails its test.
 """
 
-from __future__ import annotations
-
 import json
 import re
 from enum import Enum
@@ -137,9 +135,16 @@ PARSE_ERROR = "PARSE_ERROR"
 # The characters outside the XML 1.0 Char production: a C0 control other
 # than tab, LF and CR, a lone surrogate, U+FFFE or U+FFFF. No theory
 # document can carry one, and a lone surrogate cannot even be printed.
-# Listed, not negated: a class negating the astral range takes about ten
-# times as long to compile, in every process.
-_NON_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# The regex holds the C0 controls alone: a class with any code point above
+# U+00FF makes re build a 65,536-entry charmap, about 0.4 ms in every
+# process. The other three are neither ASCII nor printable, so only text
+# that is neither is searched for them.
+_C0 = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
+
+
+def _has_non_xml(text: str) -> bool:
+    return _C0.search(text) is not None or not (text.isascii() or text.isprintable()) and any(
+        "\ud800" <= char <= "\udfff" or char in "\ufffe\uffff" for char in text)
 
 
 def _non_xml(path: str, text: str) -> Violation:
@@ -181,7 +186,7 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
                        ("instanceName", theory.instanceName),
                        ("agent.name", theory.agent.name),
                        ("agent.reference", theory.agent.reference)):
-        if text and _NON_XML.search(text):
+        if text and _has_non_xml(text):
             out.append(_non_xml(path, text))
 
     if not theory.patientKinds:
@@ -202,7 +207,7 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
     # of the whole: non-empty specifications without whitespace, none holding
     # a character XML cannot carry, and distinct (specification, subject) pairs.
     specs = [p.specification for p in principles]
-    if (" ".join(specs).split() != specs or _NON_XML.search("".join(specs))
+    if (" ".join(specs).split() != specs or _has_non_xml("".join(specs))
             or len({(p.specification, p.subject) for p in principles}) < len(specs)):
         seen: set[tuple[str, Subject]] = set()
         for i, p in enumerate(principles):
@@ -215,7 +220,7 @@ def validate_instance(theory: EthicalTheoryInstance) -> ValidationReport:
                 out.append(Violation(
                     SPECIFICATION_WHITESPACE, f"{path}.specification",
                     f"specification contains whitespace: {p.specification!r}"))
-            if _NON_XML.search(p.specification):
+            if _has_non_xml(p.specification):
                 out.append(_non_xml(f"{path}.specification", p.specification))
             key = (p.specification, p.subject)
             if key in seen:
@@ -259,7 +264,7 @@ def load_json(doc: bytes):
                 items += item.values()
             elif isinstance(item, list):
                 items += item
-            elif isinstance(item, str) and _NON_XML.search(item):
+            elif isinstance(item, str) and _has_non_xml(item):
                 raise ValueError(f"string {item!r} holds a character that XML 1.0 "
                                  f"cannot carry")
     return data

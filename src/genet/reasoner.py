@@ -8,8 +8,6 @@ is recorded as an argument trace, and the cross-action decision either
 names a winner or reports the conflict honestly.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple, Optional
 

@@ -18,8 +18,6 @@ times, and a guard fast enough to avoid that would restate every row, so
 folding ``_clean`` into them would save no code.
 """
 
-from __future__ import annotations
-
 import json
 from collections import Counter
 from typing import NamedTuple, Optional

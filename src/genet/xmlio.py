@@ -13,8 +13,6 @@ document against the table and decodes it in the same pass; its reporting
 code runs only for an element that fails a test of the whole element.
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple, Optional
 from xml.etree import ElementTree

@@ -14,6 +14,7 @@ import pytest
 import genet
 from genet.cli import main
 from genet.fixtures import scenario_path, theory_path
+from genet.model import MoralPrinciple, PatientKind, Subject
 from genet.xmlio import emit_theory, parse_theory
 from .conftest import scenario_bytes, theory_bytes
 
@@ -191,6 +192,50 @@ class TestInstantiate:
         code, out, _ = run(capsys, *INSTANTIATE, "--out", str(tmp_path / "x.xml"))
         assert (code, out) == (1, "FIXED_FIELD_VIOLATION\tpatientKinds\tegoism leaves "
                                   "patientKinds free; the instantiator must supply them\n")
+
+    def test_free_patient_kinds_are_taken_from_the_option(self, capsys, tmp_path,
+                                                          monkeypatch):
+        data = json.loads((BUILTIN_BASES / "egoism.json").read_text("utf-8"))
+        del data["fixedPatientKinds"]
+        (tmp_path / "egoism.json").write_text(json.dumps(data))
+        monkeypatch.setenv("GENET_BASE_DIR", str(tmp_path))
+        out_path = tmp_path / "x.xml"
+        code, out, err = run(capsys, *INSTANTIATE, "--patient-kind", "nature",
+                             "--patient-kind", "human", "--patient-kind", "nature",
+                             "--out", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        assert parse_theory(out_path.read_bytes()).patientKinds == {
+            PatientKind.HUMAN, PatientKind.NATURE}
+        assert run(capsys, "validate", str(out_path)) == (0, "", "")
+
+    def test_patient_kind_contradicting_a_fixed_set(self, capsys, tmp_path):
+        out_path = tmp_path / "x.xml"
+        code, out, err = run(capsys, *INSTANTIATE, "--patient-kind", "nature",
+                             "--out", str(out_path))
+        assert (code, out, err) == (1, "FIXED_FIELD_VIOLATION\tpatientKinds\tegoism "
+                                       "fixes patientKinds to ['human']\n", "")
+        assert not out_path.exists()
+
+    def test_unknown_patient_kind_is_usage(self, capsys, tmp_path):
+        out_path = tmp_path / "x.xml"
+        code, out, err = run(capsys, *INSTANTIATE, "--patient-kind", "robot",
+                             "--out", str(out_path))
+        assert (code, out) == (3, "")
+        assert "argument --patient-kind: invalid choice: 'robot'" in err
+        assert not out_path.exists()
+
+    def test_specification_holding_a_comma(self, capsys, tmp_path):
+        # A specification is a whitespace-free token, so it may hold a comma;
+        # subject and morality, split off from the right, never do.
+        added, both = tmp_path / "added.xml", tmp_path / "both.xml"
+        assert run(capsys, *INSTANTIATE, "--add", "tell,truth,agent,true",
+                   "--out", str(added)) == (0, "", "")
+        principle = MoralPrinciple(True, Subject.AGENT, "tell,truth")
+        assert parse_theory(added.read_bytes()).principles[-1] == principle
+        assert run(capsys, *INSTANTIATE, "--add", "tell,truth,agent,true",
+                   "--remove", "tell,truth,agent", "--out", str(both)) == (0, "", "")
+        assert principle not in parse_theory(both.read_bytes()).principles
+        assert run(capsys, "validate", str(added)) == (0, "", "")
 
     def test_unknown_base(self, capsys, tmp_path):
         code, _, err = run(capsys, "instantiate", "--base", "nosuch",
@@ -476,8 +521,10 @@ def test_import_stays_clear_of_the_network_and_email_stack():
     """`import genet.cli` loads none of the modules that
     `xml.sax.saxutils` pulls in, nor `dataclasses` and the `inspect` it
     imports, nor `genet.bases`, which only `instantiate` and `bases` use;
-    each would add milliseconds to every command. `-S` keeps `.pth` hooks
-    of site-packages out of the result."""
+    each would add milliseconds to every command. Nor does it load
+    `__future__`: genet's annotations are evaluated, so that each record
+    field needs no compile() at import. `-S` keeps `.pth` hooks of
+    site-packages out of the result."""
     result = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, genet.cli; print(' '.join(sorted(sys.modules)))"],
@@ -488,7 +535,7 @@ def test_import_stays_clear_of_the_network_and_email_stack():
     assert "genet.cli" in loaded
     assert loaded.isdisjoint({"urllib.request", "http.client", "email", "ssl",
                               "socket", "xml.sax", "dataclasses", "inspect",
-                              "genet.bases"})
+                              "genet.bases", "__future__"})
 
 
 MODULES_PROBE = """
