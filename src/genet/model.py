@@ -134,17 +134,18 @@ PARSE_ERROR = "PARSE_ERROR"
 
 # The characters outside the XML 1.0 Char production: a C0 control other
 # than tab, LF and CR, a lone surrogate, U+FFFE or U+FFFF. No theory
-# document can carry one, and a lone surrogate cannot even be printed.
-# The regex holds the C0 controls alone: a class with any code point above
-# U+00FF makes re build a 65,536-entry charmap, about 0.4 ms in every
-# process. The other three are neither ASCII nor printable, so only text
-# that is neither is searched for them.
+# document can carry one. None is printable, so printable text, nearly all
+# text, is not searched. The regex holds the C0 controls alone: a class with
+# any code point above U+00FF makes re build a 65,536-entry charmap, about
+# 0.4 ms in every process. The other three are not ASCII, so only text that
+# is not ASCII is scanned for them.
 _C0 = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 
 def _has_non_xml(text: str) -> bool:
-    return _C0.search(text) is not None or not (text.isascii() or text.isprintable()) and any(
-        "\ud800" <= char <= "\udfff" or char in "\ufffe\uffff" for char in text)
+    return not text.isprintable() and (_C0.search(text) is not None or not text.isascii()
+                                       and any("\ud800" <= char <= "\udfff"
+                                               or char in "\ufffe\uffff" for char in text))
 
 
 def _non_xml(path: str, text: str) -> Violation:

@@ -202,8 +202,11 @@ def _xml_char(cp: int) -> bool:
 
 def test_non_xml_matches_exactly_what_the_char_production_leaves_out():
     every = list(map(chr, range(0x110000)))  # lone surrogates included
-    assert [char for char in every if _has_non_xml(char)] == [
-        char for char in every if not _xml_char(ord(char))]
+    left_out = [char for char in every if not _xml_char(ord(char))]
+    assert len(left_out) == 2079
+    assert [char for char in every if _has_non_xml(char)] == left_out
+    # Alone and amid text that is printable but not ASCII.
+    assert [char for char in every if _has_non_xml(f"\u00e9{char}x")] == left_out
 
 
 def test_no_record_holds_an_unevaluated_annotation():
