@@ -16,7 +16,7 @@ _NAMES = {
                  "load_scenario", "validate_scenario_against_theory"),
     "reasoner": ("ActionEvaluation", "ArgumentTrace", "Decision", "DecisionKind",
                  "MoralVerdict", "decide", "decision_to_dict", "evaluate",
-                 "influence_gate", "render_decision", "render_evaluation"),
+                 "render_decision", "render_evaluation"),
     "bases": ("BaseTheoryTemplate", "Mutability", "PrincipleEdit", "Registry",
               "check_conformance", "instantiate", "load_registry"),
 }
@@ -28,11 +28,8 @@ def __getattr__(name: str):
     home = name if name in _NAMES else _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # import_module, not `from . import …`: that would look the name up
-    # here again before the submodule is bound, and recurse without end.
-    from importlib import import_module
-
-    module = import_module(f".{home}", __name__)
+    __import__(f"{__name__}.{home}")  # binds the submodule here
+    module = globals()[home]
     globals().update((public, getattr(module, public)) for public in _NAMES[home])
     return module if name == home else globals()[name]
 

@@ -56,7 +56,7 @@ def _read_file(path: str) -> bytes:
 
 
 def cmd_validate(args) -> int:
-    from . import bases as bases_mod, xmlio
+    import genet.bases as bases_mod, genet.xmlio as xmlio
 
     try:
         theory = xmlio.parse_theory(_read_file(args.path))
@@ -76,7 +76,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_instantiate(args) -> int:
-    from . import bases as bases_mod, xmlio
+    import genet.bases as bases_mod, genet.xmlio as xmlio
 
     base = bases_mod.load_registry().get(args.base)
     edits: list[bases_mod.PrincipleEdit] = []
@@ -117,7 +117,7 @@ def cmd_instantiate(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    from . import bases as bases_mod
+    import genet.bases as bases_mod
 
     registry = bases_mod.load_registry()
     if args.action == "list":
@@ -140,7 +140,7 @@ def cmd_bases(args) -> int:
 
 
 def cmd_reason(args) -> int:
-    from . import reasoner, scenario as scenario_mod, xmlio
+    import genet.reasoner as reasoner, genet.scenario as scenario_mod, genet.xmlio as xmlio
 
     theory_doc = _read_file(args.theory)
     scenario_doc = _read_file(args.scenario)
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     def integer(text: str) -> int:
         # The xs:integer of <influenceThresholds>; int() also takes "1_0" and non-ASCII
         # digits. argparse turns the ValueError into a usage error.
-        from . import xmlio
+        import genet.xmlio as xmlio
         if (digits := xmlio.parse_integer(text)) is None:
             raise ValueError(text)
         return int(digits)  # also a ValueError past 4,300 digits

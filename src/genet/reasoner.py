@@ -93,21 +93,6 @@ class _TraceBuilder:
         return ArgumentTrace(tuple(self.premises), tuple(self.inferences), conclusion)
 
 
-def influence_gate(theory: EthicalTheoryInstance, request: RequestContext) -> bool:
-    """Whether the request's moral weight is voided.
-
-    True iff the detected influence level strictly exceeds the matching
-    threshold, so a threshold of 100 never voids and a threshold of 0
-    voids any positive influence.
-    """
-    return request.influenceLevel > _threshold(theory, request)
-
-
-def _threshold(theory: EthicalTheoryInstance, request: RequestContext) -> int:
-    t = theory.influenceThresholds
-    return t.substance if request.influenceKind == "substance" else t.external
-
-
 def _principle_premises(theory: EthicalTheoryInstance
                         ) -> list[tuple[MoralPrinciple, tuple[str, str, str]]]:
     """Each principle in document order with its premise key (kind, text,
@@ -126,7 +111,8 @@ def _principle_premises(theory: EthicalTheoryInstance
 
 def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
                         request: RequestContext) -> tuple[bool, str]:
-    threshold = _threshold(theory, request)
+    t = theory.influenceThresholds
+    threshold = t.substance if request.influenceKind == "substance" else t.external
     p_threshold = builder.premise((
         "thresholdFact",
         f"the {request.influenceKind} influence threshold is {threshold}%",
@@ -136,7 +122,8 @@ def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
         f"{request.requester} is {request.influenceLevel}% under "
         f"{request.influenceKind} influence",
         "scenario:request"))
-    voided = request.influenceLevel > threshold  # as influence_gate
+    # Strictly above: a threshold of 100 never voids, 0 voids any positive influence.
+    voided = request.influenceLevel > threshold
     if voided:
         text = (f"the request for {request.requestedAction} carries no weight "
                 f"({request.influenceLevel} > {threshold})")

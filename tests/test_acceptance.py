@@ -27,11 +27,10 @@ from genet.model import (
     Subject,
     validate_instance,
 )
-from genet.reasoner import DecisionKind, decide, evaluate, influence_gate
+from genet.reasoner import DecisionKind, decide, evaluate
 from genet.scenario import (
     ActionOption,
     EffectAssertion,
-    RequestContext,
     Scenario,
     StakeholderGroup,
     load_scenario,
@@ -39,7 +38,7 @@ from genet.scenario import (
 from genet.xmlio import emit_theory, parse_theory, schema_check
 from .conftest import scenario_bytes, theory_bytes, VERBATIM_THEORIES
 from . import test_reasoner
-from .test_reasoner import EXPECTED_CHOICE, toy_theory
+from .test_reasoner import EXPECTED_CHOICE, gate_voided, toy_theory
 
 
 def criterion(number: int, description: str):
@@ -165,12 +164,8 @@ def test_criterion_4_mutability(registry):
               "boundary table for both influence kinds")
 def test_criterion_5_gate_boundary_table():
     for threshold, level, voided in test_reasoner.TestInfluenceGate.TABLE:
-        request = RequestContext("AGENT", "substance", level, "a")
-        assert influence_gate(toy_theory(thresholds=(0, threshold)),
-                              request) is voided, (threshold, level)
-        request = RequestContext("AGENT", "external", level, "a")
-        assert influence_gate(toy_theory(thresholds=(threshold, 0)),
-                              request) is voided, (threshold, level)
+        assert gate_voided((0, threshold), "substance", level) is voided, (threshold, level)
+        assert gate_voided((threshold, 0), "external", level) is voided, (threshold, level)
 
 
 def _random_group_scenario(rng: random.Random) -> Scenario:

@@ -596,6 +596,24 @@ def test_bases_loads_on_first_use():
     assert result.stdout == "module 'genet' has no attribute 'no_such_name'\n"
 
 
+@pytest.mark.parametrize("argv, modules", [
+    (["-c", "import genet; genet.bases.load_registry()"], {"genet.bases"}),
+    (["-m", "genet.cli", "reason", "--theory", str(theory_path("mia-egoism")),
+      "--scenario", str(scenario_path("mia"))],
+     {"genet.xmlio", "genet.scenario", "genet.reasoner"}),
+], ids=["load_registry", "reason"])
+def test_importtime_lists_each_first_use_load(argv, modules):
+    """A layer loaded on first use goes through the import statement, so
+    `python -X importtime` gives it a line of its own; only the lines are
+    checked, never their times."""
+    result = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                            capture_output=True, text=True, env=_this_tree_env())
+    assert result.returncode == 0, result.stderr
+    listed = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert modules <= listed
+
+
 def test_instantiate_in_a_fresh_process(tmp_path):
     out = tmp_path / "x.xml"
     result = subprocess.run([sys.executable, "-m", "genet", *INSTANTIATE,

@@ -5,8 +5,8 @@ For each of the 12 matching theory × scenario pairs, `reason`,
 run on each of the 12 theories. Exit code, stdout and stderr must equal
 the checked-in `golden/fixture_outputs.json`. Fixture paths are recorded
 by name only, so the file does not depend on where the tree lives. When
-`python3.10`, the declared minimum, is on PATH, the `--explain` and
-`--format json` runs are repeated under it, in fresh processes.
+`python3.10`, the declared minimum, starts from PATH or pyenv has one
+installed, every pinned command is run again under it, in a fresh process.
 
 `golden/action_outputs.json` pins `reason --action <id> --explain` and
 `reason --action <id> --format json` for every action of the same 12
@@ -44,6 +44,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -339,11 +340,28 @@ def test_multi_fault_diagnostics_match_golden():
     assert [name for name in expected if actual[name] != expected[name]] == []
 
 
+def _starts(path: str | None) -> bool:
+    try:
+        return path is not None and not subprocess.run([path, "-c", ""],
+                                                        capture_output=True).returncode
+    except OSError:
+        return False
+
+
 def _python_3_10() -> str:
-    """python3.10 from PATH; the test is skipped when it is missing or does not start."""
+    """python3.10 from PATH or, when that does not start, the newest 3.10.*
+    that pyenv has installed; the test is skipped when neither starts."""
     path = shutil.which("python3.10")
-    if path is None or subprocess.run([path, "-c", ""], capture_output=True).returncode:
-        pytest.skip("python3.10 is not on PATH or does not start")
+    if not _starts(path) and (pyenv := shutil.which("pyenv")):
+        versions = subprocess.run([pyenv, "versions", "--bare"],
+                                  capture_output=True, text=True).stdout.split()
+        patches = [int(m[1]) for v in versions if (m := re.fullmatch(r"3\.10\.(\d+)", v))]
+        if patches:
+            prefix = subprocess.run([pyenv, "prefix", f"3.10.{max(patches)}"],
+                                    capture_output=True, text=True).stdout.strip()
+            path = os.path.join(prefix, "bin", "python3.10")
+    if not _starts(path):
+        pytest.skip("python3.10 does not start, from PATH or from pyenv")
     return path
 
 

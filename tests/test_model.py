@@ -251,7 +251,7 @@ EAGER_NAMES = [
     "GenetError", "InfluenceThresholds", "MoralAgent", "MoralPrinciple", "MoralVerdict",
     "PatientKind", "RequestContext", "Scenario", "StakeholderGroup", "Subject",
     "ValidationReport", "Violation", "decide", "decision_to_dict", "emit_scenario",
-    "emit_theory", "evaluate", "influence_gate", "load_scenario", "parse_theory",
+    "emit_theory", "evaluate", "load_scenario", "parse_theory",
     "render_decision", "render_evaluation", "schema_check", "validate_instance",
     "validate_scenario_against_theory"]
 LAZY_NAMES = ["BaseTheoryTemplate", "Mutability", "PrincipleEdit", "Registry",

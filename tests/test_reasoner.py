@@ -21,7 +21,6 @@ from genet.reasoner import (
     decide,
     decision_to_dict,
     evaluate,
-    influence_gate,
     render_decision,
 )
 from genet.scenario import (
@@ -74,6 +73,30 @@ def toy_theory(consequentiality=True, principles=None, kinds=None,
         principles=tuple(principles))
 
 
+def gate_voided(thresholds: tuple[int, int], kind: str, level: int) -> bool:
+    """Whether the influence gate voids a request, read from `evaluate` of
+    the requested action a0, whose one effect is a request-derived good
+    (+1). A voided request diverts the +1 to the supererogation ledger; a
+    kept one counts it. `thresholds` is (external, substance)."""
+    scenario = Scenario(
+        name="x", actingFor="Agent", groups=(),
+        actions=(ActionOption("a0"), ActionOption("a1")),
+        effects=(EffectAssertion("a0", "good", "increase", AGENT,
+                                 requestDerived=True),),
+        deontics=(),
+        request=RequestContext(AGENT, kind, level, "a0"))
+    evaluation = evaluate(toy_theory(thresholds=thresholds), scenario, "a0")
+    threshold = thresholds[1] if kind == "substance" else thresholds[0]
+    gate = evaluation.trace.inferences[0].text  # the gate comes before the effects
+    if evaluation.supererogation:
+        assert (evaluation.score, evaluation.supererogation) == (0, (1,))
+        assert gate == f"the request for a0 carries no weight ({level} > {threshold})"
+        return True
+    assert evaluation.score == 1
+    assert gate == f"the request for a0 keeps its moral weight ({level} <= {threshold})"
+    return False
+
+
 class TestInfluenceGate:
     # Full boundary table: voided iff influenceLevel strictly exceeds
     # the threshold; 100 never voids, 0 voids any positive influence.
@@ -87,28 +110,22 @@ class TestInfluenceGate:
 
     @pytest.mark.parametrize("threshold,level,voided", TABLE)
     def test_boundary_table_substance(self, threshold, level, voided):
-        theory = toy_theory(thresholds=(0, threshold))
-        request = RequestContext("AGENT", "substance", level, "a0")
-        assert influence_gate(theory, request) is voided
+        assert gate_voided((0, threshold), "substance", level) is voided
 
     @pytest.mark.parametrize("threshold,level,voided", TABLE)
     def test_boundary_table_external(self, threshold, level, voided):
-        theory = toy_theory(thresholds=(threshold, 0))
-        request = RequestContext("AGENT", "external", level, "a0")
-        assert influence_gate(theory, request) is voided
+        assert gate_voided((threshold, 0), "external", level) is voided
 
     def test_kind_selects_the_matching_threshold(self):
-        theory = toy_theory(thresholds=(100, 0))
-        assert influence_gate(theory, RequestContext("AGENT", "substance", 1, "a"))
-        assert not influence_gate(theory, RequestContext("AGENT", "external", 99, "a"))
+        assert gate_voided((100, 0), "substance", 1)
+        assert not gate_voided((100, 0), "external", 99)
 
     @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
     def test_monotone_in_threshold(self, low, high, level):
         low, high = min(low, high), max(low, high)
-        request = RequestContext("AGENT", "substance", level, "a")
         # Raising the threshold can only stop voiding, never start it.
-        if not influence_gate(toy_theory(thresholds=(0, low)), request):
-            assert not influence_gate(toy_theory(thresholds=(0, high)), request)
+        if not gate_voided((0, low), "substance", level):
+            assert not gate_voided((0, high), "substance", level)
 
 
 class TestEvaluateConsequentialist:
