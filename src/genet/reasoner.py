@@ -113,7 +113,7 @@ def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
                         request: RequestContext) -> tuple[bool, str]:
     t = theory.influenceThresholds
     threshold = t.substance if request.influenceKind == "substance" else t.external
-    p_threshold = builder.premise((
+    p_limit = builder.premise((
         "thresholdFact",
         f"the {request.influenceKind} influence threshold is {threshold}%",
         "theory:influenceThresholds"))
@@ -130,7 +130,7 @@ def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
     else:
         text = (f"the request for {request.requestedAction} keeps its moral weight "
                 f"({request.influenceLevel} <= {threshold})")
-    return voided, builder.infer((p_threshold, p_level), text)
+    return voided, builder.infer((p_limit, p_level), text)
 
 
 def evaluate(theory: EthicalTheoryInstance, scenario: Scenario,
