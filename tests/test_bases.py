@@ -413,6 +413,25 @@ class TestInstantiate:
             assert refusal(err) == [("DUPLICATE_PRINCIPLE", "principles",
                                      f"principle {key} is already present")]
 
+    def test_a_default_removed_and_added_back_comes_last(self, registry):
+        ego = base(registry, "egoism")
+        first, *rest = ego.defaultPrinciples
+        edits = [PrincipleEdit.remove(first), PrincipleEdit.add(first)]
+        instance = instantiate(ego, agent=DOE, thresholds=THRESH, edits=edits)
+        assert instance.principles == (*rest, first)
+
+    def test_repeated_default_pair_is_an_invalid_instance(self, registry):
+        # A template built in code skips the loader's check; the repeat is
+        # kept and refused, not merged into one principle.
+        ego = base(registry, "egoism")
+        first = ego.defaultPrinciples[0]
+        doubled = ego._replace(defaultPrinciples=ego.defaultPrinciples
+                               + (first._replace(morality=not first.morality),))
+        with pytest.raises(GenetError) as err:
+            instantiate(doubled, agent=DOE, thresholds=THRESH)
+        assert err.value.code == "INVALID_INSTANCE"
+        assert err.value.report.codes() == ["DUPLICATE_PRINCIPLE"]
+
     def test_business_egoism_replacement(self, registry):
         # Egoism for a business: replace the personal-preference defaults
         # with the triple bottom line wholesale.
@@ -527,16 +546,17 @@ def legal_edit_lists(draw, registry):
         else:
             edits.append(PrincipleEdit.remove(principle))
             current.remove(principle)
-    return template, edits
+    return template, edits, current
 
 
 class TestReachability:
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
     def test_accepted_edit_lists_conform(self, registry, data):
-        template, edits = data.draw(legal_edit_lists(registry))
+        template, edits, current = data.draw(legal_edit_lists(registry))
         instance = instantiate(template, agent=DOE, thresholds=THRESH,
                                edits=edits)
+        assert instance.principles == tuple(current)
         assert check_conformance(instance, registry).conformant
 
     @pytest.mark.parametrize("mutability", list(Mutability))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from unittest import mock
@@ -339,6 +340,16 @@ class TestEmitScenario:
         emitted = emit_scenario(first)
         assert load_scenario(emitted) == first
         assert emit_scenario(load_scenario(emitted)) == emitted
+
+    @pytest.mark.parametrize("name, digest", [
+        ("marijuana", "6d6aa6f4a30c3ba851f0d86c3aa2aefe7580a206be0921bb6278fb177468f849"),
+        ("mia", "804d01b00e5dec40f1cdf27828867d19c0d048c94644d4f87e7301ed15021c13"),
+        ("trolley", "ffd60e33202ae9c1af8a8e31eb0a7259c080ee317fc4f5fde1f92d9107d96813"),
+    ], ids=["marijuana", "mia", "trolley"])
+    def test_emitted_bytes_are_pinned(self, name, digest):
+        # The round trips hold for any fixed key order; this pins the order.
+        emitted = emit_scenario(load_scenario(scenario_bytes(name)))
+        assert hashlib.sha256(emitted).hexdigest() == digest
 
     def test_comment_dropped_on_emit(self):
         emitted = emit_scenario(load_scenario(doc(comment="gone")))
