@@ -89,11 +89,15 @@ _PRINCIPLE = {"morality": Field(bool),
               "specification": Field(str, token)}
 
 
+def _key(p: MoralPrinciple) -> tuple[str, str]:
+    return (p.specification, p.subject.value)
+
+
 def _principles(raws: list) -> tuple[MoralPrinciple, ...]:
-    principles: dict[tuple[str, Subject], MoralPrinciple] = {}
+    principles: dict[tuple[str, str], MoralPrinciple] = {}
     for i, raw in enumerate(raws):
         p = MoralPrinciple(*read_object(raw, _PRINCIPLE, f"defaultPrinciples[{i}]"))
-        if principles.setdefault((p.specification, p.subject), p) is not p:
+        if principles.setdefault(_key(p), p) is not p:
             raise ValueError(f"defaultPrinciples[{i}]: duplicate (specification, "
                              f"subject) pair ({p.specification!r}, {p.subject.value})")
     if not principles:
@@ -178,10 +182,6 @@ def load_registry(base_dir: Optional[Path] = None) -> Registry:
     return Registry(templates)
 
 
-def _key(p: MoralPrinciple) -> tuple[str, str]:
-    return (p.specification, p.subject.value)
-
-
 def _fixes_patient_kinds(template: BaseTheoryTemplate) -> str:
     return (f"{template.name} fixes patientKinds to "
             f"{sorted(k.value for k in template.fixedPatientKinds)}")
@@ -217,7 +217,7 @@ def instantiate(base: BaseTheoryTemplate,
                 f"{base.name} (mutability={base.mutability.value}) forbids "
                 f"{'adding' if edit.adds else 'removing'} principles", "principles")
         key = _key(edit.principle)
-        present = [p for p in principles if _key(p) == key]
+        present = next((p for p in principles if _key(p) == key), None)
         if edit.adds and present:
             raise GenetError(DUPLICATE_PRINCIPLE, f"principle {key} is already present",
                              "principles")
@@ -226,7 +226,7 @@ def instantiate(base: BaseTheoryTemplate,
         if edit.adds:
             principles.append(edit.principle)
         else:
-            principles.remove(present[0])
+            principles.remove(present)
     if not principles:
         raise GenetError(EMPTY_PRINCIPLES, "edits left the principle collection empty",
                          "principles")

@@ -244,8 +244,13 @@ def _unique_keys(pairs: list) -> dict:
     return data
 
 
-# One decoder: json.loads would build one per call.
-_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+def _not_json(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# One decoder: json.loads would build one per call. It refuses NaN, Infinity
+# and -Infinity, which Python's own decoder takes.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_constant=_not_json)
 
 
 def load_json(doc: bytes):

@@ -290,26 +290,19 @@ def load_scenario(doc: bytes) -> Scenario:
 
 def emit_scenario(scenario: Scenario) -> bytes:
     """Canonical re-serialization; load(emit(load(doc))) == load(doc)."""
+    # Each object's keys are its record's fields, in order.
     data: dict = {
         "scenario": scenario.name,
         "actingFor": scenario.actingFor,
-        "groups": [{"id": g.id, "kind": g.kind, "patientKind": g.patientKind.value,
-                    "cardinality": g.cardinality} for g in scenario.groups],
-        "actions": [{"id": a.id} if a.description is None
-                    else {"id": a.id, "description": a.description}
+        "groups": [{**g._asdict(), "patientKind": g.patientKind.value}
+                   for g in scenario.groups],
+        "actions": [{"id": a.id} if a.description is None else a._asdict()
                     for a in scenario.actions],
-        "effects": [{"action": e.action, "specification": e.specification,
-                     "direction": e.direction, "target": e.target,
-                     "requestDerived": e.requestDerived} for e in scenario.effects],
-        "deontics": [{"action": d.action, "specification": d.specification,
-                      "holds": d.holds, "target": d.target}
-                     for d in scenario.deontics],
+        "effects": [e._asdict() for e in scenario.effects],
+        "deontics": [d._asdict() for d in scenario.deontics],
     }
     if scenario.request is not None:
-        r = scenario.request
-        data["request"] = {"requester": r.requester, "influenceKind": r.influenceKind,
-                           "influenceLevel": r.influenceLevel,
-                           "requestedAction": r.requestedAction}
+        data["request"] = scenario.request._asdict()
     return (json.dumps(data, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 

@@ -148,6 +148,21 @@ class TestLoadRegistry:
                                              r".*deep\.json: "):
             load_registry(base_dir=tmp_path)
 
+    @pytest.mark.parametrize("old, new, constant", [
+        ('"consequentiality": true', '"consequentiality": NaN', "NaN"),
+        ('["human"]', '["human", Infinity, -Infinity]', "Infinity"),
+    ], ids=["nan-consequentiality", "infinite-patient-kinds"])
+    def test_non_json_constants_are_malformed(self, tmp_path, old, new, constant):
+        # Python's decoder takes them, and reads a typed field as mistyped.
+        text = (BUILTIN_DIR / "egoism.json").read_text("utf-8").replace(old, new)
+        (tmp_path / "egoism.json").write_text(text)
+        with pytest.raises(GenetError) as err:
+            load_registry(base_dir=tmp_path)
+        assert str(err.value) == (f"malformed base-theory template "
+                                  f"{tmp_path / 'egoism.json'}: {constant} is not a "
+                                  f"JSON number")
+        assert err.value.code == TEMPLATE_ERROR
+
     def test_directory_entry_names_itself(self, tmp_path):
         shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path)
         (tmp_path / "dir.json").mkdir()

@@ -264,7 +264,11 @@ class TestLoadScenario:
         b"[" * 100_000,
         b'{"x": ' * 100_000,
         doc().replace(b'"cardinality": 3', b'"cardinality": ' + b"1" * 4400),
-    ], ids=["deep-lists", "deep-objects", "4400-digit-integer"])
+        # Python's decoder takes these, and reads a typed field as mistyped.
+        doc().replace(b'"cardinality": 3', b'"cardinality": NaN'),
+        doc(comment=[float("inf"), float("-inf")]),
+    ], ids=["deep-lists", "deep-objects", "4400-digit-integer", "nan-cardinality",
+            "infinite-comment"])
     def test_undecodable_depth_and_size_are_parse_errors(self, broken):
         with pytest.raises(GenetError) as err:
             load_scenario(broken)
