@@ -165,13 +165,10 @@ def cmd_reason(args) -> int:
         to_dict, render = reasoner.decision_to_dict, reasoner.render_decision
         code = (EXIT_OK if result.kind is reasoner.DecisionKind.DECIDED
                 else EXIT_CONFLICT)
-    elif args.action in scn.action_ids():
+    else:
         result = reasoner.evaluate(theory, scn, args.action)
         to_dict, render = reasoner.evaluation_to_dict, reasoner.render_evaluation
         code = EXIT_OK
-    else:
-        print(f"error: no action {args.action!r} in scenario", file=sys.stderr)
-        return EXIT_USAGE
     if args.format == "json":
         print(json.dumps(to_dict(result), indent=2))
     else:
@@ -239,7 +236,7 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except GenetError as exc:  # a template that cannot be loaded, or no such template
+    except GenetError as exc:  # a template that cannot be loaded, no such template or action
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except UnicodeEncodeError as exc:

@@ -11,8 +11,9 @@ names a winner or reports the conflict honestly.
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .model import EthicalTheoryInstance, MoralPrinciple, Subject
-from .scenario import AGENT, DeonticAssertion, EffectAssertion, RequestContext, Scenario
+from .model import EthicalTheoryInstance, GenetError, MoralPrinciple, Subject
+from .scenario import (AGENT, DANGLING_REFERENCE, DeonticAssertion, EffectAssertion,
+                       RequestContext, Scenario)
 
 class MoralVerdict(Enum):
     OBLIGATORY_BEST = "obligatoryBest"
@@ -137,7 +138,9 @@ def evaluate(theory: EthicalTheoryInstance, scenario: Scenario,
              action_id: str) -> ActionEvaluation:
     """Evaluate one action in the theory's own mode: scored by its effects
     under a consequentialist theory, checked against each principle under
-    a deontological one."""
+    a deontological one. An action the scenario does not declare is an error."""
+    if action_id not in scenario.action_ids():
+        raise GenetError(DANGLING_REFERENCE, f"no action {action_id!r} in scenario", "action")
     evaluator = _consequentialist if theory.consequentiality else _deontological
     return evaluator(theory, scenario, [action_id])[0]
 
@@ -270,12 +273,11 @@ def _deontological(theory: EthicalTheoryInstance, scenario: Scenario,
         builder = _TraceBuilder()
         violated = False
         for key, spec, morality, covers_agent, covers_patients in rows:
-            p_id = builder.premise(key)
-            matched = False
+            p_id = None  # the principle's premise, added when an inference first cites it
             for index, assertion, to_agent in asserted.get(spec, ()):
                 if not (covers_agent if to_agent else covers_patients):
                     continue
-                matched = True
+                p_id = p_id or builder.premise(key)
                 fact = builder.premise((
                     "situationalFact",
                     f"{spec} {'holds' if assertion.holds else 'does not hold'} for "
@@ -288,9 +290,9 @@ def _deontological(theory: EthicalTheoryInstance, scenario: Scenario,
                 else:
                     builder.infer((p_id, fact),
                                   f"{action_id} satisfies the {spec} principle")
-            if not matched and morality:
-                builder.infer((p_id,), f"no assertion addresses {spec} for {action_id}; "
-                                       f"the requirement passes with a warning")
+            if p_id is None and morality:
+                builder.infer((builder.premise(key),), f"no assertion addresses {spec} "
+                              f"for {action_id}; the requirement passes with a warning")
 
         verdict = MoralVerdict.WRONG if violated else MoralVerdict.PERMISSIBLE
         evaluations.append(ActionEvaluation(

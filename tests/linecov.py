@@ -1,12 +1,16 @@
 """Statement and branch coverage of ``src/genet`` over the test suite, stdlib only.
 
-Run as ``PYTHONPATH=src python -m tests.linecov [pytest args]`` (default:
-``tests``). Pytest runs in this process under ``sys.settrace``; for each module
-it prints the statements never run and the ``if`` statements with an arm never
-taken. Code run only in subprocesses, as by the CLI tests, counts as not run.
+Run as ``PYTHONPATH=src python -m tests.linecov [--map FILE] [pytest args]``
+(default: ``tests``). Pytest runs in this process under ``sys.settrace``; for
+each module it prints the statements never run and the ``if`` statements with
+an arm never taken. Code run only in subprocesses, as by the CLI tests, counts
+as not run. ``--map FILE`` also writes, as JSON, the node ids of the tests that
+ran each line, keyed ``"module.py:line"``; a line run outside any test, as at
+import, maps to none.
 """
 
 import ast
+import json
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -15,19 +19,34 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src" / "genet")
 ARCS: dict = defaultdict(set)  # file -> {(line, next line or -1 on return)}
+TESTS: dict = defaultdict(set)  # (file name, line) -> {node ids of the tests that ran it}
+NODE = [None]  # the node id of the running test, set only under --map
 
 
 def _trace(frame, event, arg):
     if not frame.f_code.co_filename.startswith(SRC):
         return None
     arcs, last = ARCS[frame.f_code.co_filename], [-1]
+    name = Path(frame.f_code.co_filename).name
 
     def local(frame, event, arg):
         if event in ("line", "return"):
             arcs.add((last[0], frame.f_lineno if event == "line" else -1))
             last[0] = frame.f_lineno
+            if NODE[0] is not None and event == "line":
+                TESTS[name, frame.f_lineno].add(NODE[0])
         return local
     return local
+
+
+class NodeIds:
+    """A pytest plugin that names the running test for the tracer."""
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_protocol(self, item, nextitem):
+        NODE[0] = item.nodeid
+        yield
+        NODE[0] = None
 
 
 def report(path: str) -> list[tuple[int, str]]:
@@ -50,9 +69,15 @@ def report(path: str) -> list[tuple[int, str]]:
 
 
 if __name__ == "__main__":
+    args, out = sys.argv[1:], None
+    if args[:1] == ["--map"]:
+        out, args = args[1], args[2:]
     sys.settrace(_trace)
-    status = pytest.main(sys.argv[1:] or ["tests"])
+    status = pytest.main(args or ["tests"], plugins=[NodeIds()] if out else [])
     sys.settrace(None)
+    if out:
+        Path(out).write_text(json.dumps({f"{name}:{line}": sorted(tests) for (name, line), tests
+                                         in sorted(TESTS.items())}, indent=1), "utf-8")
     for path in sorted(Path(SRC).glob("*.py")):
         print("\n".join(f"{path.name}:{line}: {what}" for line, what in report(str(path)))
               or f"{path.name}: all run")

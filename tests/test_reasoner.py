@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from genet.model import (
     EthicalTheoryInstance,
+    GenetError,
     InfluenceThresholds,
     MoralAgent,
     MoralPrinciple,
@@ -25,6 +26,7 @@ from genet.reasoner import (
 )
 from genet.scenario import (
     AGENT,
+    DANGLING_REFERENCE,
     EXCLUDED_PATIENT_KIND,
     INERT_SPECIFICATION,
     ActionOption,
@@ -327,6 +329,22 @@ class TestEvaluateDeontological:
         assert len(violations) == 2
         assert violations[0].fromIds == violations[1].fromIds
 
+    def test_only_cited_principles_are_premises(self):
+        # A prohibition that no assertion addresses leaves nothing in the
+        # trace; a requirement with none gets its premise and the warning.
+        theory = toy_theory(consequentiality=False, principles=(
+            MoralPrinciple(False, Subject.ALL, "lie"),
+            MoralPrinciple(True, Subject.ALL, "keep"),
+            MoralPrinciple(False, Subject.ALL, "steal")))
+        scenario = Scenario(
+            name="x", actingFor="Agent", groups=(), actions=(ActionOption("a0"),),
+            effects=(), deontics=(DeonticAssertion("a0", "steal", False, AGENT),))
+        premises, inferences, _ = evaluate(theory, scenario, "a0").trace
+        assert [(p.id, p.source) for p in premises] == [
+            ("P1", "theory:principles[1]"), ("P2", "theory:principles[2]"),
+            ("P3", "scenario:deontics[0]")]
+        assert [i.fromIds for i in inferences] == [("P1",), ("P2", "P3")]
+
     def test_agent_is_not_a_group_named_agent(self):
         # As under a consequentialist theory: the agent-only prohibition
         # covers an assertion toward AGENT although a group bears that id.
@@ -545,3 +563,40 @@ class TestTraceRecords:
     @given(theory_scenarios())
     def test_generated(self, pair):
         self._check(*pair)
+
+
+def _assert_premises_cited(evaluation) -> None:
+    """Every premise is cited by an inference, and premises are numbered in
+    the order that inferences first cite them."""
+    premises, inferences, _ = evaluation.trace
+    ids = [p.id for p in premises]
+    cited = dict.fromkeys(i for inference in inferences for i in inference.fromIds
+                          if i.startswith("P"))
+    assert list(cited) == ids
+
+
+class TestPremisesCited:
+    def _check(self, theory, scenario):
+        for evaluation in decide(theory, scenario).evaluations:
+            _assert_premises_cited(evaluation)
+        for action in scenario.action_ids():
+            _assert_premises_cited(evaluate(theory, scenario, action))
+
+    def test_fixtures(self, theories, scenarios):
+        for theory in theories.values():
+            for scenario in scenarios.values():
+                self._check(theory, scenario)
+
+    @settings(deadline=None, max_examples=200)
+    @given(theory_scenarios())
+    def test_generated(self, pair):
+        self._check(*pair)
+
+
+@pytest.mark.parametrize("theory_name", ["mia-egoism", "mia-dct"])
+@pytest.mark.parametrize("action", ["Nope", ""])
+def test_evaluate_rejects_an_undeclared_action(theories, scenarios, theory_name, action):
+    with pytest.raises(GenetError, match="no action") as caught:
+        evaluate(theories[theory_name], scenarios["mia"], action)
+    assert caught.value.code == DANGLING_REFERENCE
+    assert str(caught.value) == f"no action {action!r} in scenario"
