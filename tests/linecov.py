@@ -33,7 +33,7 @@ def _trace(frame, event, arg):
         if event in ("line", "return"):
             arcs.add((last[0], frame.f_lineno if event == "line" else -1))
             last[0] = frame.f_lineno
-            if NODE[0] is not None and event == "line":
+            if NODE[0] is not None:
                 TESTS[name, frame.f_lineno].add(NODE[0])
         return local
     return local

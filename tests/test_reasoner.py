@@ -547,12 +547,17 @@ def _assert_record_shapes(evaluation) -> None:
         assert sum(contributions) == evaluation.score
 
 
+def _evaluations(theory, scenario):
+    """Every evaluation of the pair, through decide and through evaluate."""
+    yield from decide(theory, scenario).evaluations
+    for action in scenario.action_ids():
+        yield evaluate(theory, scenario, action)
+
+
 class TestTraceRecords:
     def _check(self, theory, scenario):
-        for evaluation in decide(theory, scenario).evaluations:
+        for evaluation in _evaluations(theory, scenario):
             _assert_record_shapes(evaluation)
-        for action in scenario.action_ids():
-            _assert_record_shapes(evaluate(theory, scenario, action))
 
     def test_fixtures(self, theories, scenarios):
         for theory in theories.values():
@@ -577,10 +582,8 @@ def _assert_premises_cited(evaluation) -> None:
 
 class TestPremisesCited:
     def _check(self, theory, scenario):
-        for evaluation in decide(theory, scenario).evaluations:
+        for evaluation in _evaluations(theory, scenario):
             _assert_premises_cited(evaluation)
-        for action in scenario.action_ids():
-            _assert_premises_cited(evaluate(theory, scenario, action))
 
     def test_fixtures(self, theories, scenarios):
         for theory in theories.values():
@@ -596,7 +599,7 @@ class TestPremisesCited:
 @pytest.mark.parametrize("theory_name", ["mia-egoism", "mia-dct"])
 @pytest.mark.parametrize("action", ["Nope", ""])
 def test_evaluate_rejects_an_undeclared_action(theories, scenarios, theory_name, action):
-    with pytest.raises(GenetError, match="no action") as caught:
+    with pytest.raises(GenetError) as caught:
         evaluate(theories[theory_name], scenarios["mia"], action)
     assert caught.value.code == DANGLING_REFERENCE
     assert str(caught.value) == f"no action {action!r} in scenario"
