@@ -110,28 +110,20 @@ def _principle_premises(theory: EthicalTheoryInstance
     return out
 
 
-def _gate_subconclusion(builder: _TraceBuilder, theory: EthicalTheoryInstance,
-                        request: RequestContext) -> tuple[bool, str]:
-    t = theory.influenceThresholds
-    threshold = t.substance if request.influenceKind == "substance" else t.external
-    p_limit = builder.premise((
-        "thresholdFact",
-        f"the {request.influenceKind} influence threshold is {threshold}%",
-        "theory:influenceThresholds"))
-    p_level = builder.premise((
-        "thresholdFact",
-        f"{request.requester} is {request.influenceLevel}% under "
-        f"{request.influenceKind} influence",
-        "scenario:request"))
+def _gate_subconclusion(theory: EthicalTheoryInstance, request: RequestContext
+                        ) -> tuple[bool, tuple[tuple[str, str, str], ...], str]:
+    """Whether the request is voided, its two threshold premise keys and the gate's text."""
+    t, kind, level = theory.influenceThresholds, request.influenceKind, request.influenceLevel
+    threshold = t.substance if kind == "substance" else t.external
+    keys = (("thresholdFact", f"the {kind} influence threshold is {threshold}%",
+             "theory:influenceThresholds"),
+            ("thresholdFact", f"{request.requester} is {level}% under {kind} influence",
+             "scenario:request"))
     # Strictly above: a threshold of 100 never voids, 0 voids any positive influence.
-    voided = request.influenceLevel > threshold
-    if voided:
-        text = (f"the request for {request.requestedAction} carries no weight "
-                f"({request.influenceLevel} > {threshold})")
-    else:
-        text = (f"the request for {request.requestedAction} keeps its moral weight "
-                f"({request.influenceLevel} <= {threshold})")
-    return voided, builder.infer((p_limit, p_level), text)
+    voided = level > threshold
+    verb = (f"carries no weight ({level} > {threshold})" if voided
+            else f"keeps its moral weight ({level} <= {threshold})")
+    return voided, keys, f"the request for {request.requestedAction} {verb}"
 
 
 def evaluate(theory: EthicalTheoryInstance, scenario: Scenario,
@@ -176,34 +168,36 @@ def _consequentialist(theory: EthicalTheoryInstance, scenario: Scenario,
     for index, effect in enumerate(scenario.effects):
         by_action.setdefault(effect.action, []).append((index, effect))
     request = scenario.request
+    if request is not None:
+        gate_voided, gate_keys, gate_text = _gate_subconclusion(theory, request)
     evaluations = []
     for action_id in action_ids:
-        effects = by_action.get(action_id, ())
         builder = _TraceBuilder()
-        gate_voided, gate_id = False, None
-        if request is not None and any(e.requestDerived for _, e in effects):
-            gate_voided, gate_id = _gate_subconclusion(builder, theory, request)
-
+        gate_id = None
         score = 0
         ledger: list[int] = []
         counted: list[str] = []  # the inferences that carry a contribution
-        for index, effect in effects:
+        for index, effect in by_action.get(action_id, ()):
             target_class, target_text, weight, excluded = targets[effect.target]
             spec = effect.specification
+            principles = covering.get((spec, target_class))
+            # The gate enters just before the first effect whose inference cites it.
+            gated = (effect.requestDerived and principles is not None and not excluded
+                     and request is not None)
+            if gated and gate_id is None:
+                gate_id = builder.infer(tuple(map(builder.premise, gate_keys)), gate_text)
             increase = effect.direction == "increase"
             fact = builder.premise((
                 "situationalFact",
                 f"{action_id} {'increases' if increase else 'decreases'} {spec} "
                 f"for {target_text}",
                 f"scenario:effects[{index}]"))
-            principles = covering.get((spec, target_class))
             if principles is None:
                 builder.infer((fact,), f"no principle covers {spec} for "
                                        f"{target_class}; the effect is morally inert")
                 continue
 
             direction = 1 if increase else -1
-            gated = effect.requestDerived and gate_id is not None
             for key, sign in principles:
                 p_id = builder.premise(key)
                 value = direction * sign * weight

@@ -1,26 +1,30 @@
 """Statement and branch coverage of ``src/genet`` over the test suite, stdlib only.
 
 Run as ``PYTHONPATH=src python -m tests.linecov [--map FILE] [pytest args]``
-(default: ``tests``). Pytest runs in this process under ``sys.settrace``; for
-each module it prints the statements never run and the ``if`` statements with
-an arm never taken. Code run only in subprocesses, as by the CLI tests, counts
-as not run. ``--map FILE`` also writes, as JSON, the node ids of the tests that
-ran each line, keyed ``"module.py:line"``; a line run outside any test, as at
+(default: ``tests``). Pytest runs in this process under ``sys.settrace``, and a
+``sitecustomize.py`` first on ``PYTHONPATH`` traces each Python process that a
+test starts with that environment, as the CLI tests do. For each module it
+prints the statements never run and the ``if`` statements with an arm never
+taken. ``--map FILE`` also writes, as JSON, the node ids of the tests that ran
+each line, keyed ``"module.py:line"``; a line run outside any test, as at
 import, maps to none.
 """
 
 import ast
+import atexit
 import json
+import os
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
-import pytest
-
 SRC = str(Path(__file__).resolve().parent.parent / "src" / "genet")
+NODE_ENV = "LINECOV_NODE"
 ARCS: dict = defaultdict(set)  # file -> {(line, next line or -1 on return)}
 TESTS: dict = defaultdict(set)  # (file name, line) -> {node ids of the tests that ran it}
-NODE = [None]  # the node id of the running test, set only under --map
+NODE = [os.environ.get(NODE_ENV)]  # the node id of the running test, set only under --map
+SITE = "import runpy\nrunpy.run_path({path!r})['trace_child']({out!r})\n"  # sitecustomize.py
 
 
 def _trace(frame, event, arg):
@@ -39,14 +43,42 @@ def _trace(frame, event, arg):
     return local
 
 
-class NodeIds:
-    """A pytest plugin that names the running test for the tracer."""
+def trace_child(out: str) -> None:
+    """Trace this subprocess of a test; at exit, write what it ran to a new file in `out`."""
+    def dump():
+        with os.fdopen(tempfile.mkstemp(".json", dir=out)[0], "w", encoding="utf-8") as f:
+            json.dump({"node": NODE[0], "lines": [*TESTS],
+                       "arcs": {path: sorted(arcs) for path, arcs in ARCS.items()}}, f)
+    atexit.register(dump)
+    sys.settrace(_trace)
 
-    @pytest.hookimpl(hookwrapper=True)
-    def pytest_runtest_protocol(self, item, nextitem):
-        NODE[0] = item.nodeid
-        yield
-        NODE[0] = None
+
+def merge(out: str) -> None:
+    for part in Path(out).glob("*.json"):
+        child = json.loads(part.read_text("utf-8"))
+        for path, arcs in child["arcs"].items():
+            ARCS[path].update(map(tuple, arcs))
+        for name, line in child["lines"]:
+            TESTS[name, line].add(child["node"])
+
+
+class PerTest:
+    """A pytest plugin that re-arms the tracer before each test, which CPython
+    drops at the recursion limit; under ``--map`` it names the running test
+    for the tracer and, by the environment, for the processes it starts."""
+
+    def __init__(self, named: bool):
+        self.named = named
+
+    def pytest_runtest_logstart(self, nodeid, location):
+        sys.settrace(_trace)
+        if self.named:
+            NODE[0] = os.environ[NODE_ENV] = nodeid
+
+    def pytest_runtest_logfinish(self, nodeid, location):
+        if self.named:
+            NODE[0] = None
+            del os.environ[NODE_ENV]
 
 
 def report(path: str) -> list[tuple[int, str]]:
@@ -69,12 +101,20 @@ def report(path: str) -> list[tuple[int, str]]:
 
 
 if __name__ == "__main__":
+    import pytest
+
     args, out = sys.argv[1:], None
     if args[:1] == ["--map"]:
         out, args = args[1], args[2:]
-    sys.settrace(_trace)
-    status = pytest.main(args or ["tests"], plugins=[NodeIds()] if out else [])
-    sys.settrace(None)
+    with tempfile.TemporaryDirectory() as children:
+        Path(children, "sitecustomize.py").write_text(
+            SITE.format(path=__file__, out=children), "utf-8")
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [children, os.environ.get("PYTHONPATH")]))
+        sys.settrace(_trace)
+        status = pytest.main(args or ["tests"], plugins=[PerTest(out is not None)])
+        sys.settrace(None)
+        merge(children)
     if out:
         Path(out).write_text(json.dumps({f"{name}:{line}": sorted(tests) for (name, line), tests
                                          in sorted(TESTS.items())}, indent=1), "utf-8")

@@ -75,21 +75,27 @@ def toy_theory(consequentiality=True, principles=None, kinds=None,
         principles=tuple(principles))
 
 
+def request_scenario(effects, kind="substance", level=0, groups=()) -> Scenario:
+    """A scenario in which the agent, under `kind` influence at `level`,
+    requests the action a0."""
+    return Scenario(
+        name="x", actingFor="Agent", groups=groups,
+        actions=(ActionOption("a0"), ActionOption("a1")),
+        effects=effects, deontics=(),
+        request=RequestContext(AGENT, kind, level, "a0"))
+
+
 def gate_voided(thresholds: tuple[int, int], kind: str, level: int) -> bool:
     """Whether the influence gate voids a request, read from `evaluate` of
     the requested action a0, whose one effect is a request-derived good
     (+1). A voided request diverts the +1 to the supererogation ledger; a
     kept one counts it. `thresholds` is (external, substance)."""
-    scenario = Scenario(
-        name="x", actingFor="Agent", groups=(),
-        actions=(ActionOption("a0"), ActionOption("a1")),
-        effects=(EffectAssertion("a0", "good", "increase", AGENT,
-                                 requestDerived=True),),
-        deontics=(),
-        request=RequestContext(AGENT, kind, level, "a0"))
+    scenario = request_scenario(
+        (EffectAssertion("a0", "good", "increase", AGENT, requestDerived=True),),
+        kind, level)
     evaluation = evaluate(toy_theory(thresholds=thresholds), scenario, "a0")
     threshold = thresholds[1] if kind == "substance" else thresholds[0]
-    gate = evaluation.trace.inferences[0].text  # the gate comes before the effects
+    gate = evaluation.trace.inferences[0].text  # the gate comes before the effect that cites it
     if evaluation.supererogation:
         assert (evaluation.score, evaluation.supererogation) == (0, (1,))
         assert gate == f"the request for a0 carries no weight ({level} > {threshold})"
@@ -128,6 +134,34 @@ class TestInfluenceGate:
         # Raising the threshold can only stop voiding, never start it.
         if not gate_voided((0, low), "substance", level):
             assert not gate_voided((0, high), "substance", level)
+
+    def test_gate_enters_before_the_effect_that_cites_it(self):
+        scenario = request_scenario((
+            EffectAssertion("a0", "good", "increase", AGENT),
+            EffectAssertion("a0", "good", "increase", AGENT, requestDerived=True)))
+        trace = evaluate(toy_theory(), scenario, "a0").trace
+        assert [(p.id, p.kind) for p in trace.premises] == [
+            ("P1", "situationalFact"), ("P2", "theoryPrinciple"), ("P3", "thresholdFact"),
+            ("P4", "thresholdFact"), ("P5", "situationalFact")]
+        assert [(i.id, i.fromIds) for i in trace.inferences] == [
+            ("I1", ("P1", "P2")), ("I2", ("P3", "P4")), ("I3", ("P5", "P2", "I2")),
+            ("I4", ("I1", "I3"))]
+        assert trace.inferences[1].text == "the request for a0 keeps its moral weight (0 <= 30)"
+
+    # The request's only request-derived effect is inert, or is on a group
+    # of a kind the theory excludes: no inference cites the gate.
+    @pytest.mark.parametrize("spec,target,kinds", [
+        ("other", AGENT, ["situationalFact"]),
+        ("good", "trees", ["situationalFact", "theoryPrinciple"]),
+    ])
+    def test_no_gate_where_no_effect_cites_it(self, spec, target, kinds):
+        scenario = request_scenario(
+            (EffectAssertion("a0", spec, "increase", target, requestDerived=True),),
+            level=85, groups=(StakeholderGroup("trees", "patientGroup", PatientKind.NATURE, 3),))
+        evaluation = evaluate(toy_theory(), scenario, "a0")
+        assert [p.kind for p in evaluation.trace.premises] == kinds
+        assert not any(i.text.startswith("the request for") for i in evaluation.trace.inferences)
+        assert (evaluation.score, evaluation.supererogation) == (0, ())
 
 
 class TestEvaluateConsequentialist:
@@ -571,13 +605,17 @@ class TestTraceRecords:
 
 
 def _assert_premises_cited(evaluation) -> None:
-    """Every premise is cited by an inference, and premises are numbered in
-    the order that inferences first cite them."""
+    """Every premise is cited by an inference, premises are numbered in the
+    order that inferences first cite them, and every gate is cited."""
     premises, inferences, _ = evaluation.trace
     ids = [p.id for p in premises]
     cited = dict.fromkeys(i for inference in inferences for i in inference.fromIds
                           if i.startswith("P"))
     assert list(cited) == ids
+    thresholds = {p.id for p in premises if p.kind == "thresholdFact"}
+    for n, inference in enumerate(inferences):
+        if thresholds.intersection(inference.fromIds):  # a gate is cited by a later inference
+            assert any(inference.id in later.fromIds for later in inferences[n + 1:])
 
 
 class TestPremisesCited:
