@@ -123,6 +123,15 @@ class TestInstantiate:
         canonical = emit_theory(parse_theory(theory_bytes("mia-kantianism")))
         assert out_path.read_bytes() == canonical
 
+    def test_doe_kantianism_writes_the_fixture_bytes(self, capsys, tmp_path):
+        out_path = tmp_path / "kant.xml"
+        code, _, _ = run(capsys, "instantiate", "--base", "Kantianism",
+                         "--agent", "Doe Family", "--agent-ref", "http://thedoes.fam",
+                         "--external", "0", "--substance", "50",
+                         "--name", "Doe family's Kantianism", "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == theory_bytes("doe-kantianism")
+
     def test_add_under_kantianism_rejected(self, capsys, tmp_path):
         code, out, _ = run(capsys, "instantiate", "--base", "Kantianism",
                            "--agent", "Mia", "--external", "50",

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genet
-from genet.model import GenetError, PatientKind, Subject
+from genet.model import (
+    EthicalTheoryInstance,
+    GenetError,
+    InfluenceThresholds,
+    MoralAgent,
+    MoralPrinciple,
+    PatientKind,
+    Subject,
+)
 from genet.xmlio import (
     ELEMENTS,
     GENET_NS,
@@ -21,7 +29,7 @@ from genet.xmlio import (
     quoteattr,
     schema_check,
 )
-from .conftest import VERBATIM_THEORIES, theory_bytes
+from .conftest import THEORY_NAMES, VERBATIM_THEORIES, theory_bytes
 from .strategies import valid_instances
 from .test_golden import MUTATED_THEORIES, _mutants
 
@@ -250,7 +258,43 @@ class TestSchemaCheck:
         assert parse_theory(tagged) == parse_theory(doc)
 
 
+# The fixture theories already in canonical form; the others keep the
+# paper's listing layout.
+CANONICAL_THEORIES = [name for name in THEORY_NAMES if name not in VERBATIM_THEORIES]
+
+# An instance with no instanceName and no agent reference, whose text needs
+# escaping, and its canonical bytes written out.
+ESCAPED = EthicalTheoryInstance(
+    "egoism", False, MoralAgent("A&B <\"x\">\n'y'"),
+    frozenset({PatientKind.NATURE, PatientKind.HUMAN}), InfluenceThresholds(100, 0),
+    (MoralPrinciple(True, Subject.AGENT, "s&t<\"u\"'v'"),
+     MoralPrinciple(False, Subject.ALL, 'say"hi"')))
+ESCAPED_BYTES = b"""<?xml version="1.0" encoding="UTF-8"?>
+<ethicalTheory xmlns="http://genet.cs.uct.ac.za" baseTheory="egoism" consequentiality="false">
+    <agent name="A&amp;B &lt;&quot;x&quot;&gt;&#10;'y'"/>
+    <patientKinds>
+        <patientKind>human</patientKind>
+        <patientKind>nature</patientKind>
+    </patientKinds>
+    <influenceThresholds external="100" substance="0"/>
+    <principles>
+        <principle morality="true" subject="agent" specification="s&amp;t&lt;&quot;u&quot;'v'"/>
+        <principle morality="false" subject="all" specification='say"hi"'/>
+    </principles>
+</ethicalTheory>
+"""
+
+
 class TestEmitTheory:
+    @pytest.mark.parametrize("name", CANONICAL_THEORIES)
+    def test_canonical_fixture_bytes(self, name):
+        doc = theory_bytes(name)
+        assert emit_theory(parse_theory(doc)) == doc
+
+    def test_escaped_text_and_absent_optional_attributes(self):
+        assert emit_theory(ESCAPED) == ESCAPED_BYTES
+        assert parse_theory(ESCAPED_BYTES) == ESCAPED
+
     def test_mia_kantianism_reparse(self):
         theory = parse_theory(theory_bytes("mia-kantianism"))
         again = parse_theory(emit_theory(theory))
