@@ -355,44 +355,39 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
+def _attributes(*pairs) -> str:
+    """`` name="text"``, text escaped, for each (name, text) pair whose text is not None."""
+    return "".join([f" {name}={quoteattr(text)}" for name, text in pairs if text is not None])
+
+
 def emit_theory(instance: EthicalTheoryInstance) -> bytes:
     """Serialize an instance to its canonical document form.
 
-    Deterministic: fixed attribute order, 4-space indentation, UTF-8
-    with an XML declaration. Round-trips exactly through parse_theory.
+    Deterministic: fixed attribute order, 4-space indentation, only the
+    instance's own text escaped, UTF-8 with an XML declaration.
+    Round-trips exactly through parse_theory.
     """
     report = validate_instance(instance)
     if not report.ok:
         raise GenetError(INVALID_INSTANCE, f"instance is invalid: {report.codes()}",
                          report=report)
-
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    attrs = [f"xmlns={quoteattr(GENET_NS)}",
-             f"baseTheory={quoteattr(instance.baseTheory)}"]
-    if instance.instanceName is not None:
-        attrs.append(f"instanceName={quoteattr(instance.instanceName)}")
-    attrs.append(f"consequentiality={quoteattr(_fmt_bool(instance.consequentiality))}")
-    lines.append(f"<ethicalTheory {' '.join(attrs)}>")
-
-    agent_attrs = [f"name={quoteattr(instance.agent.name)}"]
-    if instance.agent.reference is not None:
-        agent_attrs.append(f"reference={quoteattr(instance.agent.reference)}")
-    lines.append(f"    <agent {' '.join(agent_attrs)}/>")
-
-    lines.append("    <patientKinds>")
-    for kind in sorted(instance.patientKinds, key=_KIND_ORDER.__getitem__):
-        lines.append(f"        <patientKind>{kind.value}</patientKind>")
-    lines.append("    </patientKinds>")
-
-    t = instance.influenceThresholds
-    lines.append(f'    <influenceThresholds external="{t.external}" '
-                 f'substance="{t.substance}"/>')
-
-    lines.append("    <principles>")
-    for p in instance.principles:
-        lines.append(f"        <principle morality={quoteattr(_fmt_bool(p.morality))} "
-                     f"subject={quoteattr(p.subject.value)} "
-                     f"specification={quoteattr(p.specification)}/>")
-    lines.append("    </principles>")
-    lines.append("</ethicalTheory>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    agent, t = instance.agent, instance.influenceThresholds
+    root = _attributes(("baseTheory", instance.baseTheory),
+                       ("instanceName", instance.instanceName))
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<ethicalTheory xmlns="{GENET_NS}"{root} '
+        f'consequentiality="{_fmt_bool(instance.consequentiality)}">',
+        f"    <agent{_attributes(('name', agent.name), ('reference', agent.reference))}/>",
+        "    <patientKinds>",
+        *[f"        <patientKind>{kind.value}</patientKind>"
+          for kind in sorted(instance.patientKinds, key=_KIND_ORDER.__getitem__)],
+        "    </patientKinds>",
+        f'    <influenceThresholds external="{t.external}" substance="{t.substance}"/>',
+        "    <principles>",
+        *[f'        <principle morality="{_fmt_bool(p.morality)}" subject="{p.subject.value}" '
+          f"specification={quoteattr(p.specification)}/>" for p in instance.principles],
+        "    </principles>",
+        "</ethicalTheory>\n",
+    ]
+    return "\n".join(lines).encode("utf-8")
