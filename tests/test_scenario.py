@@ -554,3 +554,101 @@ class TestStraightPath:
     def test_synthetic_benchmark_documents(self, mode):
         requests = load_synth().make_requests(mode, 1, 20)
         assert [r.name for r in requests if not _straight_path(r.scenario_doc)] == []
+
+
+# The finding each rejected hand case gives: its code and its path.
+HAND_CASE_FINDINGS = {
+    "request-null": (PARSE_ERROR, "document.request"),
+    "description-null": (PARSE_ERROR, "actions[0].description"),
+    "action-no-id": (PARSE_ERROR, "actions[0].id"),
+    "action-extra-key": (PARSE_ERROR, "actions[0]"),
+    "action-int": (PARSE_ERROR, "actions[0]"),
+    "one-action": (RANGE_ERROR, "actions"),
+    "cardinality-true": (PARSE_ERROR, "groups[0].cardinality"),
+    "cardinality-false": (PARSE_ERROR, "groups[0].cardinality"),
+    "cardinality-zero": (RANGE_ERROR, "groups[0].cardinality"),
+    "cardinality-over": (RANGE_ERROR, "groups[0].cardinality"),
+    "cardinality-float": (PARSE_ERROR, "groups[0].cardinality"),
+    "patient-kind-robot": (PARSE_ERROR, "groups[0].patientKind"),
+    "patient-kind-list": (PARSE_ERROR, "groups[0].patientKind"),
+    "group-kind": (PARSE_ERROR, "groups[0].kind"),
+    "group-kind-list": (PARSE_ERROR, "groups[0].kind"),
+    "duplicate-group": (DUPLICATE_ID, "groups"),
+    "duplicate-action": (DUPLICATE_ID, "actions"),
+    "duplicate-action-object": (DUPLICATE_ID, "actions"),
+    "reserved-group": (DUPLICATE_ID, "groups"),
+    "group-id-space": (PARSE_ERROR, "groups[0].id"),
+    "action-id-empty": (PARSE_ERROR, "actions[0]"),
+    "action-id-tab": (PARSE_ERROR, "actions[0].id"),
+    "effect-spec-space": (PARSE_ERROR, "effects[0].specification"),
+    "deontic-spec-empty": (PARSE_ERROR, "deontics[0].specification"),
+    "effect-target-unknown": (DANGLING_REFERENCE, "effects[0].target"),
+    "effect-target-list": (PARSE_ERROR, "effects[0].target"),
+    "effect-action-unknown": (DANGLING_REFERENCE, "effects[0].action"),
+    "effect-action-dict": (PARSE_ERROR, "effects[0].action"),
+    "effect-direction": (PARSE_ERROR, "effects[0].direction"),
+    "effect-derived-null": (PARSE_ERROR, "effects[0].requestDerived"),
+    "effect-derived-string": (PARSE_ERROR, "effects[0].requestDerived"),
+    "effect-missing-target": (PARSE_ERROR, "effects[0].target"),
+    "effect-extra-key": (PARSE_ERROR, "effects[0]"),
+    "deontic-holds-int": (PARSE_ERROR, "deontics[0].holds"),
+    "deontic-target-unknown": (DANGLING_REFERENCE, "deontics[0].target"),
+    "deontic-action-unknown": (DANGLING_REFERENCE, "deontics[0].action"),
+    "deontic-missing-holds": (PARSE_ERROR, "deontics[0].holds"),
+    "deontic-list": (PARSE_ERROR, "deontics[0]"),
+    "request-requester-unknown": (DANGLING_REFERENCE, "request.requester"),
+    "request-requester-list": (PARSE_ERROR, "request.requester"),
+    "request-action-unknown": (DANGLING_REFERENCE, "request.requestedAction"),
+    "request-kind": (PARSE_ERROR, "request.influenceKind"),
+    "request-level-true": (PARSE_ERROR, "request.influenceLevel"),
+    "request-level-over": (RANGE_ERROR, "request.influenceLevel"),
+    "request-level-under": (RANGE_ERROR, "request.influenceLevel"),
+    "request-missing-key": (PARSE_ERROR, "request.requestedAction"),
+    "name-int": (PARSE_ERROR, "document.scenario"),
+    "acting-for-null": (PARSE_ERROR, "document.actingFor"),
+    "groups-dict": (PARSE_ERROR, "document.groups"),
+    "unknown-key": (PARSE_ERROR, "document"),
+}
+
+
+class TestWhichFindingIsReported:
+    """A document with more than one fault reports the first in the rows'
+    order: see README, "Scenario JSON format"."""
+
+    @pytest.mark.parametrize("name", HAND_CASES)
+    def test_hand_cases(self, name):
+        try:
+            load_scenario(doc(**HAND_CASES[name]))
+        except GenetError as err:
+            assert [(v.code, v.path) for v in err.report.violations] == [
+                HAND_CASE_FINDINGS[name]]
+        else:
+            assert name not in HAND_CASE_FINDINGS
+
+    @pytest.mark.parametrize("overrides, finding", [
+        ({"request": _request(requester="ghost", requestedAction="A9")},
+         (DANGLING_REFERENCE, "request.requester", "request: unknown requester 'ghost'")),
+        ({"actions": ["A1"], "groups": [_group(), _group()]},
+         (RANGE_ERROR, "actions", "a scenario needs at least 2 actions")),
+        ({"effects": [_effect(action="A9", target="ghost")]},
+         (DANGLING_REFERENCE, "effects[0].action", "effects[0]: unknown action 'A9'")),
+        ({"effects": [_effect(target="ghost"), _effect(direction="sideways")]},
+         (DANGLING_REFERENCE, "effects[0].target", "effects[0]: unknown target 'ghost'")),
+        ({"effects": [_effect(direction="sideways"), _effect(target="ghost")]},
+         (PARSE_ERROR, "effects[0].direction",
+          "effects[0]: 'sideways' not one of ('increase', 'decrease')")),
+        ({"actions": ["A1", "A1", "A2"], "effects": [_effect(target="ghost")]},
+         (DUPLICATE_ID, "actions", "duplicate action ids: ['A1']")),
+        ({"groups": [_group(kind="x", cardinality=0)]},
+         (RANGE_ERROR, "groups[0].cardinality",
+          f"groups[0]: cardinality must be between 1 and {MAX_CARDINALITY}")),
+    ], ids=["requester-before-requested-action", "action-count-before-duplicates",
+            "action-before-target", "target-before-a-later-effect",
+            "fields-before-a-later-target", "duplicates-before-effects",
+            "cardinality-before-kind"])
+    def test_two_faults(self, overrides, finding):
+        with pytest.raises(GenetError) as err:
+            load_scenario(doc(**overrides))
+        code, path, message = finding
+        assert (err.value.code, str(err.value)) == (code, message)
+        assert [(v.code, v.path) for v in err.value.report.violations] == [(code, path)]
