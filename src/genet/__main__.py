@@ -1,6 +1,6 @@
 """``python -m genet``: the same CLI as the ``genet`` console script."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -6,11 +6,13 @@ unreadable input, an unwritable output file, a closed stdout, a stdout
 whose encoding cannot carry the output, an unknown base theory named
 on the command line, a base-template file or directory that cannot be
 read or is malformed, or two template files that give one name). Reports
-go to stdout, diagnostics to stderr. GENET_BASE_DIR overrides the packaged
-base-template directory.
+go to stdout, diagnostics to stderr, never to stdout when stderr is closed.
+GENET_BASE_DIR overrides the packaged base-template directory.
 """
 
 import argparse
+import gc
+import io
 import json
 import os
 import sys
@@ -252,5 +254,18 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """`main` as a `genet` process, which exits with its code. The objects left are
+    frozen, so that the interpreter's final collections skip them."""
+    sys.stderr = sys.stderr or open(os.devnull, "w")  # fd 2 closed: never to stdout
+    lost = sys.stdout is None and io.StringIO()  # fd 1 closed: output is lost, exit 3
+    sys.stdout = lost or sys.stdout
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    raise SystemExit(EXIT_USAGE if lost and lost.tell() else code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

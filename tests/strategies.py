@@ -22,11 +22,12 @@ from genet.scenario import (
     StakeholderGroup,
 )
 
-# XML cannot carry surrogates, nor control characters other than tab,
-# newline and carriage return, which attributes carry as character
-# references.
+# XML cannot carry surrogates, the noncharacters U+FFFE and U+FFFF, nor
+# control characters other than tab, newline and carriage return, which
+# attributes carry as character references.
 xml_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Cc"),
+                           blacklist_characters="\ufffe\uffff",
                            whitelist_characters="\t\n\r"),
     min_size=1, max_size=30)
 

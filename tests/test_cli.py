@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -706,22 +707,16 @@ def test_closed_stdout_is_usage(tmp_path):
     assert (proc.wait(timeout=60), err) == (3, "")
 
 
-def test_installed_script(tmp_path):
-    """The `[project.scripts]` entry `genet` in pyproject.toml, run as the
-    command `genet`, lists the bases.
-
-    The suite runs from an uninstalled source tree, and a `genet` found on
-    PATH may belong to another checkout. So the test writes the launcher that
-    an installer writes for the entry, and runs it with this tree's package
-    first on PYTHONPATH.
-    """
+def _write_launcher(directory: Path) -> Path:
+    """The launcher `genet` that an installer writes, into `directory`, for
+    the `[project.scripts]` entry `genet` in pyproject.toml."""
     tomllib = pytest.importorskip(
         "tomllib" if sys.version_info >= (3, 11) else "tomli")
     with open(REPO_ROOT / "pyproject.toml", "rb") as f:
         scripts = tomllib.load(f)["project"]["scripts"]
     entry = EntryPoint("genet", scripts["genet"], group="console_scripts")
     # pip's (distlib's) console-script launcher template.
-    launcher = tmp_path / "genet"
+    launcher = directory / "genet"
     launcher.write_text(
         f"#!{sys.executable}\n"
         "# -*- coding: utf-8 -*-\n"
@@ -732,6 +727,19 @@ def test_installed_script(tmp_path):
         "    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])\n"
         f"    sys.exit({entry.attr}())\n")
     launcher.chmod(0o755)
+    return launcher
+
+
+def test_installed_script(tmp_path):
+    """The `[project.scripts]` entry `genet` in pyproject.toml, run as the
+    command `genet`, lists the bases.
+
+    The suite runs from an uninstalled source tree, and a `genet` found on
+    PATH may belong to another checkout. So the test writes the launcher that
+    an installer writes for the entry, and runs it with this tree's package
+    first on PYTHONPATH.
+    """
+    _write_launcher(tmp_path)
     env = _this_tree_env(
         PATH=os.pathsep.join(filter(None, [str(tmp_path),
                                            os.environ.get("PATH")])))
@@ -739,6 +747,98 @@ def test_installed_script(tmp_path):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "Kantianism" in result.stdout.split()
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    """`main` called in a long-lived process neither freezes objects, which
+    would then never be collected, nor switches the collector off."""
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    code, out, _ = run(capsys, "reason", "--theory", str(theory_path("mia-dct")),
+                       "--scenario", str(scenario_path("mia")), "--format", "json")
+    assert (code, json.loads(out)["kind"]) == (2, "multiplePermissible")
+    assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+
+
+GC_PROBE = """
+import atexit, gc, os, runpy, sys
+atexit.register(lambda: print("frozen:", gc.get_freeze_count() > 0, file=sys.stderr))
+target = sys.argv.pop(1)
+if os.sep in target:  # the launcher's path, run as its shebang line runs it
+    runpy.run_path(target, run_name="__main__")
+else:
+    runpy.run_module(target, run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("entry", ["genet.cli", "genet", "launcher"])
+@pytest.mark.parametrize("argv, code", [
+    (["bases", "list"], 0),
+    (["reason", "--theory", str(theory_path("mia-dct")),
+      "--scenario", str(scenario_path("mia"))], 2),
+    (["bases"], 3),
+], ids=["ok", "conflict", "usage"])
+def test_a_process_skips_the_final_collection(tmp_path, entry, argv, code):
+    """`python -m genet.cli`, `python -m genet` and the console script each
+    exit through `cli.run`: by the time the `atexit` handlers run, the objects
+    left are frozen, which the interpreter's final collections skip, and the
+    exit code is `main`'s, a usage error that argparse raises included."""
+    target = str(_write_launcher(tmp_path)) if entry == "launcher" else entry
+    result = subprocess.run([sys.executable, "-c", GC_PROBE, target, *argv],
+                            capture_output=True, text=True, env=_this_tree_env())
+    assert result.returncode == code
+    assert result.stderr.splitlines()[-1] == "frozen: True"
+
+
+def _run_with_closed(fd: int, *argv, **kwargs):
+    """`python -m genet ARGV` started with file descriptor `fd` closed, as a
+    shell does for `>&-` or `2>&-`."""
+    return subprocess.run(["sh", "-c", f'exec "$0" "$@" {fd}>&-', sys.executable,
+                           "-m", "genet", *argv], env=_this_tree_env(), **kwargs)
+
+
+TROLLEY_JSON = ["reason", "--theory", str(theory_path("trainco-utilitarianism")),
+                "--scenario", str(scenario_path("trolley")), "--format", "json"]
+
+
+@pytest.mark.parametrize("argv, warnings", [(TROLLEY_JSON, 3), (["bases", "list"], 0)],
+                         ids=["reason", "bases-list"])
+def test_closed_stdout_fd_is_usage(argv, warnings):
+    """With fd 1 closed Python has no `sys.stdout`; a command that prints is
+    a usage error with no traceback, as under a reader that left the pipe.
+    The cross-check's warnings still reach stderr, and nothing else does."""
+    result = _run_with_closed(1, *argv, stderr=subprocess.PIPE, text=True)
+    lines = result.stderr.splitlines()
+    assert (result.returncode, len(lines)) == (3, warnings)
+    assert all(line.startswith("INERT_SPECIFICATION\t") for line in lines)
+
+
+def test_closed_stdout_fd_does_not_stop_instantiate(tmp_path):
+    """`instantiate` prints nothing on success, so a closed stdout loses nothing."""
+    out = tmp_path / "x.xml"
+    result = _run_with_closed(1, *INSTANTIATE, "--out", str(out),
+                              stderr=subprocess.PIPE, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert parse_theory(out.read_bytes()).baseTheory == "egoism"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (TROLLEY_JSON, 0),
+    (["reason", "--scenario", str(scenario_path("trolley"))], 3),
+], ids=["warnings", "missing-theory"])
+def test_closed_stderr_keeps_diagnostics_off_stdout(argv, code):
+    """With fd 2 closed Python has no `sys.stderr`, and `print(…, file=None)`
+    would write to stdout; the diagnostics are dropped instead, so stdout
+    and the exit code are those of a run with stderr sent to /dev/null."""
+    closed = _run_with_closed(2, *argv, stdout=subprocess.PIPE)
+    devnull = subprocess.run([sys.executable, "-m", "genet", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                             env=_this_tree_env())
+    assert (closed.returncode, closed.stdout) == (devnull.returncode, devnull.stdout)
+    assert closed.returncode == code
+    if code == 0:
+        assert json.loads(closed.stdout)["kind"] == "decided"
+    else:
+        assert closed.stdout == b""
 
 
 def test_version_matches_pyproject():
