@@ -2,11 +2,12 @@
 
 Exit codes: 0 success/decided, 1 validation or conformance failure,
 2 conflict or multiple-permissible outcome, 3 usage error (including an
-unreadable input, an unwritable output file, a closed stdout, a stdout
-whose encoding cannot carry the output, an unknown base theory named
-on the command line, a base-template file or directory that cannot be
-read or is malformed, or two template files that give one name). Reports
-go to stdout, diagnostics to stderr, never to stdout when stderr is closed.
+unreadable input, an unwritable output file, a stdout that cannot be
+written or whose encoding cannot carry the output, an unknown base
+theory named on the command line, a base-template file or directory that
+cannot be read or is malformed, or two template files that give one
+name). Reports go to stdout, diagnostics to stderr; a diagnostic that
+stderr cannot take is dropped, never sent to stdout.
 GENET_BASE_DIR overrides the packaged base-template directory.
 """
 
@@ -40,20 +41,27 @@ class _Parser(argparse.ArgumentParser):
     # Usage errors must exit 3, not argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
+        _warn(f"error: {message}")
         raise SystemExit(EXIT_USAGE)
 
 
-def _print_report(violations, file=None) -> None:
+def _warn(line: str) -> None:
+    try:  # a line that stderr cannot take is dropped, as argparse drops its own
+        print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
+def _print_report(violations, write=print) -> None:
     for v in violations:
-        print(f"{v.code}\t{v.path}\t{v.message}", file=file)
+        write(f"{v.code}\t{v.path}\t{v.message}")
 
 
 def _read_file(path: str) -> bytes:
     try:
         return Path(path).read_bytes()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        _warn(f"error: cannot read {path}: {exc}")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -71,7 +79,7 @@ def cmd_validate(args) -> int:
         report = bases_mod.check_conformance(theory, registry)
     except GenetError as exc:
         # An unregistered base is no fault of the document: a note, not a finding.
-        _print_report(exc.report.violations, sys.stderr)
+        _print_report(exc.report.violations, _warn)
         return EXIT_OK
     _print_report(report.violations)
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -97,7 +105,7 @@ def cmd_instantiate(args) -> int:
                 morality=True, subject=Subject(subject),
                 specification=specification)))
     except ValueError as exc:
-        print(f"error: bad --add/--remove value: {exc}", file=sys.stderr)
+        _warn(f"error: bad --add/--remove value: {exc}")
         return EXIT_USAGE
 
     try:
@@ -113,7 +121,7 @@ def cmd_instantiate(args) -> int:
     try:
         Path(args.out).write_bytes(xmlio.emit_theory(instance))
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        _warn(f"error: cannot write {args.out}: {exc}")
         return EXIT_USAGE
     return EXIT_OK
 
@@ -152,13 +160,13 @@ def cmd_reason(args) -> int:
         path = args.scenario
         scn = scenario_mod.load_scenario(scenario_doc)
     except GenetError as exc:
-        _print_report([Violation(exc.code, path, str(exc))], sys.stderr)
+        _print_report([Violation(exc.code, path, str(exc))], _warn)
         return EXIT_VIOLATION
 
     cross = scenario_mod.validate_scenario_against_theory(scn, theory).violations
     errors = [v for v in cross if v.code == scenario_mod.AGENT_MISMATCH]
     _print_report(errors)
-    _print_report(cross[len(errors):], sys.stderr)  # warnings; the error comes first
+    _print_report(cross[len(errors):], _warn)  # warnings; the error comes first
     if errors:
         return EXIT_VIOLATION
 
@@ -239,16 +247,16 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
     except GenetError as exc:  # a template that cannot be loaded, no such template or action
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return EXIT_USAGE
     except UnicodeEncodeError as exc:
         # Document text that stdout's encoding cannot carry, such as an
         # action id "Té" under PYTHONIOENCODING=ascii. stderr escapes it.
-        print(f"error: cannot write the output to stdout: {exc}", file=sys.stderr)
+        _warn(f"error: cannot write the output to stdout: {exc}")
         return EXIT_USAGE
-    except BrokenPipeError:
-        # The reader closed stdout. Point it at devnull, as Python's docs
-        # advise, so that the flush at exit does not fail again.
+    except OSError:
+        # stdout cannot be written: a closed pipe, a full device or a read-only
+        # fd. Point it at devnull so that the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
     return code

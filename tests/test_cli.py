@@ -841,6 +841,65 @@ def test_closed_stderr_keeps_diagnostics_off_stdout(argv, code):
         assert closed.stdout == b""
 
 
+# Each way a standard stream can refuse a write, as a redirection of
+# `sh -c 'exec …'`. A stdout fault starts from a pipe whose reader has
+# closed, which the redirection, when there is one, replaces.
+STREAM_FAULTS = {"stdout-closed": ">&-", "stdout-read-only": "1</dev/null",
+                 "stdout-full": ">/dev/full", "stdout-pipe-closed": "",
+                 "stderr-closed": "2>&-", "stderr-read-only": "2</dev/null",
+                 "stderr-full": "2>/dev/full"}
+
+
+@pytest.fixture(scope="module")
+def stream_commands(tmp_path_factory):
+    """Each command of the stream matrix, with its run on working streams.
+    `validate` prints one finding and exits 1, `instantiate` prints nothing,
+    and `reason` prints a decision after three warnings on stderr."""
+    tmp = tmp_path_factory.mktemp("streams")
+    bad = tmp / "bad.xml"
+    bad.write_bytes(theory_bytes("doe-utilitarianism").replace(
+        b'external="50"', b'external="101"'))
+    commands = {"bases-list": ["bases", "list"], "validate": ["validate", str(bad)],
+                "instantiate": [*INSTANTIATE, "--out", str(tmp / "x.xml")],
+                "reason-json": TROLLEY_JSON,
+                "reason-explain": [*TROLLEY_JSON[:-2], "--explain"]}
+    return {name: (argv, subprocess.run([sys.executable, "-m", "genet", *argv],
+                                        capture_output=True, env=_this_tree_env()))
+            for name, argv in commands.items()}
+
+
+@pytest.mark.parametrize("fault", STREAM_FAULTS)
+@pytest.mark.parametrize("command", ["bases-list", "validate", "instantiate",
+                                     "reason-json", "reason-explain"])
+def test_unwritable_stream_ends_in_a_documented_exit(stream_commands, command, fault):
+    """A standard stream that is closed, read-only, full or a pipe with no
+    reader never ends a command in a traceback. A command whose printed
+    output is lost exits 3, and its diagnostics still reach stderr; when
+    stderr is at fault, stdout and the exit code are those of a run on
+    working streams."""
+    redirect = STREAM_FAULTS[fault]
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv, reference = stream_commands[command]
+    assert b"Traceback" not in reference.stderr
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable,
+                                 "-m", "genet", *argv], env=_this_tree_env(),
+                                stdout=write if fault.startswith("stdout")
+                                else subprocess.PIPE, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    if fault.startswith("stdout"):
+        assert result.returncode == (3 if reference.stdout else reference.returncode)
+        assert result.stderr == reference.stderr
+    else:
+        assert (result.returncode, result.stdout) == (reference.returncode,
+                                                      reference.stdout)
+        assert result.stderr == b""
+
+
 def test_version_matches_pyproject():
     """`genet.__version__` and the `version` in pyproject.toml state one fact."""
     text = (REPO_ROOT / "pyproject.toml").read_text("utf-8")
