@@ -58,6 +58,7 @@ class ActionEvaluation(NamedTuple):
     trace: ArgumentTrace
     score: Optional[int] = None  # present iff the theory is consequentialist
     supererogation: tuple[int, ...] = ()  # voided request-derived goods, score-inert
+    unaddressed: tuple[str, ...] = ()  # "spec of subject" of each unaddressed requirement
 
 
 class Decision(NamedTuple):
@@ -249,14 +250,15 @@ def _deontological(theory: EthicalTheoryInstance, scenario: Scenario,
                    action_ids: list[str]) -> list[ActionEvaluation]:
     """Check each action against every principle, requirement-fulfilment
     style: prohibitions are violated by an asserted occurrence, and
-    requirements by an asserted non-occurrence. A missing assertion for
-    a requirement passes with a recorded warning. Group sizes never
-    affect the verdict.
+    requirements by an asserted non-occurrence. A requirement that no
+    assertion addresses passes, listed once in `unaddressed` as its warning,
+    and adds nothing to the trace. Group sizes never affect the verdict.
     """
     # Each principle as a row, and the deontic assertions by action, then
     # specification, each with whether it targets the agent.
-    rows = [(key, p.specification, p.morality, p.subject.covers(Subject.AGENT),
-             p.subject.covers(Subject.PATIENTS)) for p, key in _principle_premises(theory)]
+    rows = [(key, p.specification, p.morality, f"{p.specification} of {p.subject.value}",
+             p.subject.covers(Subject.AGENT), p.subject.covers(Subject.PATIENTS))
+            for p, key in _principle_premises(theory)]
     deontics: dict[str, dict[str, list[tuple[int, DeonticAssertion, bool]]]] = {}
     for index, assertion in enumerate(scenario.deontics):
         deontics.setdefault(assertion.action, {}).setdefault(
@@ -266,7 +268,8 @@ def _deontological(theory: EthicalTheoryInstance, scenario: Scenario,
         asserted = deontics.get(action_id, {})
         builder = _TraceBuilder()
         violated = False
-        for key, spec, morality, covers_agent, covers_patients in rows:
+        unaddressed: dict[str, None] = {}  # in principle order, each once
+        for key, spec, morality, phrase, covers_agent, covers_patients in rows:
             p_id = None  # the principle's premise, added when an inference first cites it
             for index, assertion, to_agent in asserted.get(spec, ()):
                 if not (covers_agent if to_agent else covers_patients):
@@ -285,12 +288,12 @@ def _deontological(theory: EthicalTheoryInstance, scenario: Scenario,
                     builder.infer((p_id, fact),
                                   f"{action_id} satisfies the {spec} principle")
             if p_id is None and morality:
-                builder.infer((builder.premise(key),), f"no assertion addresses {spec} "
-                              f"for {action_id}; the requirement passes with a warning")
+                unaddressed[phrase] = None
 
         verdict = MoralVerdict.WRONG if violated else MoralVerdict.PERMISSIBLE
         evaluations.append(ActionEvaluation(
-            action_id, verdict, builder.done(f"{action_id} is {verdict.value}")))
+            action_id, verdict, builder.done(f"{action_id} is {verdict.value}"),
+            unaddressed=tuple(unaddressed)))
     return evaluations
 
 
@@ -338,19 +341,21 @@ def decide(theory: EthicalTheoryInstance, scenario: Scenario) -> Decision:
 
 def evaluation_to_dict(evaluation: ActionEvaluation) -> dict:
     """Structured form, the trace with its stable ids, suitable for golden diffs."""
-    action, verdict, (premises, inferences, conclusion), score, ledger = evaluation
+    action, verdict, trace, score, ledger, unaddressed = evaluation
     out: dict = {"action": action, "verdict": verdict.value}
     if score is not None:
         out["score"] = score
     if ledger:
         out["supererogation"] = list(ledger)
+    if unaddressed:
+        out["unaddressed"] = list(unaddressed)
     out["trace"] = {
         "premises": [{"id": i, "kind": k, "text": t, "source": s}
-                     for i, k, t, s in premises],
+                     for i, k, t, s in trace.premises],
         "inferences": [{"id": i, "from": list(f), "text": t} if c is None else
                        {"id": i, "from": list(f), "text": t, "contribution": c}
-                       for i, f, t, c in inferences],
-        "conclusion": conclusion,
+                       for i, f, t, c in trace.inferences],
+        "conclusion": trace.conclusion,
     }
     return out
 
@@ -369,6 +374,8 @@ def render_evaluation(evaluation: ActionEvaluation, explain: bool = False) -> st
         head += f" score={evaluation.score:+d}"
     if evaluation.supererogation:
         head += f" supererogation={list(evaluation.supererogation)}"
+    if evaluation.unaddressed:
+        head += f" unaddressed={list(evaluation.unaddressed)}"
     if not explain:
         return head
     premises, inferences, conclusion = evaluation.trace

@@ -22,7 +22,9 @@ from genet.reasoner import (
     decide,
     decision_to_dict,
     evaluate,
+    evaluation_to_dict,
     render_decision,
+    render_evaluation,
 )
 from genet.scenario import (
     AGENT,
@@ -293,9 +295,11 @@ class TestEvaluateDeontological:
     def test_trolley_t2_passes_with_warnings(self, theories, scenarios):
         evaluation = evaluate(theories["trainco-dct"], scenarios["trolley"], "T2")
         assert evaluation.verdict is MoralVerdict.PERMISSIBLE
-        # The respectParents requirement has no assertion: warned, not failed.
-        texts = [i.text for i in evaluation.trace.inferences]
-        assert any("respectParents" in t and "warning" in t for t in texts)
+        # The respectParents requirement has no assertion: listed as the
+        # warning, not failed, and absent from the trace.
+        assert evaluation.unaddressed == ("respectParents of patients",)
+        assert not [p for p in evaluation.trace.premises if "respectParents" in p.text]
+        assert not [i for i in evaluation.trace.inferences if "respectParents" in i.text]
 
     def test_mia_kantian_verdicts(self, theories, scenarios):
         theory = theories["mia-kantianism"]
@@ -356,16 +360,18 @@ class TestEvaluateDeontological:
             actions=(ActionOption("a0"), ActionOption("a1")),
             effects=(),
             deontics=(DeonticAssertion("a0", "lie", True, AGENT),))
-        trace = evaluate(theory, scenario, "a0").trace
+        evaluation = evaluate(theory, scenario, "a0")
+        trace = evaluation.trace
         assert [p.source for p in trace.premises if p.kind == "theoryPrinciple"] == [
-            "theory:principles[0]", "theory:principles[1]"]
+            "theory:principles[0]"]
         violations = [i for i in trace.inferences if "violates" in i.text]
         assert len(violations) == 2
         assert violations[0].fromIds == violations[1].fromIds
+        assert evaluation.unaddressed == ("keep of all",)
 
     def test_only_cited_principles_are_premises(self):
-        # A prohibition that no assertion addresses leaves nothing in the
-        # trace; a requirement with none gets its premise and the warning.
+        # A principle that no assertion addresses leaves nothing in the
+        # trace; a requirement with none is listed in `unaddressed` instead.
         theory = toy_theory(consequentiality=False, principles=(
             MoralPrinciple(False, Subject.ALL, "lie"),
             MoralPrinciple(True, Subject.ALL, "keep"),
@@ -373,11 +379,71 @@ class TestEvaluateDeontological:
         scenario = Scenario(
             name="x", actingFor="Agent", groups=(), actions=(ActionOption("a0"),),
             effects=(), deontics=(DeonticAssertion("a0", "steal", False, AGENT),))
-        premises, inferences, _ = evaluate(theory, scenario, "a0").trace
+        evaluation = evaluate(theory, scenario, "a0")
+        premises, inferences, _ = evaluation.trace
         assert [(p.id, p.source) for p in premises] == [
-            ("P1", "theory:principles[1]"), ("P2", "theory:principles[2]"),
-            ("P3", "scenario:deontics[0]")]
-        assert [i.fromIds for i in inferences] == [("P1",), ("P2", "P3")]
+            ("P1", "theory:principles[2]"), ("P2", "scenario:deontics[0]")]
+        assert [i.fromIds for i in inferences] == [("P1", "P2")]
+        assert evaluation.unaddressed == ("keep of all",)
+
+    def test_prohibition_is_never_listed(self):
+        theory = toy_theory(consequentiality=False, principles=(
+            MoralPrinciple(False, Subject.ALL, "lie"),
+            MoralPrinciple(False, Subject.AGENT, "steal")))
+        scenario = Scenario(
+            name="x", actingFor="Agent", groups=(),
+            actions=(ActionOption("a0"), ActionOption("a1")), effects=(),
+            deontics=(DeonticAssertion("a0", "lie", False, AGENT),))
+        for action in ("a0", "a1"):
+            evaluation = evaluate(theory, scenario, action)
+            assert evaluation.unaddressed == ()
+            assert "unaddressed" not in evaluation_to_dict(evaluation)
+
+    def test_one_specification_two_subjects_are_listed_apart(self):
+        # Only the agent's keep is addressed, so only the patients' is listed.
+        theory = toy_theory(consequentiality=False, principles=(
+            MoralPrinciple(True, Subject.AGENT, "keep"),
+            MoralPrinciple(True, Subject.PATIENTS, "keep")))
+        scenario = Scenario(
+            name="x", actingFor="Agent", groups=(),
+            actions=(ActionOption("a0"), ActionOption("a1")), effects=(),
+            deontics=(DeonticAssertion("a0", "keep", True, AGENT),))
+        assert evaluate(theory, scenario, "a0").unaddressed == ("keep of patients",)
+        assert evaluate(theory, scenario, "a1").unaddressed == (
+            "keep of agent", "keep of patients")
+
+    def test_repeated_requirement_is_listed_once(self):
+        keep = MoralPrinciple(True, Subject.ALL, "keep")
+        theory = toy_theory(consequentiality=False, principles=(
+            keep, MoralPrinciple(True, Subject.AGENT, "help"), keep))
+        scenario = Scenario(
+            name="x", actingFor="Agent", groups=(),
+            actions=(ActionOption("a0"), ActionOption("a1")), effects=(), deontics=())
+        evaluation = evaluate(theory, scenario, "a0")
+        assert evaluation.unaddressed == ("keep of all", "help of agent")
+        assert evaluation.trace.premises == evaluation.trace.inferences == ()
+        assert evaluation_to_dict(evaluation)["unaddressed"] == ["keep of all",
+                                                                 "help of agent"]
+        assert render_evaluation(evaluation) == (
+            "a0: permissible unaddressed=['keep of all', 'help of agent']")
+
+    def test_consequentialist_evaluation_has_no_unaddressed(self, theories, scenarios):
+        decision = decide(theories["trainco-utilitarianism"], scenarios["trolley"])
+        for evaluation in decision.evaluations:
+            assert evaluation.unaddressed == ()
+            assert "unaddressed" not in evaluation_to_dict(evaluation)
+            assert "unaddressed" not in render_evaluation(evaluation, explain=True)
+        assert all("unaddressed" not in e for e in decision_to_dict(decision)["evaluations"])
+
+    def test_evaluate_equals_the_evaluation_in_decide(self, theories, scenarios):
+        # decide never rewrites a deontological verdict, so the whole
+        # evaluation, its unaddressed list included, is the same.
+        for name in ("trainco-dct", "trainco-kantianism", "mia-dct", "doe-dct"):
+            for scenario in scenarios.values():
+                decision = decide(theories[name], scenario)
+                for evaluation in decision.evaluations:
+                    assert evaluate(theories[name], scenario,
+                                    evaluation.action) == evaluation
 
     def test_agent_is_not_a_group_named_agent(self):
         # As under a consequentialist theory: the agent-only prohibition
@@ -504,15 +570,35 @@ class TestDecide:
     def test_agrees_with_evaluating_each_action(self, pair):
         # decide runs the theory's mode over every action and evaluate over
         # one, each indexing the documents for its own call. Both must give
-        # the same trace, score and ledger (decide may rewrite the verdict).
+        # the same trace, score, ledger and unaddressed list (decide may
+        # rewrite the verdict).
         theory, scenario = pair
         decided = {e.action: e for e in decide(theory, scenario).evaluations}
         assert list(decided) == scenario.action_ids()
         for action in scenario.action_ids():
             alone = evaluate(theory, scenario, action)
-            assert (alone.trace, alone.score, alone.supererogation) == (
-                decided[action].trace, decided[action].score,
-                decided[action].supererogation)
+            assert alone._replace(verdict=None) == decided[action]._replace(verdict=None)
+
+    @settings(deadline=None, max_examples=200)
+    @given(theory_scenarios())
+    def test_unaddressed_lists_each_requirement_no_assertion_addresses(self, pair):
+        # Recomputed from the records alone: an assertion addresses a
+        # principle when it names the action and the specification, and
+        # the principle's subject covers its target.
+        theory, scenario = pair
+        for evaluation in decide(theory, scenario).evaluations:
+            expected: list[str] = []
+            for p in [] if theory.consequentiality else theory.principles:
+                phrase = f"{p.specification} of {p.subject.value}"
+                addressed = any(
+                    (d.action, d.specification) == (evaluation.action, p.specification)
+                    and p.subject.value in ("all", "agent" if d.target == AGENT
+                                            else "patients")
+                    for d in scenario.deontics)
+                if p.morality and not addressed and phrase not in expected:
+                    expected.append(phrase)
+            assert evaluation.unaddressed == tuple(expected)
+            assert evaluation_to_dict(evaluation).get("unaddressed", []) == expected
 
     @settings(deadline=None, max_examples=200)
     @given(theory_scenarios())
