@@ -642,10 +642,16 @@ class TestWhichFindingIsReported:
         ({"groups": [_group(kind="x", cardinality=0)]},
          (RANGE_ERROR, "groups[0].cardinality",
           f"groups[0]: cardinality must be between 1 and {MAX_CARDINALITY}")),
+        ({"effects": [_effect(target="ghost")], "request": _request(requester="ghost")},
+         (DANGLING_REFERENCE, "effects[0].target", "effects[0]: unknown target 'ghost'")),
+        ({"deontics": [_deontic(target="ghost")], "request": _request(requester="ghost")},
+         (DANGLING_REFERENCE, "deontics[0].target",
+          "deontics[0]: unknown target 'ghost'")),
     ], ids=["requester-before-requested-action", "action-count-before-duplicates",
             "action-before-target", "target-before-a-later-effect",
             "fields-before-a-later-target", "duplicates-before-effects",
-            "cardinality-before-kind"])
+            "cardinality-before-kind", "effects-before-request",
+            "deontics-before-request"])
     def test_two_faults(self, overrides, finding):
         with pytest.raises(GenetError) as err:
             load_scenario(doc(**overrides))
