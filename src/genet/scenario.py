@@ -10,12 +10,12 @@ from each action.
 File format: UTF-8 JSON with top-level keys ``scenario``, ``actingFor``,
 ``groups``, ``actions``, ``effects``, ``deontics``, and optional
 ``request``; extension ``.scenario.json``. See the README for the full
-key schema. A clean document is read on a straight path, ``_clean``, which
-reads the document, its groups, actions and request through the rows and
-hand-reads only effects and deontics, the parts that grow with a scenario:
-the rows alone cost 1.43 times as much per synth-conseq document (1,211 to
-1,793 us on a 2-vCPU x86-64 VM, Python 3.11), 1.24 times per synth-deon one
-and 1.14 per paper scenario. The rows read what it declines, and report the finding.
+key schema. ``load_scenario`` is the one reader: it reads the document, its
+groups, actions and request through the rows, and hands effects and deontics,
+the parts that grow with a scenario, to a bulk check, ``_bulk``, first: the
+rows alone cost 1.43 times as much per synth-conseq document (1,211 to 1,793
+us on a 2-vCPU x86-64 VM, Python 3.11), 1.24 times per synth-deon one and 1.14
+per paper scenario. The rows read what it declines, and report the finding.
 """
 
 import json
@@ -50,7 +50,7 @@ EXCLUDED_PATIENT_KIND = "EXCLUDED_PATIENT_KIND"
 # Far above any real population, far below CPython's 4,300-digit limit on
 # int/str conversion, which a score summed from cardinalities must stay under.
 MAX_CARDINALITY = 10**12
-# The directions an effect may take: the rows check them with _one_of, _clean directly.
+# The directions an effect may take: the rows check them with _one_of, _bulk directly.
 _DIRECTIONS = ("increase", "decrease")
 
 
@@ -168,31 +168,10 @@ def _action(raw, where: str) -> ActionOption:
     raise GenetError(PARSE_ERROR, f"{where}: must be an id or object", where)
 
 
-def _request(raw) -> RequestContext:
-    level, requester, kind, action = read_object(raw, _REQUEST, "request")
-    return RequestContext(requester, kind, level, action)
-
-
-def _clean(data) -> Optional[Scenario]:
-    """Read a document with nothing to report in one pass: the Scenario the rows
-    would build, or None at the first thing not expected. The rows' own readers
-    read all but effects and deontics, which grow with a scenario and are checked
-    here in bulk. It may hand back a clean document, which the rows then read,
-    but must never accept one they reject."""
-    try:
-        (name, acting_for, raw_groups, raw_actions, raw_effects, raw_deontics,
-         raw_request, _) = read_object(data, _DOCUMENT, "document")
-        groups = [_group(raw, "groups") for raw in raw_groups]
-        actions = [_action(raw, "actions") for raw in raw_actions]
-        request = None if raw_request is None else _request(raw_request)
-    except GenetError:
-        return None
-    group_ids, action_ids = {g.id for g in groups}, {a.id for a in actions}
-    targets = group_ids | {AGENT}
-    if (len(actions) < 2 or len(action_ids) < len(actions) or len(group_ids) < len(groups)
-            or AGENT in group_ids or request is not None
-            and not (request.requester in targets and request.requestedAction in action_ids)):
-        return None
+def _bulk(raw_effects, raw_deontics, known_actions, targets):
+    """The effects and deontics the rows would build, or None at the first thing
+    not expected. They grow with a scenario, so they are checked here in bulk; it
+    may decline what the rows accept, but must never accept what they reject."""
     # An object with the keys of its record builds it; the values are checked after.
     if not (all(type(raw) is dict and raw.keys() <= _EFFECT.keys() for raw in raw_effects)
             and all(type(raw) is dict and raw.keys() == _DEONTIC.keys()
@@ -204,12 +183,11 @@ def _clean(data) -> Optional[Scenario]:
     deontics = [DeonticAssertion(**raw) for raw in raw_deontics]
     if not (all(e.direction in _DIRECTIONS and type(e.requestDerived) is bool
                 for e in effects) and all(type(d.holds) is bool for d in deontics)
-            and all(type(item.action) is str and item.action in action_ids
+            and all(type(item.action) is str and item.action in known_actions
                     and type(item.target) is str and item.target in targets
                     and _token(item.specification) for item in effects + deontics)):
         return None
-    return Scenario(name, acting_for, tuple(groups), tuple(actions), tuple(effects),
-                    tuple(deontics), request)
+    return effects, deontics
 
 
 def load_scenario(doc: bytes) -> Scenario:
@@ -222,8 +200,6 @@ def load_scenario(doc: bytes) -> Scenario:
         data = load_json(doc)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and huge integers
         raise GenetError(PARSE_ERROR, f"not valid JSON: {exc}", "document") from exc
-    if (scenario := _clean(data)) is not None:
-        return scenario
     # Every top-level key is checked before any object it holds is read.
     (name, acting_for, raw_groups, raw_actions, raw_effects, raw_deontics,
      raw_request, _) = read_object(data, _DOCUMENT, "document")
@@ -232,47 +208,46 @@ def load_scenario(doc: bytes) -> Scenario:
     if len(actions) < 2:
         raise GenetError(RANGE_ERROR, "a scenario needs at least 2 actions", "actions")
 
-    group_ids = [g.id for g in groups]
-    action_ids = [a.id for a in actions]
-    for label, ids in (("group", group_ids), ("action", action_ids)):
-        if len(set(ids)) < len(ids):
-            dupes = {x for x, n in Counter(ids).items() if n > 1}
+    targets, known_actions = {g.id for g in groups}, {a.id for a in actions}
+    for label, ids, records in (("group", targets, groups),
+                                ("action", known_actions, actions)):
+        if len(ids) < len(records):
+            dupes = {x for x, n in Counter(r.id for r in records).items() if n > 1}
             raise GenetError(DUPLICATE_ID, f"duplicate {label} ids: {sorted(dupes)}",
                              f"{label}s")
-    if AGENT in group_ids:
+    if AGENT in targets:
         raise GenetError(DUPLICATE_ID, f"group id {AGENT!r} is reserved", "groups")
+    targets.add(AGENT)
 
-    targets = set(group_ids) | {AGENT}
-    known_actions = set(action_ids)
-
-    effects: list[EffectAssertion] = []
-    deontics: list[DeonticAssertion] = []
-    for key, raws, row, make, items in (
-            ("effects", raw_effects, _EFFECT, EffectAssertion, effects),
-            ("deontics", raw_deontics, _DEONTIC, DeonticAssertion, deontics)):
-        for i, raw in enumerate(raws):
-            item = make(*read_object(raw, row, where := f"{key}[{i}]"))
-            if item.action not in known_actions:
-                raise GenetError(DANGLING_REFERENCE, f"{where}: unknown action "
-                                 f"{item.action!r}", f"{where}.action")
-            if item.target not in targets:
-                raise GenetError(DANGLING_REFERENCE, f"{where}: unknown target "
-                                 f"{item.target!r}", f"{where}.target")
-            items.append(item)
+    if (read := _bulk(raw_effects, raw_deontics, known_actions, targets)) is None:
+        read = [], []
+        for key, raws, row, make, items in (
+                ("effects", raw_effects, _EFFECT, EffectAssertion, read[0]),
+                ("deontics", raw_deontics, _DEONTIC, DeonticAssertion, read[1])):
+            for i, raw in enumerate(raws):
+                item = make(*read_object(raw, row, where := f"{key}[{i}]"))
+                if item.action not in known_actions:
+                    raise GenetError(DANGLING_REFERENCE, f"{where}: unknown action "
+                                     f"{item.action!r}", f"{where}.action")
+                if item.target not in targets:
+                    raise GenetError(DANGLING_REFERENCE, f"{where}: unknown target "
+                                     f"{item.target!r}", f"{where}.target")
+                items.append(item)
+    effects, deontics = read
 
     request = None
     if raw_request is not None:
-        requester, _, _, action = request = _request(raw_request)
+        level, requester, kind, action = read_object(raw_request, _REQUEST, "request")
         if requester not in targets:
             raise GenetError(DANGLING_REFERENCE, f"request: unknown requester "
                              f"{requester!r}", "request.requester")
         if action not in known_actions:
             raise GenetError(DANGLING_REFERENCE, f"request: unknown action "
                              f"{action!r}", "request.requestedAction")
+        request = RequestContext(requester, kind, level, action)
 
-    return Scenario(name=name, actingFor=acting_for, groups=tuple(groups),
-                    actions=tuple(actions), effects=tuple(effects),
-                    deontics=tuple(deontics), request=request)
+    return Scenario(name, acting_for, tuple(groups), tuple(actions), tuple(effects),
+                    tuple(deontics), request)
 
 
 def emit_scenario(scenario: Scenario) -> bytes:

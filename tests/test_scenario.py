@@ -410,20 +410,24 @@ def _outcome(doc: bytes):
 
 
 def _straight_path(doc: bytes) -> bool:
-    """Whether ``_clean`` reads a document. Checks its one rule on the way:
-    load_scenario's outcome is that of the rows alone, and ``_clean`` gives up
-    or gives exactly the Scenario the rows build."""
-    with mock.patch.object(genet.scenario, "_clean", lambda data: None):
+    """Whether ``_bulk`` reads a document's effects and deontics and the document
+    loads. Checks its one rule on the way: load_scenario's outcome is that of the
+    rows alone, and ``_bulk`` gives up or gives exactly the lists the rows build."""
+    bulk, read = genet.scenario._bulk, []
+    with mock.patch.object(genet.scenario, "_bulk", lambda *args: None):
         rows = _outcome(doc)
-    assert _outcome(doc) == rows, doc
-    try:
-        data = load_json(doc)
-    except (ValueError, RecursionError):
+    with mock.patch.object(genet.scenario, "_bulk",
+                           lambda *args: read.append(bulk(*args)) or read[0]):
+        assert _outcome(doc) == rows, doc
+    if not read or read[0] is None:
         return False
-    if (clean := genet.scenario._clean(data)) is None:
-        return False
-    assert repr(clean) == rows, doc
-    return True
+    data, loads = load_json(doc), rows.startswith("Scenario(")
+    if not loads:  # only the request is read after effects and deontics
+        data.pop("request")
+    with mock.patch.object(genet.scenario, "_bulk", lambda *args: None):
+        built = load_scenario(json.dumps(data).encode("utf-8"))
+    assert repr(read[0]) == repr((list(built.effects), list(built.deontics))), doc
+    return loads
 
 
 def _group(**overrides) -> dict:
@@ -516,8 +520,8 @@ HAND_CASES = {
 
 
 class TestStraightPath:
-    """``_clean`` reads scenario documents with nothing to report; the rows are
-    the reference it must never contradict."""
+    """``_bulk`` reads the effects and deontics of scenario documents with nothing
+    to report; the rows are the reference it must never contradict."""
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_paper_documents(self, name):
