@@ -580,12 +580,18 @@ class TestDecide:
             assert alone._replace(verdict=None) == decided[action]._replace(verdict=None)
 
     @settings(deadline=None, max_examples=200)
-    @given(theory_scenarios())
-    def test_unaddressed_lists_each_requirement_no_assertion_addresses(self, pair):
+    @given(theory_scenarios(), st.data())
+    def test_unaddressed_lists_each_requirement_no_assertion_addresses(self, pair, data):
         # Recomputed from the records alone: an assertion addresses a
         # principle when it names the action and the specification, and
-        # the principle's subject covers its target.
+        # the principle's subject covers its target. Some theories repeat
+        # a principle, which valid_instances never draws.
         theory, scenario = pair
+        if data.draw(st.booleans()):
+            principles = list(theory.principles)
+            principles.insert(data.draw(st.integers(0, len(principles))),
+                              data.draw(st.sampled_from(principles)))
+            theory = theory._replace(principles=tuple(principles))
         for evaluation in decide(theory, scenario).evaluations:
             expected: list[str] = []
             for p in [] if theory.consequentiality else theory.principles:
