@@ -50,6 +50,22 @@ def refusal(err) -> list[tuple[str, str, str]]:
     return [(v.code, v.path, v.message) for v in err.value.report.violations]
 
 
+# `genet bases show egoism`, whole.
+EGOISM_SHOW = """\
+name: egoism
+consequentiality: true
+fixedPatientKinds: human
+mutability: all
+defaultPrinciples:
+  morality=true subject=agent specification=physiologySatisfaction
+  morality=true subject=agent specification=safetySatisfaction
+  morality=true subject=agent specification=loveSatisfaction
+  morality=true subject=agent specification=esteemSatisfaction
+  morality=true subject=agent specification=selfActualisationSatisfaction
+freeFields: agent influenceThresholds instanceName
+"""
+
+
 class TestBuiltinBases:
     def test_exactly_four(self):
         assert load_registry().names() == [
@@ -94,6 +110,10 @@ class TestBuiltinBases:
                 for p in kant.defaultPrinciples] == [
             ("universallyWillable", True, Subject.ALL),
             ("mereMeans", False, Subject.ALL)]
+
+    def test_show_egoism(self, capsys):
+        assert main(["bases", "show", "egoism"]) == 0
+        assert capsys.readouterr().out == EGOISM_SHOW
 
     def test_free_fields(self, capsys):
         # Derived, not declared: each shipped template fixes its patient kinds.
@@ -214,8 +234,9 @@ class TestLoadRegistry:
         assert load_registry(base_dir=tmp_path).get("egoism").fixedPatientKinds is None
         monkeypatch.setenv(BASE_DIR_ENV, str(tmp_path))
         assert main(["bases", "show", "egoism"]) == 0
-        assert capsys.readouterr().out.endswith(
-            "\nfreeFields: agent influenceThresholds instanceName patientKinds\n")
+        assert capsys.readouterr().out == EGOISM_SHOW.replace(
+            "fixedPatientKinds: human\n", "").replace(
+            "instanceName\n", "instanceName patientKinds\n")
 
     def test_repeated_key_is_rejected(self, tmp_path):
         # json.loads alone would keep the last value, true.

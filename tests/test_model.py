@@ -142,27 +142,31 @@ NEAR_MISSES = {
 }
 
 
-# The codes validate_instance reports for each near miss of mia_egoism.
-NEAR_MISS_CODES = {
-    "baseTheory": ["EMPTY_BASE_THEORY"],
-    "instanceName": ["EMPTY_INSTANCE_NAME"],
-    "agent": ["EMPTY_AGENT_NAME", "BAD_URI"],
-    "patientKinds": ["EMPTY_PATIENT_KINDS"],
-    "thresholds": ["PERCENT_OUT_OF_RANGE", "PERCENT_OUT_OF_RANGE"],
-    "principles": ["EMPTY_PRINCIPLES"],
-    "specification": ["SPECIFICATION_WHITESPACE"],
-    "duplicate": ["DUPLICATE_PRINCIPLE"],
-    "non-xml-baseTheory": ["NON_XML_CHARACTER"],
-    "non-xml-instanceName": ["NON_XML_CHARACTER"],
-    "non-xml-agent-name": ["NON_XML_CHARACTER"],
-    "non-xml-reference": ["NON_XML_CHARACTER"],
+# The (code, path) findings validate_instance reports for each near miss of
+# mia_egoism, whose five principles leave the added one at index 5.
+SPEC = "principles[5].specification"
+NEAR_MISS_FINDINGS = {
+    "baseTheory": [("EMPTY_BASE_THEORY", "baseTheory")],
+    "instanceName": [("EMPTY_INSTANCE_NAME", "instanceName")],
+    "agent": [("EMPTY_AGENT_NAME", "agent.name"), ("BAD_URI", "agent.reference")],
+    "patientKinds": [("EMPTY_PATIENT_KINDS", "patientKinds")],
+    "thresholds": [("PERCENT_OUT_OF_RANGE", "influenceThresholds.external"),
+                   ("PERCENT_OUT_OF_RANGE", "influenceThresholds.substance")],
+    "principles": [("EMPTY_PRINCIPLES", "principles")],
+    "specification": [("SPECIFICATION_WHITESPACE", SPEC)],
+    "duplicate": [("DUPLICATE_PRINCIPLE", "principles[5]")],
+    "non-xml-baseTheory": [("NON_XML_CHARACTER", "baseTheory")],
+    "non-xml-instanceName": [("NON_XML_CHARACTER", "instanceName")],
+    "non-xml-agent-name": [("NON_XML_CHARACTER", "agent.name")],
+    "non-xml-reference": [("NON_XML_CHARACTER", "agent.reference")],
     # U+001F is both outside XML and a character str.isspace() accepts.
-    "non-xml-specification": ["SPECIFICATION_WHITESPACE", "NON_XML_CHARACTER"],
-    "non-xml-token-specification": ["NON_XML_CHARACTER"],
-    "empty-specification": ["EMPTY_SPECIFICATION"],
-    "space-led-specification": ["SPECIFICATION_WHITESPACE"],
-    "flipped-morality": ["DUPLICATE_PRINCIPLE"],
-    "reference-unsplittable": ["BAD_URI"],
+    "non-xml-specification": [("SPECIFICATION_WHITESPACE", SPEC),
+                              ("NON_XML_CHARACTER", SPEC)],
+    "non-xml-token-specification": [("NON_XML_CHARACTER", SPEC)],
+    "empty-specification": [("EMPTY_SPECIFICATION", SPEC)],
+    "space-led-specification": [("SPECIFICATION_WHITESPACE", SPEC)],
+    "flipped-morality": [("DUPLICATE_PRINCIPLE", "principles[5]")],
+    "reference-unsplittable": [("BAD_URI", "agent.reference")],
     "no-instance-name": [],
     "no-reference": [],
     "thresholds-at-bounds": [],
@@ -171,7 +175,8 @@ NEAR_MISS_CODES = {
 
 @pytest.mark.parametrize("name", NEAR_MISSES)
 def test_near_miss_instances(name):
-    assert validate_instance(NEAR_MISSES[name](mia_egoism())).codes() == NEAR_MISS_CODES[name]
+    report = validate_instance(NEAR_MISSES[name](mia_egoism()))
+    assert [(v.code, v.path) for v in report.violations] == NEAR_MISS_FINDINGS[name]
 
 
 @pytest.mark.parametrize("doc, holds", [
