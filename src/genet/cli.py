@@ -13,7 +13,6 @@ GENET_BASE_DIR overrides the packaged base-template directory.
 
 import argparse
 import gc
-import io
 import json
 import os
 import sys
@@ -45,11 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _drop(stream) -> None:
+    # A stream whose write failed goes to devnull; later writes and the exit flush pass.
+    with open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), stream.fileno())
+
+
 def _warn(line: str) -> None:
     try:  # a line that stderr cannot take is dropped, as argparse drops its own
         print(line, file=sys.stderr)
     except OSError:
-        pass
+        _drop(sys.stderr)
 
 
 def _print_report(violations, write=print) -> None:
@@ -254,10 +259,8 @@ def main(argv=None) -> int:
         # action id "Té" under PYTHONIOENCODING=ascii. stderr escapes it.
         _warn(f"error: cannot write the output to stdout: {exc}")
         return EXIT_USAGE
-    except OSError:
-        # stdout cannot be written: a closed pipe, a full device or a read-only
-        # fd. Point it at devnull so that the flush at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError:  # stdout is a closed pipe, a full device or a read-only fd
+        _drop(sys.stdout)
         return EXIT_USAGE
     return code
 
@@ -266,13 +269,12 @@ def run() -> None:
     """`main` as a `genet` process, which exits with its code. The objects left are
     frozen, so that the interpreter's final collections skip them."""
     sys.stderr = sys.stderr or open(os.devnull, "w")  # fd 2 closed: never to stdout
-    lost = sys.stdout is None and io.StringIO()  # fd 1 closed: output is lost, exit 3
-    sys.stdout = lost or sys.stdout
+    sys.stdout = sys.stdout or open(os.devnull)  # fd 1 closed: as 1</dev/null, exit 3
     try:
         code = main()
     finally:
         gc.freeze()
-    raise SystemExit(EXIT_USAGE if lost and lost.tell() else code)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

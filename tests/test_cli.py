@@ -408,7 +408,8 @@ class TestBases:
     def test_list_with_a_name_is_usage(self, capsys):
         code, out, err = run(capsys, "bases", "list", "Kantianism")
         assert (code, out) == (3, "")
-        assert "error: bases list takes no name" in err
+        assert err.startswith("usage: genet ")
+        assert err.endswith("\nerror: bases list takes no name\n")
 
 
 BUILTIN_BASES = PACKAGE_ROOT / "genet" / "data" / "bases"
@@ -502,8 +503,11 @@ def test_missing_base_dir_is_usage(capsys, tmp_path, monkeypatch, command):
 
 def _this_tree_env(**extra):
     """The environment with the directory of the imported `genet` package
-    first on PYTHONPATH, so a subprocess runs this tree's code."""
-    env = dict(os.environ, **extra)
+    first on PYTHONPATH, so a subprocess runs this tree's code. It drops
+    PYTHONUNBUFFERED, so that the subprocess buffers its standard streams as
+    Python does by default, unless `extra` sets it."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(extra)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     return env
@@ -848,13 +852,18 @@ STREAM_FAULTS = {"stdout-closed": ">&-", "stdout-read-only": "1</dev/null",
                  "stdout-full": ">/dev/full", "stdout-pipe-closed": "",
                  "stderr-closed": "2>&-", "stderr-read-only": "2</dev/null",
                  "stderr-full": "2>/dev/full"}
+# Each fault runs on Python's default buffered streams, where the bytes of a
+# failed write stay in the buffer to be written again at exit, and, under its
+# name with this suffix, on the unbuffered streams of PYTHONUNBUFFERED=1.
+UNBUFFERED = "-unbuffered"
 
 
 @pytest.fixture(scope="module")
 def stream_commands(tmp_path_factory):
     """Each command of the stream matrix, with its run on working streams.
     `validate` prints one finding and exits 1, `instantiate` prints nothing,
-    and `reason` prints a decision after three warnings on stderr."""
+    `reason` prints a decision after three warnings on stderr, and a usage
+    error and an unreadable `--theory` print only to stderr and exit 3."""
     tmp = tmp_path_factory.mktemp("streams")
     bad = tmp / "bad.xml"
     bad.write_bytes(theory_bytes("doe-utilitarianism").replace(
@@ -862,31 +871,40 @@ def stream_commands(tmp_path_factory):
     commands = {"bases-list": ["bases", "list"], "validate": ["validate", str(bad)],
                 "instantiate": [*INSTANTIATE, "--out", str(tmp / "x.xml")],
                 "reason-json": TROLLEY_JSON,
-                "reason-explain": [*TROLLEY_JSON[:-2], "--explain"]}
+                "reason-explain": [*TROLLEY_JSON[:-2], "--explain"],
+                "usage": ["reason", *TROLLEY_JSON[3:5]],
+                "unreadable-theory": ["reason", "--theory", str(tmp / "missing.xml"),
+                                      *TROLLEY_JSON[3:5]]}
     return {name: (argv, subprocess.run([sys.executable, "-m", "genet", *argv],
                                         capture_output=True, env=_this_tree_env()))
             for name, argv in commands.items()}
 
 
-@pytest.mark.parametrize("fault", STREAM_FAULTS)
+@pytest.mark.parametrize("fault", [fault + buffering for buffering in ("", UNBUFFERED)
+                                   for fault in STREAM_FAULTS])
 @pytest.mark.parametrize("command", ["bases-list", "validate", "instantiate",
-                                     "reason-json", "reason-explain"])
+                                     "reason-json", "reason-explain", "usage",
+                                     "unreadable-theory"])
 def test_unwritable_stream_ends_in_a_documented_exit(stream_commands, command, fault):
     """A standard stream that is closed, read-only, full or a pipe with no
-    reader never ends a command in a traceback. A command whose printed
-    output is lost exits 3, and its diagnostics still reach stderr; when
-    stderr is at fault, stdout and the exit code are those of a run on
-    working streams."""
+    reader never ends a command in a traceback, buffered or not. A command
+    whose printed output is lost exits 3, and its diagnostics still reach
+    stderr; when stderr is at fault, stdout and the exit code are those of a
+    run on working streams."""
+    extra = {"PYTHONUNBUFFERED": "1"} if fault.endswith(UNBUFFERED) else {}
+    fault = fault.removesuffix(UNBUFFERED)
     redirect = STREAM_FAULTS[fault]
     if "/dev/full" in redirect and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     argv, reference = stream_commands[command]
     assert b"Traceback" not in reference.stderr
+    if command in ("usage", "unreadable-theory"):
+        assert (reference.returncode, reference.stdout) == (3, b"") and reference.stderr
     read, write = os.pipe()
     os.close(read)
     try:
         result = subprocess.run(["sh", "-c", f'exec "$0" "$@" {redirect}', sys.executable,
-                                 "-m", "genet", *argv], env=_this_tree_env(),
+                                 "-m", "genet", *argv], env=_this_tree_env(**extra),
                                 stdout=write if fault.startswith("stdout")
                                 else subprocess.PIPE, stderr=subprocess.PIPE)
     finally:
