@@ -17,7 +17,7 @@ _NAMES = {
     "reasoner": ("ActionEvaluation", "ArgumentTrace", "Decision", "DecisionKind",
                  "MoralVerdict", "decide", "decision_to_dict", "evaluate",
                  "render_decision", "render_evaluation"),
-    "bases": ("BaseTheoryTemplate", "Mutability", "PrincipleEdit", "Registry",
+    "bases": ("BaseTheoryTemplate", "Mutability", "Registry",
               "check_conformance", "instantiate", "load_registry"),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

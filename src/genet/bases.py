@@ -13,7 +13,7 @@ four live in ``genet/data/bases/``; see the README for the key schema.
 import os
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .model import (
     DUPLICATE_PRINCIPLE,
@@ -66,22 +66,6 @@ class BaseTheoryTemplate(NamedTuple):
     defaultPrinciples: tuple[MoralPrinciple, ...]
     mutability: Mutability
     fixedPatientKinds: Optional[frozenset[PatientKind]] = None
-
-
-class PrincipleEdit(NamedTuple):
-    """A single change to the default principle collection: adding the
-    principle when ``adds`` is true, removing it otherwise."""
-
-    adds: bool
-    principle: MoralPrinciple
-
-    @staticmethod
-    def add(principle: MoralPrinciple) -> "PrincipleEdit":
-        return PrincipleEdit(True, principle)
-
-    @staticmethod
-    def remove(principle: MoralPrinciple) -> "PrincipleEdit":
-        return PrincipleEdit(False, principle)
 
 
 _PRINCIPLE = {"morality": Field(bool),
@@ -192,12 +176,14 @@ def instantiate(base: BaseTheoryTemplate,
                 thresholds: InfluenceThresholds,
                 instanceName: Optional[str] = None,
                 patientKinds: Optional[frozenset[PatientKind]] = None,
-                edits: list[PrincipleEdit] = ()) -> EthicalTheoryInstance:
+                remove: Sequence[tuple[str, Subject]] = (),
+                add: Sequence[MoralPrinciple] = ()) -> EthicalTheoryInstance:
     """Derive a theory instance from a template under its constraints.
 
-    Fixed fields are copied verbatim and may not be contradicted; edits
-    are applied in order and must be legal for the template's mutability
-    mode. The result always passes validate_instance.
+    Fixed fields are copied verbatim and may not be contradicted. The
+    (specification, subject) pairs in ``remove`` leave the defaults, then
+    the principles in ``add`` are appended in order, each side only if the
+    mutability mode allows it. The result always passes validate_instance.
     """
     kinds = base.fixedPatientKinds if patientKinds is None else frozenset(patientKinds)
     if kinds is None:
@@ -208,25 +194,23 @@ def instantiate(base: BaseTheoryTemplate,
     if base.fixedPatientKinds not in (None, kinds):
         raise GenetError(FIXED_FIELD_VIOLATION, _fixes_patient_kinds(base), "patientKinds")
 
-    may_add, may_remove = _EDITS[base.mutability]
+    for verb, edits, allowed in zip(("adding", "removing"), (add, remove),
+                                    _EDITS[base.mutability]):
+        if edits and not allowed:
+            raise GenetError(MUTABILITY_VIOLATION, f"{base.name} (mutability="
+                             f"{base.mutability.value}) forbids {verb} principles",
+                             "principles")
     principles = list(base.defaultPrinciples)
-    for edit in edits:
-        if not (may_add if edit.adds else may_remove):
-            raise GenetError(
-                MUTABILITY_VIOLATION,
-                f"{base.name} (mutability={base.mutability.value}) forbids "
-                f"{'adding' if edit.adds else 'removing'} principles", "principles")
-        key = _key(edit.principle)
-        present = next((p for p in principles if _key(p) == key), None)
-        if edit.adds and present:
+    for specification, subject in remove:
+        keys = [_key(p) for p in principles]
+        if (key := (specification, subject.value)) not in keys:
+            raise GenetError(UNKNOWN_REMOVAL, f"no principle {key} to remove", "principles")
+        del principles[keys.index(key)]
+    for principle in add:
+        if (key := _key(principle)) in map(_key, principles):
             raise GenetError(DUPLICATE_PRINCIPLE, f"principle {key} is already present",
                              "principles")
-        if not (edit.adds or present):
-            raise GenetError(UNKNOWN_REMOVAL, f"no principle {key} to remove", "principles")
-        if edit.adds:
-            principles.append(edit.principle)
-        else:
-            principles.remove(present)
+        principles.append(principle)
     if not principles:
         raise GenetError(EMPTY_PRINCIPLES, "edits left the principle collection empty",
                          "principles")
@@ -250,7 +234,8 @@ def instantiate(base: BaseTheoryTemplate,
 def reachable(template: BaseTheoryTemplate,
               principles: tuple[MoralPrinciple, ...]) -> bool:
     """Whether a principle list can be produced from the template's
-    defaults by some legal edit sequence."""
+    defaults by the edits that instantiate takes: removals, then additions,
+    each side allowed by the mutability mode. Order is not judged."""
     if not principles:
         return False
     have = {_key(p): p for p in principles}

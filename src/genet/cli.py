@@ -39,9 +39,12 @@ EXIT_USAGE = 3
 class _Parser(argparse.ArgumentParser):
     # Usage errors must exit 3, not argparse's default 2.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        _warn(f"error: {message}")
+        _warn(f"{self.format_usage()}error: {message}")
         raise SystemExit(EXIT_USAGE)
+
+    def print_help(self, file=None):
+        # argparse drops help that stdout refuses; raise, so that main exits 3.
+        print(self.format_help(), end="", file=file, flush=True)
 
 
 def _drop(stream) -> None:
@@ -94,21 +97,17 @@ def cmd_instantiate(args) -> int:
     import genet.bases as bases_mod, genet.xmlio as xmlio
 
     base = bases_mod.load_registry().get(args.base)
-    edits: list[bases_mod.PrincipleEdit] = []
+    add: list[MoralPrinciple] = []
     try:
         for spec in args.add:
             # Subject and morality never hold a comma; a specification may.
             specification, subject, morality = spec.rsplit(",", 2)
             if (value := xmlio.parse_boolean(morality)) is None:
                 raise ValueError(f"not a boolean: {morality!r}")
-            edits.append(bases_mod.PrincipleEdit.add(MoralPrinciple(
-                morality=value, subject=Subject(subject),
-                specification=specification)))
-        for spec in args.remove:
-            specification, subject = spec.rsplit(",", 1)
-            edits.append(bases_mod.PrincipleEdit.remove(MoralPrinciple(
-                morality=True, subject=Subject(subject),
-                specification=specification)))
+            add.append(MoralPrinciple(morality=value, subject=Subject(subject),
+                                      specification=specification))
+        remove = [(specification, Subject(subject)) for specification, subject
+                  in (spec.rsplit(",", 1) for spec in args.remove)]
     except ValueError as exc:
         _warn(f"error: bad --add/--remove value: {exc}")
         return EXIT_USAGE
@@ -117,8 +116,8 @@ def cmd_instantiate(args) -> int:
         instance = bases_mod.instantiate(
             base, MoralAgent(args.agent, args.agent_ref),
             InfluenceThresholds(args.external, args.substance),
-            instanceName=args.name, edits=edits, patientKinds=args.patient_kind
-            and frozenset(map(PatientKind, args.patient_kind)))
+            instanceName=args.name, patientKinds=args.patient_kind
+            and frozenset(map(PatientKind, args.patient_kind)), remove=remove, add=add)
     except GenetError as exc:
         _print_report(exc.report.violations)
         return EXIT_VIOLATION
@@ -244,11 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bases" and (args.action == "show") != (args.name is not None):
-        parser.error("bases show requires a name" if args.name is None
-                     else "bases list takes no name")
     try:
+        args = parser.parse_args(argv)
+        if args.command == "bases" and (args.action == "show") != (args.name is not None):
+            parser.error("bases show requires a name" if args.name is None
+                         else "bases list takes no name")
         code = args.func(args)
         sys.stdout.flush()
     except GenetError as exc:  # a template that cannot be loaded, no such template or action

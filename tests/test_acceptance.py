@@ -12,7 +12,6 @@ import random
 import time
 
 from genet.bases import (
-    PrincipleEdit,
     check_conformance,
     instantiate,
     load_registry,
@@ -123,37 +122,30 @@ def test_criterion_3_round_trips():
 def test_criterion_4_mutability(registry):
     agent = MoralAgent("A")
     thresholds = InfluenceThresholds(50, 30)
-    add = PrincipleEdit.add(MoralPrinciple(True, Subject.ALL, "extraPrinciple"))
+    add = {"add": [MoralPrinciple(True, Subject.ALL, "extraPrinciple")]}
     cases = [
         # (template, edits, should_succeed)
-        ("utilitarianism",
-         [PrincipleEdit.remove(MoralPrinciple(True, Subject.ALL,
-                                              "loveSatisfaction"))], True),
-        ("utilitarianism", [add], False),
-        ("ChristianDivineCommandTheory", [add], True),
-        ("ChristianDivineCommandTheory",
-         [PrincipleEdit.remove(MoralPrinciple(False, Subject.PATIENTS,
-                                              "kill"))], False),
-        ("egoism", [add], True),
-        ("egoism",
-         [PrincipleEdit.remove(MoralPrinciple(True, Subject.AGENT,
-                                              "esteemSatisfaction"))], True),
-        ("Kantianism", [add], False),
-        ("Kantianism",
-         [PrincipleEdit.remove(MoralPrinciple(False, Subject.ALL,
-                                              "mereMeans"))], False),
+        ("utilitarianism", {"remove": [("loveSatisfaction", Subject.ALL)]}, True),
+        ("utilitarianism", add, False),
+        ("ChristianDivineCommandTheory", add, True),
+        ("ChristianDivineCommandTheory", {"remove": [("kill", Subject.PATIENTS)]},
+         False),
+        ("egoism", add, True),
+        ("egoism", {"remove": [("esteemSatisfaction", Subject.AGENT)]}, True),
+        ("Kantianism", add, False),
+        ("Kantianism", {"remove": [("mereMeans", Subject.ALL)]}, False),
     ]
     assert len(cases) == 8
     for base_name, edits, should_succeed in cases:
         template = registry.get(base_name)
         if should_succeed:
             instance = instantiate(template, agent=agent, thresholds=thresholds,
-                                   edits=edits)
+                                   **edits)
             assert check_conformance(instance, registry).conformant, base_name
         else:
             try:
                 instantiate(template, agent=agent, thresholds=thresholds,
-                            edits=edits)
+                            **edits)
             except GenetError as exc:
                 assert exc.code == "MUTABILITY_VIOLATION", base_name
             else:

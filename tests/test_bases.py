@@ -14,7 +14,6 @@ from genet.bases import (
     TEMPLATE_ERROR,
     BaseTheoryTemplate,
     Mutability,
-    PrincipleEdit,
     check_conformance,
     instantiate,
     load_registry,
@@ -345,8 +344,7 @@ class TestInstantiate:
         instance = instantiate(
             base(registry, "utilitarianism"), agent=DOE, thresholds=THRESH,
             instanceName="loveless utilitarianism",
-            edits=[PrincipleEdit.remove(
-                MoralPrinciple(True, Subject.ALL, "loveSatisfaction"))])
+            remove=[("loveSatisfaction", Subject.ALL)])
         assert len(instance.principles) == 4
         assert validate_instance(instance).ok
         assert "loveSatisfaction" not in {p.specification
@@ -355,11 +353,10 @@ class TestInstantiate:
     def test_kantianism_rejects_any_edit(self, registry):
         kant = base(registry, "Kantianism")
         for edit, verb in (
-                (PrincipleEdit.add(MoralPrinciple(True, Subject.ALL, "foo")), "adding"),
-                (PrincipleEdit.remove(MoralPrinciple(False, Subject.ALL, "mereMeans")),
-                 "removing")):
+                ({"add": [MoralPrinciple(True, Subject.ALL, "foo")]}, "adding"),
+                ({"remove": [("mereMeans", Subject.ALL)]}, "removing")):
             with pytest.raises(GenetError) as err:
-                instantiate(kant, agent=DOE, thresholds=THRESH, edits=[edit])
+                instantiate(kant, agent=DOE, thresholds=THRESH, **edit)
             assert refusal(err) == [
                 ("MUTABILITY_VIOLATION", "principles",
                  f"Kantianism (mutability=none) forbids {verb} principles")]
@@ -370,8 +367,7 @@ class TestInstantiate:
             with pytest.raises(GenetError) as err:
                 instantiate(base(registry, "utilitarianism"), agent=DOE,
                             thresholds=THRESH,
-                            edits=[PrincipleEdit.add(
-                                MoralPrinciple(True, Subject.ALL, specification))])
+                            add=[MoralPrinciple(True, Subject.ALL, specification)])
             assert refusal(err) == [
                 ("MUTABILITY_VIOLATION", "principles",
                  "utilitarianism (mutability=remove) forbids adding principles")]
@@ -379,23 +375,20 @@ class TestInstantiate:
     def test_dct_rejects_remove_accepts_add(self, registry):
         dct = base(registry, "ChristianDivineCommandTheory")
         added = instantiate(dct, agent=DOE, thresholds=THRESH,
-                            edits=[PrincipleEdit.add(
-                                MoralPrinciple(False, Subject.PATIENTS, "usury"))])
+                            add=[MoralPrinciple(False, Subject.PATIENTS, "usury")])
         assert len(added.principles) == 7
         with pytest.raises(GenetError) as err:
             instantiate(dct, agent=DOE, thresholds=THRESH,
-                        edits=[PrincipleEdit.remove(
-                            MoralPrinciple(False, Subject.PATIENTS, "kill"))])
+                        remove=[("kill", Subject.PATIENTS)])
         assert refusal(err) == [
             ("MUTABILITY_VIOLATION", "principles",
              "ChristianDivineCommandTheory (mutability=add) forbids removing principles")]
 
     def test_removing_everything_is_rejected(self, registry):
         util = base(registry, "utilitarianism")
-        edits = [PrincipleEdit.remove(MoralPrinciple(True, Subject.ALL, s))
-                 for s in MASLOW]
         with pytest.raises(GenetError) as err:
-            instantiate(util, agent=DOE, thresholds=THRESH, edits=edits)
+            instantiate(util, agent=DOE, thresholds=THRESH,
+                        remove=[(s, Subject.ALL) for s in MASLOW])
         assert err.value.code == "EMPTY_PRINCIPLES"
 
     def test_unknown_removal(self, registry):
@@ -407,8 +400,7 @@ class TestInstantiate:
             subject = template.defaultPrinciples[0].subject
             with pytest.raises(GenetError) as err:
                 instantiate(template, agent=DOE, thresholds=THRESH,
-                            edits=[PrincipleEdit.remove(MoralPrinciple(True, subject, s))
-                                   for s in specifications])
+                            remove=[(s, subject) for s in specifications])
             assert refusal(err) == [
                 ("UNKNOWN_REMOVAL", "principles", f"no principle {key} to remove")]
 
@@ -417,8 +409,7 @@ class TestInstantiate:
             with pytest.raises(GenetError) as err:
                 instantiate(base(registry, "utilitarianism"), agent=DOE,
                             thresholds=THRESH, patientKinds=frozenset(kinds),
-                            edits=[PrincipleEdit.add(
-                                MoralPrinciple(True, Subject.ALL, "x"))])
+                            add=[MoralPrinciple(True, Subject.ALL, "x")])
             # Found before the forbidden edit.
             assert refusal(err) == [("FIXED_FIELD_VIOLATION", "patientKinds",
                                      "utilitarianism fixes patientKinds to ['human']")]
@@ -444,17 +435,47 @@ class TestInstantiate:
         # The pair decides, whatever the morality.
         for principle in (present, present._replace(morality=not present.morality)):
             with pytest.raises(GenetError) as err:
-                instantiate(dct, agent=DOE, thresholds=THRESH,
-                            edits=[PrincipleEdit.add(principle)])
+                instantiate(dct, agent=DOE, thresholds=THRESH, add=[principle])
             assert refusal(err) == [("DUPLICATE_PRINCIPLE", "principles",
                                      f"principle {key} is already present")]
 
     def test_a_default_removed_and_added_back_comes_last(self, registry):
+        # With its morality kept or flipped: a flip is a removal and an addition.
         ego = base(registry, "egoism")
         first, *rest = ego.defaultPrinciples
-        edits = [PrincipleEdit.remove(first), PrincipleEdit.add(first)]
-        instance = instantiate(ego, agent=DOE, thresholds=THRESH, edits=edits)
-        assert instance.principles == (*rest, first)
+        for back in (first, first._replace(morality=not first.morality)):
+            instance = instantiate(ego, agent=DOE, thresholds=THRESH,
+                                   remove=[(first.specification, first.subject)], add=[back])
+            assert instance.principles == (*rest, back)
+            assert check_conformance(instance, registry).conformant
+
+    @pytest.mark.parametrize("name, finding", [
+        ("Kantianism", "Kantianism (mutability=none) forbids adding principles"),
+        ("utilitarianism", "utilitarianism (mutability=remove) forbids adding principles"),
+        ("ChristianDivineCommandTheory",
+         "ChristianDivineCommandTheory (mutability=add) forbids removing principles"),
+    ])
+    def test_the_mode_is_checked_before_any_edit(self, registry, name, finding):
+        # Each edit would fail on its own: the pair to remove is absent and the
+        # one to add is present. A forbidden addition is named before a removal.
+        template = base(registry, name)
+        present = template.defaultPrinciples[0]
+        with pytest.raises(GenetError) as err:
+            instantiate(template, agent=DOE, thresholds=THRESH,
+                        remove=[("nosuch", Subject.ALL)], add=[present])
+        assert refusal(err) == [("MUTABILITY_VIOLATION", "principles", finding)]
+
+    def test_removals_apply_before_additions(self, registry):
+        ego = base(registry, "egoism")
+        new = MoralPrinciple(True, Subject.AGENT, "thrift")
+        # An added pair cannot be removed in the same call, and an absent
+        # removal is found before a present addition.
+        for add in ([new], [ego.defaultPrinciples[0]]):
+            with pytest.raises(GenetError) as err:
+                instantiate(ego, agent=DOE, thresholds=THRESH,
+                            remove=[("thrift", Subject.AGENT)], add=add)
+            assert refusal(err) == [("UNKNOWN_REMOVAL", "principles",
+                                     "no principle ('thrift', 'agent') to remove")]
 
     def test_repeated_default_pair_is_an_invalid_instance(self, registry):
         # A template built in code skips the loader's check; the repeat is
@@ -472,15 +493,13 @@ class TestInstantiate:
         # Egoism for a business: replace the personal-preference defaults
         # with the triple bottom line wholesale.
         ego = base(registry, "egoism")
-        edits = [PrincipleEdit.remove(MoralPrinciple(True, Subject.AGENT, s))
-                 for s in MASLOW]
-        edits += [PrincipleEdit.add(MoralPrinciple(True, Subject.AGENT, s))
-                  for s in ("socialWelfare", "environmentalProtection",
-                            "profitPerpetuation")]
         instance = instantiate(ego, agent=MoralAgent("Train Company"),
                                thresholds=InfluenceThresholds(0, 50),
                                instanceName="Train Company's egoism",
-                               edits=edits)
+                               remove=[(s, Subject.AGENT) for s in MASLOW],
+                               add=[MoralPrinciple(True, Subject.AGENT, s)
+                                    for s in ("socialWelfare", "environmentalProtection",
+                                              "profitPerpetuation")])
         assert [p.specification for p in instance.principles] == [
             "socialWelfare", "environmentalProtection", "profitPerpetuation"]
         assert check_conformance(instance, registry).conformant
@@ -559,40 +578,35 @@ EXTRA_POOL = [MoralPrinciple(m, s, spec)
 
 @st.composite
 def legal_edit_lists(draw, registry):
+    """A template, a set of its defaults to remove and a list of principles
+    to add that its mode allows, with the principle list they should give.
+    An addition may put back a removed pair with either morality."""
     name = draw(st.sampled_from(["utilitarianism", "egoism", "Kantianism",
                                  "ChristianDivineCommandTheory"]))
     template = registry.get(name)
-    edits: list[PrincipleEdit] = []
-    current = list(template.defaultPrinciples)
+    defaults = list(template.defaultPrinciples)
     may_add = template.mutability in (Mutability.ADD, Mutability.ALL)
     may_remove = template.mutability in (Mutability.REMOVE, Mutability.ALL)
-    for _ in range(draw(st.integers(0, 6))):
-        keys = {(p.specification, p.subject) for p in current}
-        addable = [p for p in EXTRA_POOL
-                   if (p.specification, p.subject) not in keys] if may_add else []
-        removable = list(current) if may_remove and len(current) > 1 else []
-        options = ([("add", p) for p in addable]
-                   + [("remove", p) for p in removable])
-        if not options:
-            break
-        kind, principle = draw(st.sampled_from(options))
-        if kind == "add":
-            edits.append(PrincipleEdit.add(principle))
-            current.append(principle)
-        else:
-            edits.append(PrincipleEdit.remove(principle))
-            current.remove(principle)
-    return template, edits, current
+    removed = draw(st.lists(st.sampled_from(defaults), unique=True,
+                            max_size=len(defaults) - (not may_add))) if may_remove else []
+    kept = [p for p in defaults if p not in removed]
+    pool = EXTRA_POOL + [p._replace(morality=m) for p in removed for m in (True, False)]
+    added = draw(st.lists(st.sampled_from(pool), min_size=0 if kept else 1, max_size=4,
+                          unique_by=lambda p: (p.specification, p.subject))
+                 ) if may_add else []
+    return template, removed, added, kept + added
 
 
 class TestReachability:
     @settings(deadline=None, max_examples=200)
     @given(data=st.data())
     def test_accepted_edit_lists_conform(self, registry, data):
-        template, edits, current = data.draw(legal_edit_lists(registry))
+        template, removed, added, expected = data.draw(legal_edit_lists(registry))
         instance = instantiate(template, agent=DOE, thresholds=THRESH,
-                               edits=edits)
-        assert instance.principles == tuple(current)
+                               remove=[(p.specification, p.subject) for p in removed],
+                               add=added)
+        assert instance.principles == tuple(expected)
+        assert reachable(template, instance.principles)
         assert check_conformance(instance, registry).conformant
 
     @pytest.mark.parametrize("mutability", list(Mutability))

@@ -33,7 +33,6 @@ from genet.bases import (
     TEMPLATE_ERROR,
     UNKNOWN_BASE_THEORY,
     UNKNOWN_REMOVAL,
-    PrincipleEdit,
     check_conformance,
     instantiate,
     load_registry,
@@ -249,13 +248,15 @@ def test_instantiate_raises_only_genet_error(data):
     if data.draw(st.booleans()):
         template = template._replace(fixedPatientKinds=None)
     pool = st.one_of(st.sampled_from(template.defaultPrinciples), principles)
-    edits = data.draw(st.lists(st.builds(PrincipleEdit, st.booleans(), pool), max_size=6))
+    remove = data.draw(st.lists(pool.map(lambda p: (p.specification, p.subject)),
+                                max_size=3))
+    add = data.draw(st.lists(pool, max_size=3))
     kinds = data.draw(st.none() | st.frozensets(st.sampled_from(list(PatientKind))))
     try:
         instance = instantiate(
             template, agent=MoralAgent(data.draw(st.sampled_from(["A", ""]))),
             thresholds=InfluenceThresholds(data.draw(st.integers(-1, 101)), 0),
-            patientKinds=kinds, edits=edits)
+            patientKinds=kinds, remove=remove, add=add)
     except GenetError as exc:
         assert exc.code in INSTANTIATION_CODES
         assert exc.report.violations
