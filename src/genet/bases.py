@@ -235,18 +235,17 @@ def reachable(template: BaseTheoryTemplate,
               principles: tuple[MoralPrinciple, ...]) -> bool:
     """Whether a principle list can be produced from the template's
     defaults by the edits that instantiate takes: removals, then additions,
-    each side allowed by the mutability mode. Order is not judged."""
-    if not principles:
+    each side allowed by the mutability mode. The defaults kept stay in
+    their order, before every addition."""
+    if not principles or len(set(map(_key, principles))) != len(principles):
         return False
-    have = {_key(p): p for p in principles}
-    if len(have) != len(principles):
-        return False
-    defaults = {_key(p): p for p in template.defaultPrinciples}
+    defaults = template.defaultPrinciples
     may_add, may_remove = _EDITS[template.mutability]
-    # A default kept with flipped morality is an item of neither view, so it
-    # counts as a remove and an add.
-    return ((may_add or have.items() <= defaults.items())
-            and (may_remove or defaults.items() <= have.items()))
+    if not may_remove:
+        return (tuple(principles[:len(defaults)]) == defaults
+                and (may_add or len(principles) == len(defaults)))
+    kept = iter(defaults)
+    return may_add or all(p in kept for p in principles)
 
 
 def check_conformance(instance: EthicalTheoryInstance,

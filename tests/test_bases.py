@@ -610,36 +610,36 @@ class TestReachability:
         assert check_conformance(instance, registry).conformant
 
     @pytest.mark.parametrize("mutability", list(Mutability))
-    def test_agrees_with_brute_force_up_to_eight(self, mutability):
-        # Independent oracle: breadth-first search over every legal
-        # single-edit step within a small closed principle universe.
-        universe = tuple(MoralPrinciple(True, Subject.ALL, f"p{i}")
-                         for i in range(5))
-        defaults = universe[:3]
-        template = BaseTheoryTemplate(
-            name="toy", consequentiality=True, defaultPrinciples=defaults,
-            mutability=mutability,
-            fixedPatientKinds=frozenset({PatientKind.HUMAN}))
+    def test_agrees_with_instantiate_over_a_small_scope(self, mutability):
+        # Oracle: the lists instantiate makes from every removal set and every
+        # ordered addition list, against every ordered list of distinct
+        # principles up to the scope's size. The first scope is a closed
+        # universe of five, so each subset in universe order is a candidate;
+        # the second draws from a pool with both moralities of each pair.
+        def lists(items, most):
+            return (a for k in range(most + 1) for a in itertools.permutations(items, k))
 
-        may_add = mutability in (Mutability.ADD, Mutability.ALL)
-        may_remove = mutability in (Mutability.REMOVE, Mutability.ALL)
-        start = frozenset(defaults)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            state = frontier.pop()
-            steps = []
-            if may_add:
-                steps += [state | {p} for p in universe if p not in state]
-            if may_remove:
-                steps += [state - {p} for p in state]
-            for nxt in steps:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        brute_reachable = {s for s in seen if s}
-
-        for size in range(0, len(universe) + 1):
-            for combo in itertools.combinations(universe, size):
-                expected = frozenset(combo) in brute_reachable
-                assert reachable(template, combo) == expected, (mutability, combo)
+        universe = tuple(MoralPrinciple(True, Subject.ALL, f"p{i}") for i in range(5))
+        pool = tuple(MoralPrinciple(m, s, spec) for spec in ("a", "b", "c")
+                     for s in (Subject.AGENT, Subject.PATIENTS) for m in (True, False))
+        scopes = [(universe, universe[:3], 5)] + [
+            (pool, tuple(pool[i] for i in picks), 3)
+            for picks in ((0,), (2, 5), (9, 0, 4), (6, 3, 11))]
+        for candidates, defaults, size in scopes:
+            template = BaseTheoryTemplate("toy", True, defaults, mutability,
+                                          frozenset({PatientKind.HUMAN}))
+            made = set()
+            for n in range(len(defaults) + 1):
+                for removed in itertools.combinations(defaults, n):
+                    # Only lists of at most `size` principles are candidates.
+                    for added in lists(candidates, size - len(defaults) + n):
+                        try:
+                            made.add(instantiate(
+                                template, agent=DOE, thresholds=THRESH,
+                                remove=[(p.specification, p.subject) for p in removed],
+                                add=added).principles)
+                        except GenetError:
+                            pass
+            for principles in lists(candidates, size):
+                assert reachable(template, principles) == (principles in made), (
+                    defaults, principles)

@@ -89,7 +89,26 @@ class TestValidate:
          b"</principles>",
          "NOT_REACHABLE\tprinciples\tprinciple list is not reachable from "
          "Kantianism defaults under mutability=none"),
-    ], ids=["consequentiality", "fixed-field", "not-reachable"])
+        ("doe-kantianism",
+         b'"true" subject="all" specification="universallyWillable"/>\n        '
+         b'<principle morality="false" subject="all" specification="mereMeans"/>',
+         b'"false" subject="all" specification="mereMeans"/>\n        '
+         b'<principle morality="true" subject="all" specification="universallyWillable"/>',
+         "NOT_REACHABLE\tprinciples\tprinciple list is not reachable from "
+         "Kantianism defaults under mutability=none"),
+        ("doe-utilitarianism", b'"loveSatisfaction"/>\n    <principle morality="true" '
+         b'subject="all" specification="esteemSatisfaction"/>',
+         b'"esteemSatisfaction"/>\n    <principle morality="true" subject="all" '
+         b'specification="loveSatisfaction"/>',
+         "NOT_REACHABLE\tprinciples\tprinciple list is not reachable from "
+         "utilitarianism defaults under mutability=remove"),
+        ("trainco-dct", b'"blasphemy"/>',
+         b'"blasphemy"/><principle morality="true" subject="patients" '
+         b'specification="charity"/>',
+         "NOT_REACHABLE\tprinciples\tprinciple list is not reachable from "
+         "ChristianDivineCommandTheory defaults under mutability=add"),
+    ], ids=["consequentiality", "fixed-field", "not-reachable", "reordered-none",
+            "reordered-remove", "addition-among-defaults"])
     def test_base_template_findings(self, capsys, tmp_path, theory, old, new, finding):
         """A schema-clean, valid document that its base template does not admit."""
         path = tmp_path / "nonconforming.xml"

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import genet
+import genet.bases, genet.model, genet.scenario, genet.xmlio
 from genet.bases import load_registry
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,3 +37,15 @@ def test_template_example_is_the_shipped_kantianism(tmp_path):
     (tmp_path / "Kantianism.json").write_text(example, "utf-8")
     assert (load_registry(tmp_path).get("Kantianism")
             == load_registry(shipped.parent).get("Kantianism"))
+
+
+def test_finding_codes_table_lists_every_code():
+    """A code constant added without a row, or a row without one, fails."""
+    section = README.read_text("utf-8").split("\n## Finding codes\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", section, flags=re.MULTILINE)
+    # Each code's owner is the module that defines it: model, last, overrides the
+    # modules that import from it.
+    owners = {name: module.__name__.removeprefix("genet.")
+              for module in (genet.scenario, genet.bases, genet.xmlio, genet.model)
+              for name, value in vars(module).items() if value == name != "AGENT"}
+    assert sorted(rows) == sorted(owners.items())

@@ -733,3 +733,40 @@ def test_evaluate_rejects_an_undeclared_action(theories, scenarios, theory_name,
         evaluate(theories[theory_name], scenarios["mia"], action)
     assert caught.value.code == DANGLING_REFERENCE
     assert str(caught.value) == f"no action {action!r} in scenario"
+
+
+def _outcome(decision):
+    """What a decision decides: its kind, its sets and each action's verdict,
+    score, ledger multiset and unaddressed set."""
+    return (decision.kind, set(decision.chosen), set(decision.tied),
+            {e.action: (e.verdict, e.score, sorted(e.supererogation), set(e.unaddressed))
+             for e in decision.evaluations})
+
+
+class TestMetamorphic:
+    """Relations between two runs, which hold whatever the right answer is."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(theory_scenarios(), st.randoms(use_true_random=False))
+    def test_document_order_decides_nothing(self, pair, random):
+        # Principle order numbers the premises and orders traces and
+        # unaddressed lists, never a verdict.
+        theory, scenario = pair
+
+        def shuffled(items):
+            return tuple(random.sample(items, len(items)))
+
+        other = decide(theory._replace(principles=shuffled(theory.principles)),
+                       scenario._replace(groups=shuffled(scenario.groups),
+                                         actions=shuffled(scenario.actions),
+                                         effects=shuffled(scenario.effects),
+                                         deontics=shuffled(scenario.deontics)))
+        assert _outcome(other) == _outcome(decide(theory, scenario))
+
+    @settings(deadline=None, max_examples=50)
+    @given(theory_scenarios())
+    def test_writing_and_reading_the_documents_changes_no_output(self, pair):
+        theory, scenario = pair
+        again = decide(parse_theory(emit_theory(theory)),
+                       load_scenario(emit_scenario(scenario)))
+        assert decision_to_dict(again) == decision_to_dict(decide(theory, scenario))
