@@ -9,8 +9,9 @@ Validation reads ``ELEMENTS``, one row per schema element and the schema's
 one statement in code, so diagnostics are identical across platforms. The
 authoritative XSD ships in ``genet/data/schema/ethicalTheory.xsd``, and the
 test suite checks the table against it. One reader, ``_read``, checks a
-document against the table and decodes it in the same pass; its reporting
-code runs only for an element that fails a test of the whole element.
+document against the table and decodes it in the same pass. It decodes each
+element first, and only an element that fails a test of the whole element goes
+to the one reporter, ``_report``, so a clean document runs no reporting code.
 """
 
 import re
@@ -120,75 +121,85 @@ _SUBJECTS = {subject.value: subject for subject in Subject}
 _record = tuple.__new__  # builds a record without NamedTuple.__new__'s Python frame
 
 
-def _check_attrs(attrib, path: str, row: _Element, allowed, out: list[Violation]) -> None:
-    for name in row.required:
-        if name not in attrib:
-            out.append(Violation(MISSING_ATTRIBUTE, f"{path}@{name}",
-                                 f"required attribute {name!r} is missing"))
-    for name in attrib:
-        # Tolerate the XML Schema instance attributes (schemaLocation etc.).
-        if name not in allowed and not name.startswith(_XSI):
-            out.append(Violation(UNEXPECTED_ATTRIBUTE, f"{path}@{name}",
-                                 f"attribute {name!r} is not defined by the schema"))
-
-
-def _check_text(elem, path: str, out: list[Violation]) -> None:
-    """Report character data other than XML whitespace."""
-    text = elem.text
-    for sub in elem:
-        if text and text.strip(_SPACE):
-            break
-        text = sub.tail
-    if text and text.strip(_SPACE):
-        out.append(Violation(UNEXPECTED_TEXT, path,
-                             "element must not contain character data"))
-
-
-def _check_boolean(elem, name: str, path: str, out: list[Violation]) -> None:
-    if (raw := elem.get(name)) is not None and parse_boolean(raw) is None:
-        out.append(Violation(BAD_BOOLEAN, f"{path}@{name}", f"not a boolean: {raw!r}"))
-
-
-def _check_enum(members: dict, raw, name: str, path: str, out: list[Violation]) -> None:
-    if raw is not None and raw not in members:
-        out.append(Violation(ENUM_VIOLATION, path, f"{name} {raw!r} outside "
-                             f"enumeration {list(members)}"))
-
-
-def _read_percentage(elem, name: str, path: str, out: list[Violation]):
-    if (raw := elem.get(name)) is None:
-        return None
-    if (digits := parse_integer(raw)) is None:
-        out.append(Violation(BAD_INTEGER, f"{path}@{name}", f"not an integer: {raw!r}"))
-        return None
+def _percentage(raw: str) -> Optional[int]:
+    """A percentage's value, or None unless ``raw`` is an xs:integer in [0, 100]."""
+    digits = parse_integer(raw)
     # Longer numbers are out of range, and int() refuses over 4,300 digits.
-    if len(digits) > 3 or not 0 <= (value := int(digits)) <= 100:
-        out.append(Violation(PERCENT_OUT_OF_RANGE, f"{path}@{name}",
-                             f"percentage {digits} outside [0, 100]"))
+    if digits is None or len(digits) > 3 or not 0 <= (value := int(digits)) <= 100:
         return None
     return value
+
+
+def _report(elem, name: str, path: str, out: list[Violation]) -> None:
+    """The one reporter: append the findings on an element itself, in this order:
+    its attribute names, the root's boolean, its character data and, for a leaf,
+    its child elements and each of its values that fails its type. ``_read``
+    calls it only for an element that fails its test of the whole element."""
+    row, _, allowed, _, _ = _ROWS[name]
+    attrib = elem.attrib
+    for attr in row.required:
+        if attr not in attrib:
+            out.append(Violation(MISSING_ATTRIBUTE, f"{path}@{attr}",
+                                 f"required attribute {attr!r} is missing"))
+    for attr in attrib:
+        # Tolerate the XML Schema instance attributes (schemaLocation etc.).
+        if attr not in allowed and not attr.startswith(_XSI):
+            out.append(Violation(UNEXPECTED_ATTRIBUTE, f"{path}@{attr}",
+                                 f"attribute {attr!r} is not defined by the schema"))
+    # The root's boolean comes before its text, a principle's after its children.
+    raw = attrib.get("consequentiality") if row.sequence else None
+    if raw is not None and parse_boolean(raw) is None:
+        out.append(Violation(BAD_BOOLEAN, f"{path}@consequentiality",
+                             f"not a boolean: {raw!r}"))
+    text = "".join([elem.text or "", *[sub.tail or "" for sub in elem]])
+    if not row.text and text.strip(_SPACE):
+        out.append(Violation(UNEXPECTED_TEXT, path,
+                             "element must not contain character data"))
+    if row.sequence or row.child:
+        return
+    for sub in elem:
+        out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{_local(sub.tag)}",
+                             f"{name} has no child elements"))
+    if name == "patientKind" and (raw := elem.text or "") not in PATIENT_KINDS:
+        out.append(Violation(ENUM_VIOLATION, path, f"patientKind {raw!r} outside "
+                             f"enumeration {list(PATIENT_KINDS)}"))
+    if name == "principle":
+        if (raw := attrib.get("morality")) is not None and parse_boolean(raw) is None:
+            out.append(Violation(BAD_BOOLEAN, f"{path}@morality", f"not a boolean: {raw!r}"))
+        if (raw := attrib.get("subject")) is not None and raw not in _SUBJECTS:
+            out.append(Violation(ENUM_VIOLATION, f"{path}@subject", f"subject {raw!r} outside "
+                                 f"enumeration {list(_SUBJECTS)}"))
+    for attr in ("external", "substance") if name == "influenceThresholds" else ():
+        if (raw := attrib.get(attr)) is None:
+            continue
+        if (digits := parse_integer(raw)) is None:
+            out.append(Violation(BAD_INTEGER, f"{path}@{attr}", f"not an integer: {raw!r}"))
+        elif _percentage(raw) is None:
+            out.append(Violation(PERCENT_OUT_OF_RANGE, f"{path}@{attr}",
+                                 f"percentage {digits} outside [0, 100]"))
 
 
 def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
     """Check an element against its row, then its children, depth first in
     document order, and decode it: the root's instance, built only when the
     document is schema-clean, else a collection's child values (a frozenset of
-    patient kinds, a tuple of principles), else its value or None. The element
-    is reported on only when it fails the whole-element test: its child tags,
-    its attribute names, its enum or boolean value, and no ``stray`` text in
-    the document. ``i`` is its index in a collection, else None: its path is
-    built only for a finding."""
+    patient kinds, a tuple of principles), else its value or None. Only an
+    element that fails the whole-element test goes to ``_report``: its child
+    tags, its attribute names, its values, and no ``stray`` text in the
+    document. ``i`` is its index in a collection, else None: its path is built
+    only for a finding."""
     row, need, allowed, qchild, at = _ROWS[name]
     attrib = elem.attrib
-    fits = not stray and need <= attrib.keys() <= allowed
+    keys = attrib.keys()
+    # As the schema does, tolerate the XML Schema instance attributes.
+    fits = not stray and need <= keys and (
+        keys <= allowed or all(key.startswith(_XSI) for key in keys - allowed))
     if row.sequence:
         consequentiality = parse_boolean(attrib.get("consequentiality", ""))
         if fits and consequentiality is not None and [sub.tag for sub in elem] == [*_SEQUENCE]:
             found = dict(zip(row.sequence, elem))
-        else:  # the root's boolean is reported before its text
-            _check_attrs(attrib, at, row, allowed, out)
-            _check_boolean(attrib, "consequentiality", at, out)
-            _check_text(elem, at, out)
+        else:
+            _report(elem, name, at, out)
             # The schema demands this exact child sequence.
             found = {}
             cursor = 0
@@ -220,8 +231,7 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
     if qchild is not None:
         child = row.child
         if not fits:
-            _check_attrs(attrib, at, row, allowed, out)
-            _check_text(elem, at, out)
+            _report(elem, name, at, out)
         if not len(elem):
             out.append(Violation(MIN_OCCURS, f"{at}/{child}",
                                  f"at least one {child} is required"))
@@ -240,7 +250,6 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
             out.append(Violation(DUPLICATE_PATIENT_KIND, at,
                                  "patientKind values must be distinct"))
         return kinds
-    value = True  # agent and influenceThresholds hold no enum or boolean
     if name == "principle":
         morality = parse_boolean(attrib.get("morality", ""))
         subject = _SUBJECTS.get(attrib.get("subject"))
@@ -249,27 +258,15 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
                  else _record(MoralPrinciple, (morality, subject, specification)))
     elif name == "patientKind":
         value = PATIENT_KINDS.get(elem.text or "")
+    elif name == "agent":
+        value = _record(MoralAgent, (attrib.get("name", ""), attrib.get("reference")))
+    else:
+        external = _percentage(attrib.get("external", ""))
+        substance = _percentage(attrib.get("substance", ""))
+        value = (None if external is None or substance is None
+                 else _record(InfluenceThresholds, (external, substance)))
     if not fits or len(elem) or value is None:
-        path = at if i is None else f"{at}[{i}]"
-        _check_attrs(attrib, path, row, allowed, out)
-        if not row.text:
-            _check_text(elem, path, out)
-        for sub in elem:
-            out.append(Violation(UNEXPECTED_ELEMENT, f"{path}/{_local(sub.tag)}",
-                                 f"{name} has no child elements"))
-        if name == "patientKind":
-            _check_enum(PATIENT_KINDS, elem.text or "", name, path, out)
-        elif name == "principle":
-            _check_boolean(attrib, "morality", path, out)
-            _check_enum(_SUBJECTS, attrib.get("subject"), "subject", f"{path}@subject", out)
-    if name == "agent":
-        return _record(MoralAgent, (attrib.get("name", ""), attrib.get("reference")))
-    if name == "influenceThresholds":
-        external = _read_percentage(attrib, "external", at, out)
-        substance = _read_percentage(attrib, "substance", at, out)
-        if None in (external, substance):
-            return None
-        return _record(InfluenceThresholds, (external, substance))
+        _report(elem, name, at if i is None else f"{at}[{i}]", out)
     return value
 
 

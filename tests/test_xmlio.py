@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 from xml.sax import saxutils
 
@@ -29,9 +30,9 @@ from genet.xmlio import (
     quoteattr,
     schema_check,
 )
-from .conftest import THEORY_NAMES, VERBATIM_THEORIES, theory_bytes
+from .conftest import THEORY_NAMES, VERBATIM_THEORIES, load_synth, theory_bytes
 from .strategies import valid_instances
-from .test_golden import MUTATED_THEORIES, _mutants
+from .test_golden import MUTATED_THEORIES, SYNTH_MODES, _mutants
 
 MINIMAL = b"""<?xml version="1.0" encoding="UTF-8"?>
 <ethicalTheory xmlns="http://genet.cs.uct.ac.za" baseTheory="egoism"
@@ -254,8 +255,30 @@ class TestSchemaCheck:
             elem.set(f"{{{XSI_NS}}}type", "x")
             elem.set(f"{{{XSI_NS}}}schemaLocation", f"{GENET_NS} ethicalTheory.xsd")
         tagged = ElementTree.tostring(root)
-        assert schema_check(tagged).ok
-        assert parse_theory(tagged) == parse_theory(doc)
+        with _no_report():
+            assert schema_check(tagged).ok
+            assert parse_theory(tagged) == parse_theory(doc)
+
+    def test_a_clean_document_runs_no_reporting_code(self):
+        """The reader reports only on an element that fails its whole-element
+        test, so no clean document reaches ``_report``: the fixtures, four of
+        them with ``xsi:schemaLocation``, their canonical forms and the seed-1
+        synthetic theories of both modes."""
+        docs = [theory_bytes(name) for name in THEORY_NAMES]
+        docs += [emit_theory(parse_theory(doc)) for doc in docs]
+        docs += [request.theory_doc for mode in SYNTH_MODES
+                 for request in load_synth().make_requests(mode, 1, 20)]
+        with _no_report():
+            for doc in docs:
+                assert schema_check(doc).ok
+                parse_theory(doc)
+
+
+def _no_report():
+    """A context in which any call of the theory reader's reporter fails."""
+    def fail(elem, name, path, out):
+        raise AssertionError(f"{path} of a clean document was reported on")
+    return mock.patch.object(genet.xmlio, "_report", fail)
 
 
 # The fixture theories already in canonical form; the others keep the
