@@ -315,7 +315,7 @@ def parse_theory(doc: bytes) -> EthicalTheoryInstance:
         first = violations[0]
         if first.code in (WELL_FORMEDNESS, NAMESPACE_MISMATCH):
             raise GenetError(first.code, first.message, report=report)
-        if first.code == DUPLICATE_PATIENT_KIND:
+        if report.codes() == [DUPLICATE_PATIENT_KIND]:
             raise GenetError(INVALID_INSTANCE, first.message, report=report)
         raise GenetError(SCHEMA_VIOLATION, f"schema violations: {report.codes()}",
                          report=report)

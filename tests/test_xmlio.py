@@ -167,6 +167,14 @@ class TestParseTheory:
             parse_theory(doc)
         assert err.value.code == "INVALID_INSTANCE"
 
+    def test_duplicate_patient_kind_with_a_schema_finding_is_a_schema_violation(self):
+        doc = mutate("</patientKinds>", "<patientKind>human</patientKind></patientKinds>",
+                     mutate('morality="true"', 'morality="maybe"'))
+        with pytest.raises(GenetError) as err:
+            parse_theory(doc)
+        assert (err.value.code, err.value.report.codes()) == (
+            "SCHEMA_VIOLATION", ["DUPLICATE_PATIENT_KIND", "BAD_BOOLEAN"])
+
 
 class TestSchemaCheck:
     @pytest.mark.parametrize("name", VERBATIM_THEORIES)
