@@ -763,6 +763,57 @@ class TestMetamorphic:
                                          deontics=shuffled(scenario.deontics)))
         assert _outcome(other) == _outcome(decide(theory, scenario))
 
+    @settings(deadline=None, max_examples=60)
+    @given(theory_scenarios(), st.randoms(use_true_random=False))
+    def test_renaming_ids_renames_the_outcome(self, pair, random):
+        theory, scenario = pair
+        ids = scenario.action_ids() + [g.id for g in scenario.groups]
+        new = {**dict(zip(ids, random.sample([f"id{n}" for n in range(len(ids))], len(ids)))),
+               AGENT: AGENT}
+        request = scenario.request and scenario.request._replace(
+            requester=new[scenario.request.requester],
+            requestedAction=new[scenario.request.requestedAction])
+        renamed = scenario._replace(
+            groups=tuple(g._replace(id=new[g.id]) for g in scenario.groups),
+            actions=tuple(a._replace(id=new[a.id]) for a in scenario.actions),
+            effects=tuple(e._replace(action=new[e.action], target=new[e.target])
+                          for e in scenario.effects),
+            deontics=tuple(d._replace(action=new[d.action], target=new[d.target])
+                           for d in scenario.deontics),
+            request=request)
+        kind, chosen, tied, actions = _outcome(decide(theory, scenario))
+        assert _outcome(decide(theory, renamed)) == (
+            kind, {new[a] for a in chosen}, {new[a] for a in tied},
+            {new[a]: outcome for a, outcome in actions.items()})
+
+    @settings(deadline=None, max_examples=60)
+    @given(theory_scenarios(), st.randoms(use_true_random=False))
+    def test_an_effect_no_principle_covers_decides_nothing(self, pair, random):
+        theory, scenario = pair
+        theory = theory._replace(consequentiality=True)
+        # Specifications are drawn from letters, so no principle has this one.
+        effect = EffectAssertion(random.choice(scenario.action_ids()), "no-principle",
+                                 random.choice(["increase", "decrease"]),
+                                 random.choice([AGENT, *[g.id for g in scenario.groups]]),
+                                 random.random() < 0.5)
+        more = scenario._replace(effects=(*scenario.effects, effect))
+        assert _outcome(decide(theory, more)) == _outcome(decide(theory, scenario))
+        codes = validate_scenario_against_theory(scenario, theory).codes()
+        assert sorted(validate_scenario_against_theory(more, theory).codes()) \
+            == sorted(codes + [INERT_SPECIFICATION])
+
+    @settings(deadline=None, max_examples=60)
+    @given(theory_scenarios())
+    def test_negating_morality_and_direction_decides_nothing(self, pair):
+        theory, scenario = pair
+        theory = theory._replace(consequentiality=True)
+        negated = theory._replace(principles=tuple(
+            p._replace(morality=not p.morality) for p in theory.principles))
+        flipped = scenario._replace(effects=tuple(
+            e._replace(direction="decrease" if e.direction == "increase" else "increase")
+            for e in scenario.effects))
+        assert _outcome(decide(negated, flipped)) == _outcome(decide(theory, scenario))
+
     @settings(deadline=None, max_examples=50)
     @given(theory_scenarios())
     def test_writing_and_reading_the_documents_changes_no_output(self, pair):
