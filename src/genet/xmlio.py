@@ -169,14 +169,16 @@ def _report(elem, name: str, path: str, out: list[Violation]) -> None:
         if (raw := attrib.get("subject")) is not None and raw not in _SUBJECTS:
             out.append(Violation(ENUM_VIOLATION, f"{path}@subject", f"subject {raw!r} outside "
                                  f"enumeration {list(_SUBJECTS)}"))
-    for attr in ("external", "substance") if name == "influenceThresholds" else ():
-        if (raw := attrib.get(attr)) is None:
-            continue
-        if (digits := parse_integer(raw)) is None:
-            out.append(Violation(BAD_INTEGER, f"{path}@{attr}", f"not an integer: {raw!r}"))
-        elif _percentage(raw) is None:
-            out.append(Violation(PERCENT_OUT_OF_RANGE, f"{path}@{attr}",
-                                 f"percentage {digits} outside [0, 100]"))
+    if name == "influenceThresholds":
+        for attr in row.required:  # external, then substance
+            if (raw := attrib.get(attr)) is None:
+                continue
+            if (digits := parse_integer(raw)) is None:
+                out.append(Violation(BAD_INTEGER, f"{path}@{attr}",
+                                     f"not an integer: {raw!r}"))
+            elif _percentage(raw) is None:
+                out.append(Violation(PERCENT_OUT_OF_RANGE, f"{path}@{attr}",
+                                     f"percentage {digits} outside [0, 100]"))
 
 
 def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
