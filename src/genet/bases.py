@@ -144,20 +144,25 @@ class Registry:
 
 
 def load_registry(base_dir: Optional[Path] = None) -> Registry:
-    """Load templates from a directory of ``*.json`` files.
+    """Load templates from the ``*.json`` entries of a directory, in name order.
 
     Defaults to the packaged builtin directory; the GENET_BASE_DIR
-    environment variable overrides it (CLI contract). Two files that give
-    the same template name are an error.
+    environment variable overrides it (CLI contract). A directory that cannot
+    be listed, and two files that give the same template name, are errors.
     """
     base_dir = Path(base_dir or os.environ.get(BASE_DIR_ENV)
                     or Path(__file__).parent / "data" / "bases")
     if not base_dir.is_dir():
         raise GenetError(TEMPLATE_ERROR, f"not a base-theory template directory: "
                                          f"{base_dir}", str(base_dir))
+    try:
+        names = sorted(name for name in os.listdir(base_dir) if name.endswith(".json"))
+    except OSError as exc:
+        raise GenetError(TEMPLATE_ERROR, f"cannot read base-theory template directory "
+                                         f"{base_dir}: {exc}", str(base_dir)) from exc
     files: dict[str, Path] = {}
     templates = []
-    for path in sorted(base_dir.glob("*.json")):
+    for path in map(base_dir.joinpath, names):
         template = _decode_template(path)
         if (first := files.setdefault(template.name, path)) != path:
             raise GenetError(TEMPLATE_ERROR, f"base-theory templates {first} and {path} "

@@ -10,8 +10,8 @@ one statement in code, so diagnostics are identical across platforms. The
 authoritative XSD ships in ``genet/data/schema/ethicalTheory.xsd``, and the
 test suite checks the table against it. One reader, ``_read``, checks a
 document against the table and decodes it in the same pass. It decodes each
-element first, and only an element that fails a test of the whole element goes
-to the one reporter, ``_report``, so a clean document runs no reporting code.
+element first, and only an element failing a test of its own content goes to
+the one reporter, ``_report``, so a clean document runs no reporting code.
 """
 
 import re
@@ -115,7 +115,6 @@ _ROWS = {name: (row, frozenset(row.required), frozenset(row.required + row.optio
 _ROOT = f"{{{GENET_NS}}}ethicalTheory"
 _SEQUENCE = {f"{{{GENET_NS}}}{name}": i
              for i, name in enumerate(ELEMENTS["ethicalTheory"].sequence)}
-_TEXT = {f"{{{GENET_NS}}}{name}" for name, row in ELEMENTS.items() if row.text}
 _XSI = f"{{{XSI_NS}}}"
 _SUBJECTS = {subject.value: subject for subject in Subject}
 _record = tuple.__new__  # builds a record without NamedTuple.__new__'s Python frame
@@ -181,49 +180,49 @@ def _report(elem, name: str, path: str, out: list[Violation]) -> None:
                                      f"percentage {digits} outside [0, 100]"))
 
 
-def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
+def _read(elem, name: str, i: Optional[int], out: list[Violation]):
     """Check an element against its row, then its children, depth first in
     document order, and decode it: the root's instance, built only when the
     document is schema-clean, else a collection's child values (a frozenset of
     patient kinds, a tuple of principles), else its value or None. Only an
     element that fails the whole-element test goes to ``_report``: its child
-    tags, its attribute names, its values, and no ``stray`` text in the
-    document. ``i`` is its index in a collection, else None: its path is built
-    only for a finding."""
+    tags, its attribute names, its values and its own character data. ``i`` is
+    its index in a collection, else None: its path is built only for a finding."""
     row, need, allowed, qchild, at = _ROWS[name]
     attrib = elem.attrib
     keys = attrib.keys()
+    text = elem.text
+    if len(elem):  # ElementTree keeps its other character data in its children's tails.
+        text = "".join([text or "", *[sub.tail or "" for sub in elem]])
     # As the schema does, tolerate the XML Schema instance attributes.
-    fits = not stray and need <= keys and (
-        keys <= allowed or all(key.startswith(_XSI) for key in keys - allowed))
+    fits = need <= keys and (
+        keys <= allowed or all(key.startswith(_XSI) for key in keys - allowed)) and (
+        row.text or not (text and text.strip(_SPACE)))  # else XML whitespace only
     if row.sequence:
         consequentiality = parse_boolean(attrib.get("consequentiality", ""))
-        if fits and consequentiality is not None and [sub.tag for sub in elem] == [*_SEQUENCE]:
-            found = dict(zip(row.sequence, elem))
-        else:
+        if not fits or consequentiality is None:
             _report(elem, name, at, out)
-            # The schema demands this exact child sequence.
-            found = {}
-            cursor = 0
-            for sub in elem:
-                if (index := _SEQUENCE.get(sub.tag)) is None:
-                    child, problem = _local(sub.tag), "is not defined by the schema"
-                elif (child := row.sequence[index]) in found:
-                    problem = "occurs more than once"
-                elif index < cursor:
-                    problem = "is out of sequence"
-                else:
-                    found[child] = sub
-                    cursor = index
-                    continue
-                out.append(Violation(UNEXPECTED_ELEMENT, f"{at}/{child}",
-                                     f"element {child!r} {problem}"))
-            for child in row.sequence:
-                if child not in found:
-                    out.append(Violation(MISSING_ELEMENT, f"{at}/{child}",
-                                         f"required element {child!r} is missing"))
+        # The schema demands this exact child sequence.
+        found, cursor = {}, 0
+        for sub in elem:
+            if (index := _SEQUENCE.get(sub.tag)) is None:
+                child, problem = _local(sub.tag), "is not defined by the schema"
+            elif (child := row.sequence[index]) in found:
+                problem = "occurs more than once"
+            elif index < cursor:
+                problem = "is out of sequence"
+            else:
+                found[child] = sub
+                cursor = index
+                continue
+            out.append(Violation(UNEXPECTED_ELEMENT, f"{at}/{child}",
+                                 f"element {child!r} {problem}"))
+        for child in row.sequence:
+            if child not in found:
+                out.append(Violation(MISSING_ELEMENT, f"{at}/{child}",
+                                     f"required element {child!r} is missing"))
         # Read in document order, which found keeps.
-        values = {child: _read(sub, child, None, stray, out) for child, sub in found.items()}
+        values = {child: _read(sub, child, None, out) for child, sub in found.items()}
         if out:
             return None
         return _record(EthicalTheoryInstance, (
@@ -242,7 +241,7 @@ def _read(elem, name: str, i: Optional[int], stray: bool, out: list[Violation]):
             if sub.tag != qchild:
                 out.append(Violation(UNEXPECTED_ELEMENT, f"{at}/{child}[{j}]",
                                      f"unexpected element {_local(sub.tag)!r}"))
-            elif (value := _read(sub, child, j, stray, out)) is not None:
+            elif (value := _read(sub, child, j, out)) is not None:
                 values.append(value)
         if child != "patientKind":
             return tuple(values)
@@ -286,14 +285,8 @@ def _decode(doc: bytes):
                               f"root element is not in namespace {GENET_NS}")], None
         return [Violation(UNEXPECTED_ELEMENT, f"/{_local(root.tag)}",
                           "root element must be ethicalTheory")], None
-    # Character data other than XML whitespace, where a row allows none, has
-    # every element reported on; the test runs once, over the whole document.
-    elems = list(root.iter())
-    stray = bool("".join([elem.tail or "" for elem in elems]
-                         + [elem.text or "" for elem in elems if elem.tag not in _TEXT]
-                         ).strip(_SPACE))
     out: list[Violation] = []
-    return out, _read(root, "ethicalTheory", None, stray, out)
+    return out, _read(root, "ethicalTheory", None, out)
 
 
 def schema_check(doc: bytes) -> ValidationReport:

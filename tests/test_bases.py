@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -225,6 +226,38 @@ class TestLoadRegistry:
         assert str(err.value) == (f"cannot read base-theory template {path}: "
                                   f"[Errno 13] Permission denied: '{path}'")
         assert err.value.code == TEMPLATE_ERROR
+
+    def test_unreadable_directory_names_itself(self, tmp_path, monkeypatch):
+        # A mode-000 directory; the suite may run as root, which lists any.
+        shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path)
+
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(os, "listdir", refuse)
+        with pytest.raises(GenetError) as err:
+            load_registry(base_dir=tmp_path)
+        assert str(err.value) == (f"cannot read base-theory template directory "
+                                  f"{tmp_path}: [Errno 13] Permission denied: "
+                                  f"'{tmp_path}'")
+        assert err.value.report.codes() == [TEMPLATE_ERROR]
+
+    def test_every_json_name_loads_in_name_order(self, tmp_path):
+        """Every entry whose name ends in ``.json`` is read, a hidden one too,
+        in name order; other names, subdirectories' files included, are not."""
+        for name in ("UPPER.JSON", "x.json.bak", "notes.txt", "json"):
+            (tmp_path / name).write_text('{"name": ')
+        (tmp_path / "nested").mkdir()
+        (tmp_path / "nested" / "inner.json").write_text('{"name": ')
+        shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path / ".hidden.json")
+        shutil.copy(BUILTIN_DIR / "Kantianism.json", tmp_path / "Z.json")
+        assert load_registry(base_dir=tmp_path).names() == ["Kantianism", "egoism"]
+        # The first of two files that give one name, in name order, is named first.
+        shutil.copy(BUILTIN_DIR / "egoism.json", tmp_path / "a.json")
+        with pytest.raises(GenetError) as err:
+            load_registry(base_dir=tmp_path)
+        assert str(err.value) == (f"base-theory templates {tmp_path / '.hidden.json'} "
+                                  f"and {tmp_path / 'a.json'} both give the name "
+                                  f"'egoism'")
 
     def test_free_patient_kinds_are_a_free_field(self, tmp_path, monkeypatch, capsys):
         data = json.loads((BUILTIN_DIR / "egoism.json").read_text("utf-8"))

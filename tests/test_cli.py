@@ -534,6 +534,23 @@ def test_missing_base_dir_is_usage(capsys, tmp_path, monkeypatch, command):
     assert not out.exists()
 
 
+@TEMPLATE_COMMANDS
+def test_unreadable_base_dir_is_usage(capsys, tmp_path, monkeypatch, command):
+    # An unlistable GENET_BASE_DIR must not read as an empty registry; the
+    # suite may run as root, which lists any directory, so listing is refused.
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", str(path))
+    monkeypatch.setattr(os, "listdir", refuse)
+    monkeypatch.setenv("GENET_BASE_DIR", str(tmp_path))
+    out = tmp_path / "x.xml"
+    code, stdout, err = run(capsys, *command,
+                            *(["--out", str(out)] if command == INSTANTIATE else []))
+    assert (code, stdout, err) == (
+        3, "", f"error: cannot read base-theory template directory {tmp_path}: "
+               f"[Errno 13] Permission denied: '{tmp_path}'\n")
+    assert not out.exists()
+
+
 def _this_tree_env(**extra):
     """The environment with the directory of the imported `genet` package
     first on PYTHONPATH, so a subprocess runs this tree's code. It drops

@@ -281,6 +281,27 @@ class TestSchemaCheck:
                 assert schema_check(doc).ok
                 parse_theory(doc)
 
+    @pytest.mark.parametrize("where, reported", [
+        ("text", ("principle", "/ethicalTheory/principles/principle[1]")),
+        ("tail", ("ethicalTheory", "/ethicalTheory")),
+    ], ids=["principle-text", "agent-tail"])
+    def test_stray_text_reports_only_the_element_that_holds_it(self, where, reported):
+        """Each element is judged on its own character data: stray text in a
+        principle, or after the agent (the root's character data), sends only
+        that element to ``_report``, and the findings are unchanged."""
+        root = ElementTree.fromstring(theory_bytes("mia-egoism"))
+        if where == "text":
+            root.find(f"{{{GENET_NS}}}principles")[1].text = "stray"
+        else:
+            agent = root.find(f"{{{GENET_NS}}}agent")
+            agent.tail = (agent.tail or "") + "stray"
+        doc = ElementTree.tostring(root)
+        findings = schema_check(doc)
+        assert findings.codes() == ["UNEXPECTED_TEXT"]
+        with mock.patch.object(genet.xmlio, "_report", wraps=genet.xmlio._report) as spy:
+            assert schema_check(doc) == findings
+        assert [call.args[1:3] for call in spy.call_args_list] == [reported]
+
 
 def _no_report():
     """A context in which any call of the theory reader's reporter fails."""
